@@ -18,7 +18,10 @@ the graded-lexicographic basis:
    touches integers only, so it runs equally well in-process or in a worker.
 3. **Assembly** materialises the symbolic :class:`QuadraticSystem` from the
    grouped index arrays — one trusted ``Polynomial`` per equality, provenance
-   reconstructed from the pair metadata kept parent-side.
+   reconstructed from the pair metadata kept parent-side.  The ``coeff[...]``
+   origin labels are unranked from the emitted groups' grlex ranks with
+   :func:`~repro.polynomial.ordering.grlex_labels`, so no basis monomial is
+   ever enumerated.
 
 Why this is exact: every term a kernel emits carries a *distinct* unknown
 monomial within its equality group (the t/l/eps id layout is collision-free by
@@ -62,16 +65,15 @@ from repro.polynomial.compiled import (
     POOL_PLUS_ONE,
     CoefficientPool,
     MixedTermArrays,
-    exponent_rows,
     lower_gram_triples,
     lower_mixed,
 )
 from repro.polynomial.monomial import Monomial
 from repro.polynomial.ordering import (
-    cached_monomial_basis,
     count_monomials_up_to_degree,
+    grlex_exponents,
+    grlex_labels,
     grlex_ranks,
-    monomials_up_to_degree,
 )
 from repro.polynomial.polynomial import Polynomial
 
@@ -187,10 +189,8 @@ def run_kernel(payload: KernelPayload) -> KernelResult:
 @lru_cache(maxsize=256)
 def _basis_exponents(width: int, degree: int) -> np.ndarray:
     """Exponent matrix of the grlex basis — independent of variable names."""
-    placeholder = tuple(f"_b{i}" for i in range(width))
-    basis = monomials_up_to_degree(placeholder, degree)
-    index = {name: position for position, name in enumerate(placeholder)}
-    return exponent_rows(basis, index, width)
+    ranks = np.arange(count_monomials_up_to_degree(width, degree), dtype=np.int64)
+    return grlex_exponents(ranks, width)
 
 
 @lru_cache(maxsize=128)
@@ -228,22 +228,6 @@ def _sos_template(width: int, upsilon: int) -> KernelResult:
     return run_kernel(payload)
 
 
-@lru_cache(maxsize=256)
-def _basis_strings(variables: tuple[str, ...], degree: int) -> list:
-    """Lazily-filled ``rank -> str(monomial)`` table for origin strings."""
-    return [None] * count_monomials_up_to_degree(len(variables), degree)
-
-
-def _basis_string(
-    strings: list, basis: tuple[Monomial, ...], rank: int
-) -> str:
-    text = strings[rank]
-    if text is None:
-        text = str(basis[rank])
-        strings[rank] = text
-    return text
-
-
 # ---------------------------------------------------------------------------
 # Translation profile (satellite: compile/fanout/assemble sub-timings)
 # ---------------------------------------------------------------------------
@@ -279,7 +263,6 @@ class _PairJob:
     variables: tuple[str, ...]
     unknown_names: tuple[str, ...]  # input (template) unknowns in id order
     pool_values: tuple[Fraction, ...]
-    max_degree: int
     payload: KernelPayload
     # Putinar-only shape data (None markers unused for Handelman).
     multiplier_count: int = 0  # m + 1
@@ -307,11 +290,6 @@ def _compile_putinar_pair(pair: ConstraintPair, pair_index: int, options) -> _Pa
     assumption_count = len(pair.assumptions)
     h_dim = count_monomials_up_to_degree(width, options.upsilon)
     h_exponents = _basis_exponents(width, options.upsilon)
-
-    max_degree = max(
-        [conclusion.max_degree, options.upsilon]
-        + [options.upsilon + lowered.max_degree for lowered in assumptions]
-    )
 
     # Output unknown id layout: input unknowns, then the (m+1) t-blocks, the
     # witness, then the (m+1) Cholesky blocks (row-major lower triangles).
@@ -374,7 +352,6 @@ def _compile_putinar_pair(pair: ConstraintPair, pair_index: int, options) -> _Pa
         variables=variables,
         unknown_names=tuple(unknown_index),
         pool_values=pool.values(),
-        max_degree=max_degree,
         payload=payload,
         multiplier_count=assumption_count + 1,
         h_dim=h_dim,
@@ -393,17 +370,18 @@ def _append_groups(
     result: KernelResult,
     monomials: list,
     pool_values: Sequence[Fraction],
-    basis: tuple[Monomial, ...],
-    strings: list,
-    origin: Callable[[str], str],
+    origins: Sequence[str],
 ) -> None:
-    """Materialise one grouped kernel result as trusted equality constraints."""
-    eq_mu = result.eq_mu.tolist()
+    """Materialise one grouped kernel result as trusted equality constraints.
+
+    ``origins[g]`` labels equality ``g``; callers build it from the group
+    ranks ``result.eq_mu`` with :func:`grlex_labels`.
+    """
     offsets = result.eq_offsets.tolist()
     term_a = result.term_a.tolist()
     term_b = result.term_b.tolist()
     term_coeff = result.term_coeff.tolist()
-    for group, rank in enumerate(eq_mu):
+    for group in range(len(offsets) - 1):
         start = offsets[group]
         stop = offsets[group + 1]
         terms: dict[Monomial, Fraction] = {}
@@ -426,7 +404,7 @@ def _append_groups(
                     del terms[monomial]
         if not terms:
             continue
-        origin_text = origin(_basis_string(strings, basis, rank))
+        origin_text = origins[group]
         if len(terms) == 1 and next(iter(terms)).is_constant():
             polynomial = Polynomial._from_validated(terms)
             raise SynthesisError(
@@ -473,23 +451,20 @@ def _assemble_putinar(
             )
         )
 
-    basis = cached_monomial_basis(job.variables, job.max_degree)
-    strings = _basis_strings(job.variables, job.max_degree)
     pair_name = job.pair_name
     _append_groups(
         constraints,
         result,
         monomials,
         job.pool_values,
-        basis,
-        strings,
-        lambda text: f"{pair_name}:coeff[{text}]",
+        [f"{pair_name}:coeff[{label}]" for label in grlex_labels(result.eq_mu, job.variables)],
     )
 
     if not job.encode_sos:
         return
 
     template = _sos_template(len(job.variables), job.upsilon)
+    sos_labels = grlex_labels(template.eq_mu, job.variables)
     local_a = template.term_a
     local_b = template.term_b
     for which in range(job.multiplier_count):
@@ -511,9 +486,7 @@ def _assemble_putinar(
             shifted,
             monomials,
             job.pool_values,
-            basis,
-            strings,
-            lambda text, which=which: f"{pair_name}:sos{which}[{text}]",
+            [f"{pair_name}:sos{which}[{label}]" for label in sos_labels],
         )
         diag_origin = f"{pair_name}:diag{which}"
         for row in range(sos_dim):
@@ -551,9 +524,6 @@ def _compile_handelman_pair(
     input_count = len(unknown_index)
     eps_id = input_count if with_witness else None
     lambda_base = input_count + (1 if with_witness else 0)
-    max_degree = max(
-        [conclusion.max_degree] + [lowered.max_degree for lowered in lowered_products]
-    )
 
     direct_exponents = [conclusion.exponents]
     direct_a = [conclusion.unknown_ids]
@@ -600,7 +570,6 @@ def _compile_handelman_pair(
         variables=variables,
         unknown_names=tuple(unknown_index),
         pool_values=pool.values(),
-        max_degree=max_degree,
         payload=payload,
         with_witness=with_witness,
         product_labels=tuple(label for label, _, _ in products),
@@ -636,17 +605,13 @@ def _assemble_handelman(
                 f"{job.pair_name}:lambda[{label}]",
             )
         )
-    basis = cached_monomial_basis(job.variables, job.max_degree)
-    strings = _basis_strings(job.variables, job.max_degree)
     pair_name = job.pair_name
     _append_groups(
         constraints,
         result,
         monomials,
         job.pool_values,
-        basis,
-        strings,
-        lambda text: f"{pair_name}:coeff[{text}]",
+        [f"{pair_name}:coeff[{label}]" for label in grlex_labels(result.eq_mu, job.variables)],
     )
 
 

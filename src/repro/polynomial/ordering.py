@@ -9,7 +9,6 @@ deterministic printing and for the Groebner-free normal forms in tests.
 from __future__ import annotations
 
 from enum import Enum
-from functools import lru_cache
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -99,17 +98,6 @@ def monomials_of_degree(variables: Sequence[str], degree: int) -> list[Monomial]
     return [m for m in monomials_up_to_degree(variables, degree) if m.degree() == degree]
 
 
-@lru_cache(maxsize=256)
-def cached_monomial_basis(variables: tuple[str, ...], degree: int) -> tuple[Monomial, ...]:
-    """Memoised :func:`monomials_up_to_degree` for repeated pair compilations.
-
-    Translation compiles one basis per (variable order, degree) combination and
-    every constraint pair of the same function shares it, so interning the
-    tuple avoids re-enumerating thousands of monomials per pair.
-    """
-    return tuple(monomials_up_to_degree(variables, degree))
-
-
 def pascal_table(max_free: int, max_sum: int) -> np.ndarray:
     """Table ``T[m, s] = C(s + m, m)``: monomials over ``m`` variables of degree <= ``s``.
 
@@ -156,6 +144,61 @@ def grlex_ranks(exponents: np.ndarray) -> np.ndarray:
         ranks = ranks + row[remaining] - row[remaining - exps]
         remaining = remaining - exps
     return ranks
+
+
+def grlex_exponents(ranks: np.ndarray, width: int) -> np.ndarray:
+    """Vectorised inverse of :func:`grlex_ranks`: the ``(n, width)`` exponent rows.
+
+    Row ``i`` is the monomial at position ``ranks[i]`` of
+    :func:`monomials_up_to_degree` over ``width`` variables.  The degree is
+    the first Pascal block whose cumulative count passes the rank; each
+    variable position then undoes one term of the closed form in
+    :func:`grlex_ranks` with one ``searchsorted`` in the Pascal row shared by
+    every rank: the exponent ``e`` is the largest one whose count
+    ``row[s] - row[s - e]`` of lex-smaller monomials still fits in the
+    offset left inside the degree block.
+    """
+    ranks = np.asarray(ranks, dtype=np.int64).reshape(-1)
+    exponents = np.zeros((ranks.size, width), dtype=np.int64)
+    if ranks.size == 0:
+        return exponents
+    top = int(ranks.max())
+    if ranks.min() < 0 or (width == 0 and top > 0):
+        raise ValueError("grlex ranks must index monomials over the given width")
+    if width == 0:
+        return exponents
+    max_degree = 0
+    while count_monomials_up_to_degree(width, max_degree) <= top:
+        max_degree += 1
+    table = pascal_table(width, max_degree)
+    degrees = np.searchsorted(table[width], ranks, side="right")
+    offsets = ranks - np.where(degrees > 0, table[width][np.maximum(degrees - 1, 0)], 0)
+    remaining = degrees
+    for position in range(width - 1):
+        row = table[width - 1 - position]
+        # Smallest j = s - e with row[j] >= row[s] - offset (row is strictly increasing).
+        rest = np.searchsorted(row, row[remaining] - offsets, side="left")
+        exponents[:, position] = remaining - rest
+        offsets = offsets - (row[remaining] - row[rest])
+        remaining = rest
+    exponents[:, width - 1] = remaining
+    return exponents
+
+
+def grlex_labels(ranks: np.ndarray, variables: Sequence[str]) -> list[str]:
+    """``str(monomial)`` of each grlex-ranked monomial, without building any monomial.
+
+    Matches :meth:`Monomial.__str__`: factors in variable-name order, ``x^e``
+    for exponents above one, and ``1`` for the constant monomial.
+    """
+    names = sorted(variables)
+    position = {name: column for column, name in enumerate(variables)}
+    rows = grlex_exponents(ranks, len(names))[:, [position[name] for name in names]]
+    labels = []
+    for row in rows.tolist():
+        factors = [name if exp == 1 else f"{name}^{exp}" for name, exp in zip(names, row) if exp]
+        labels.append("*".join(factors) or "1")
+    return labels
 
 
 def count_monomials_up_to_degree(num_variables: int, degree: int) -> int:

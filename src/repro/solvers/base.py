@@ -83,8 +83,9 @@ class SolverResult:
     ``residual_evaluations`` / ``jacobian_evaluations`` count kernel work in
     *member evaluations* (a width-``k`` batched call on ``k`` live members
     counts ``k``), so they stay comparable across batch modes;
-    ``batch_width`` is the restart-batch width the solver iterated (1 per
-    member in ``"rows"`` mode, 0 on the legacy ``"off"`` path).
+    ``batch_width`` is the most live restart members any one batched kernel
+    call carried (1 in ``"rows"`` mode or when the leader wave wins alone, 0
+    on the legacy ``"off"`` path).
     """
 
     assignment: Mapping[str, float] | None

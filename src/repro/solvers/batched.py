@@ -47,17 +47,21 @@ class KernelCounters:
 
     Counts are in *member evaluations* — a width-``k`` batched kernel call on
     ``k`` live members counts ``k``, so the numbers stay comparable with the
-    scalar loops they replace.
+    scalar loops they replace.  ``max_width`` is the most live members any
+    one kernel call carried: the batch width actually iterated.
     """
 
     residual_evaluations: int = 0
     jacobian_evaluations: int = 0
+    max_width: int = 0
 
     def count_residuals(self, members: int) -> None:
         self.residual_evaluations += int(members)
+        self.max_width = max(self.max_width, int(members))
 
     def count_jacobians(self, members: int) -> None:
         self.jacobian_evaluations += int(members)
+        self.max_width = max(self.max_width, int(members))
 
 
 @dataclass
@@ -199,8 +203,9 @@ def batched_least_squares(
     """Per-member Levenberg–Marquardt on the residuals (the feasibility sprint).
 
     Minimises ``||residuals(x_i)||^2`` for every live member with a damped
-    Gauss-Newton step solved matrix-free by :func:`_batched_cg` on the normal
-    equations ``(J_i^T J_i + lambda_i I) dx_i = -J_i^T r_i``.  Members retire
+    Gauss-Newton step solved by :func:`_batched_cg` on the normal equations
+    ``(J_i^T J_i + lambda_i I) dx_i = -J_i^T r_i``, through products with each
+    live member's CSR Jacobian (filled once per iteration).  Members retire
     when their violation reaches ``target`` and the fast quadratic
     convergence near a zero-residual solution has run dry (so feasible
     members carry every float digit the exact-certificate snap can use),
@@ -239,7 +244,7 @@ def batched_least_squares(
         width = int(live.sum())
         iterations += width
 
-        jacobian = problem.residual_jacobian_batch(x)
+        jacobian = problem.residual_jacobian_batch(x, live)
         counters.count_jacobians(width)
         gradient = jacobian.rmatvec(r)
         live &= np.max(np.abs(gradient), axis=1) > gtol
@@ -512,7 +517,7 @@ def run_multistart(
             strategy=label,
             residual_evaluations=counters.residual_evaluations,
             jacobian_evaluations=counters.jacobian_evaluations,
-            batch_width=restarts if options.batch == "on" else 1,
+            batch_width=counters.max_width,
         )
 
     winner, used = winning_member(violations, objectives, computed, options.tolerance, trigger)
@@ -544,5 +549,5 @@ def run_multistart(
         strategy=label,
         residual_evaluations=counters.residual_evaluations,
         jacobian_evaluations=counters.jacobian_evaluations,
-        batch_width=restarts if options.batch == "on" else 1,
+        batch_width=counters.max_width,
     )

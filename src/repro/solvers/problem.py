@@ -397,27 +397,16 @@ class CompiledProblem:
         return gradient
 
     def residual_jacobian(self, point: np.ndarray) -> sparse.csr_matrix:
-        """Sparse Jacobian of :meth:`residuals` (rows of inactive inequalities are zero)."""
-        values = self.constraint_values(point)
-        active = np.ones(self.row_count)
-        active[self.nonneg_mask] = (values[self.nonneg_mask] < 0.0).astype(float)
-        active[self.positive_mask] = (values[self.positive_mask] < self.strict_margin).astype(float)
+        """Sparse Jacobian of :meth:`residuals` (rows of inactive inequalities are empty).
 
-        jacobian = self.linear
-        if self.quadratic.rows.size:
-            rows = np.concatenate([self.quadratic.rows, self.quadratic.rows])
-            cols = np.concatenate([self.quadratic.left, self.quadratic.right])
-            vals = np.concatenate(
-                [
-                    self.quadratic.coefficients * point[self.quadratic.right],
-                    self.quadratic.coefficients * point[self.quadratic.left],
-                ]
-            )
-            quadratic_part = sparse.coo_matrix(
-                (vals, (rows, cols)), shape=(self.row_count, self.dimension)
-            )
-            jacobian = jacobian + quadratic_part.tocsr()
-        return sparse.diags(active).dot(jacobian).tocsr()
+        The width-1 case of :class:`BatchJacobian`'s assembly, with the
+        masked-out entries dropped from the returned matrix.
+        """
+        points = np.asarray(point, dtype=float)[None, :]
+        # A copy: eliminate_zeros compacts ``indices`` in place, and those are the pattern's.
+        matrix = BatchJacobian(self, points).member_matrix(0).copy()
+        matrix.eliminate_zeros()
+        return matrix
 
     # -- batched kernels (one call per iteration covers every restart) -------------
 
@@ -510,15 +499,23 @@ class CompiledProblem:
             gradient += objective_weight * self.objective_gradient_batch(points)
         return gradient
 
-    def residual_jacobian_batch(self, points: np.ndarray) -> "BatchJacobian":
-        """The stacked block-sparse Jacobian of :meth:`residuals_batch`.
+    def jacobian_pattern(self) -> "JacobianPattern":
+        """The residual Jacobian's fixed CSR sparsity, built on first use."""
+        cached = getattr(self, "_jacobian_pattern", None)
+        if cached is None:
+            cached = JacobianPattern(self)
+            self._jacobian_pattern = cached
+        return cached
 
-        Returned as an operator (per-member ``matvec``/``rmatvec`` plus an
-        explicit :meth:`BatchJacobian.block_diagonal` materialisation) so the
-        batched least-squares solver can run matrix-free CG without ever
-        assembling ``k`` sparse matrices per iteration.
+    def residual_jacobian_batch(
+        self, points: np.ndarray, live: np.ndarray | None = None
+    ) -> "BatchJacobian":
+        """The per-member CSR Jacobians of :meth:`residuals_batch`.
+
+        ``live`` restricts the assembly to the members still iterating; the
+        other members' products are zero.
         """
-        return BatchJacobian(self, np.asarray(points, dtype=float))
+        return BatchJacobian(self, np.asarray(points, dtype=float), live)
 
     # -- starting points ------------------------------------------------------------
 
@@ -587,75 +584,140 @@ class CompiledProblem:
         return np.array([float(assignment.get(name, 0.0)) for name in self.variables])
 
 
+class JacobianPattern:
+    """The CSR sparsity of the residual Jacobian, shared by every point.
+
+    Every Jacobian entry is a linear coefficient or one half of a bilinear
+    term's product rule — ``d(c * x_l * x_r)/dx_l = c * x_r`` and
+    ``d/dx_r = c * x_l`` — so each is ``coefficients[e] * x[factors[e]]``,
+    where factor ``dimension`` reads a constant 1.0 (linear entries).
+    ``slots`` maps each entry to its CSR position: a repeated ``(row, col)``
+    (``x_i^2``, or a linear and a bilinear entry in one cell) sums into one
+    slot.  ``transpose`` permutes CSR ``data`` into the CSR order of ``J.T``.
+    """
+
+    __slots__ = (
+        "shape",
+        "nnz",
+        "coefficients",
+        "factors",
+        "slots",
+        "indices",
+        "indptr",
+        "transpose",
+        "transpose_indices",
+        "transpose_indptr",
+    )
+
+    def __init__(self, problem: CompiledProblem):
+        linear = problem.linear
+        quadratic = problem.quadratic
+        rows, dimension = problem.row_count, problem.dimension
+        linear_rows = np.repeat(np.arange(rows, dtype=np.int64), np.diff(linear.indptr))
+        entry_rows = np.concatenate([linear_rows, quadratic.rows, quadratic.rows]).astype(np.int64)
+        entry_cols = np.concatenate([linear.indices, quadratic.left, quadratic.right])
+        keys, slots = np.unique(entry_rows * dimension + entry_cols, return_inverse=True)
+        self.shape = (rows, dimension)
+        self.nnz = keys.size
+        # The pattern lives as long as the compiled problem, so every index
+        # array is int32 whenever the sizes allow it.
+        index_dtype = np.int32 if max(self.nnz, rows, dimension) < 2**31 else np.int64
+        self.coefficients = np.concatenate(
+            [linear.data, quadratic.coefficients, quadratic.coefficients]
+        )
+        self.factors = np.concatenate(
+            [np.full(linear.nnz, dimension), quadratic.right, quadratic.left]
+        ).astype(index_dtype)
+        self.slots = slots.astype(index_dtype)
+        slot_rows, columns = np.divmod(keys, max(dimension, 1))
+        self.indices = columns.astype(index_dtype)
+        self.indptr = np.concatenate(
+            [[0], np.cumsum(np.bincount(slot_rows, minlength=rows))]
+        ).astype(index_dtype)
+        self.transpose = np.argsort(columns, kind="stable").astype(index_dtype)
+        self.transpose_indices = slot_rows[self.transpose].astype(index_dtype)
+        self.transpose_indptr = np.concatenate(
+            [[0], np.cumsum(np.bincount(columns, minlength=dimension))]
+        ).astype(index_dtype)
+
+    def fill(self, points: np.ndarray, active: np.ndarray) -> np.ndarray:
+        """CSR ``data`` of every point's Jacobian → ``(n, nnz)``, masked by ``active`` rows.
+
+        One gather, one ``bincount`` and the row mask.  Member ``i``'s slots
+        receive only member ``i``'s entries, in entry order, so each row of
+        the result is bit-identical to filling that point alone.
+        """
+        count = points.shape[0]
+        extended = np.concatenate([points, np.ones((count, 1))], axis=1)
+        values = self.coefficients * extended[:, self.factors]
+        bins = self.slots + self.nnz * np.arange(count, dtype=np.int64)[:, None]
+        data = np.bincount(bins.reshape(-1), weights=values.reshape(-1), minlength=count * self.nnz)
+        # astype: bincount of no entries at all comes back as int64.
+        data = data.reshape(count, self.nnz).astype(float, copy=False)
+        data *= np.repeat(active, np.diff(self.indptr), axis=1)
+        return data
+
+    def matrix(self, data: np.ndarray) -> sparse.csr_matrix:
+        return sparse.csr_matrix((data, self.indices, self.indptr), shape=self.shape)
+
+    def transposed_matrix(self, data: np.ndarray) -> sparse.csr_matrix:
+        return sparse.csr_matrix(
+            (data[self.transpose], self.transpose_indices, self.transpose_indptr),
+            shape=self.shape[::-1],
+        )
+
+
 class BatchJacobian:
     """The Jacobian of :meth:`CompiledProblem.residuals_batch` at ``k`` points.
 
-    Logically a block-diagonal ``(k * rows, k * dim)`` sparse matrix (one
-    :meth:`CompiledProblem.residual_jacobian` block per batch member); held as
-    an operator because the batched Levenberg–Marquardt solver only ever needs
-    per-member products.  ``matvec``/``rmatvec`` keep members strictly
-    independent — member ``i`` of the output touches only member ``i`` of the
-    input — preserving the lockstep guarantee of the batched kernels.
+    One CSR matrix (and its transpose) per live member, on the problem's
+    :class:`JacobianPattern`: the batched Levenberg–Marquardt solver fills
+    them once per iteration and its CG products are plain per-member CSR
+    products.  Member ``i`` of an output touches only member ``i`` of the
+    input, which preserves the lockstep guarantee of the batched kernels;
+    the output rows of members that are not live are zero.
     """
 
-    __slots__ = ("problem", "points", "active", "_left_values", "_right_values")
+    __slots__ = ("problem", "points", "members", "_matrices", "_transposes")
 
-    def __init__(self, problem: CompiledProblem, points: np.ndarray):
+    def __init__(
+        self, problem: CompiledProblem, points: np.ndarray, live: np.ndarray | None = None
+    ):
         self.problem = problem
         self.points = points
-        values = problem.constraint_values_batch(points)
+        self.members = (
+            np.arange(points.shape[0]) if live is None else np.flatnonzero(live)
+        )
+        member_points = points[self.members]
+        values = problem.constraint_values_batch(member_points)
+        # Rows of inactive inequalities are masked out of the Jacobian.
         active = np.ones_like(values)
         nonneg = problem.nonneg_mask
         active[:, nonneg] = (values[:, nonneg] < 0.0).astype(float)
         positive = problem.positive_mask
         active[:, positive] = (values[:, positive] < problem.strict_margin).astype(float)
-        #: (k, rows) 0/1 mask: rows of inactive inequalities are zeroed.
-        self.active = active
-        quadratic = problem.quadratic
-        #: Point-dependent term factors, shared by matvec and rmatvec.
-        self._left_values = points[:, quadratic.left] if quadratic.rows.size else None
-        self._right_values = points[:, quadratic.right] if quadratic.rows.size else None
+        pattern = problem.jacobian_pattern()
+        data = pattern.fill(member_points, active)
+        self._matrices = [pattern.matrix(row) for row in data]
+        self._transposes = [pattern.transposed_matrix(row) for row in data]
 
-    @property
-    def batch_width(self) -> int:
-        return self.points.shape[0]
+    def member_matrix(self, position: int) -> sparse.csr_matrix:
+        """The CSR Jacobian of the ``position``-th live member (shares the pattern arrays)."""
+        return self._matrices[position]
 
     def matvec(self, vectors: np.ndarray) -> np.ndarray:
         """Per-member ``J_i @ v_i`` → ``(k, rows)``."""
-        problem = self.problem
-        result = np.ascontiguousarray(problem.linear.dot(vectors.T).T)
-        quadratic = problem.quadratic
-        if quadratic.rows.size:
-            contributions = (
-                self._left_values * vectors[:, quadratic.right]
-                + self._right_values * vectors[:, quadratic.left]
-            )
-            result += quadratic.row_aggregator(problem.row_count).dot(contributions.T).T
-        return self.active * result
+        result = np.zeros((self.points.shape[0], self.problem.row_count))
+        for member, matrix in zip(self.members, self._matrices):
+            result[member] = matrix @ vectors[member]
+        return result
 
     def rmatvec(self, weights: np.ndarray) -> np.ndarray:
         """Per-member ``J_i.T @ w_i`` → ``(k, dim)``."""
-        problem = self.problem
-        masked = self.active * weights
-        result = np.ascontiguousarray(problem._linear_transposed().dot(masked.T).T)
-        quadratic = problem.quadratic
-        if quadratic.rows.size:
-            left_agg, right_agg = quadratic.side_aggregators(problem.dimension)
-            row_weights = masked[:, quadratic.rows]
-            result += left_agg.dot((row_weights * self._right_values).T).T
-            result += right_agg.dot((row_weights * self._left_values).T).T
+        result = np.zeros((self.points.shape[0], self.problem.dimension))
+        for member, matrix in zip(self.members, self._transposes):
+            result[member] = matrix @ weights[member]
         return result
-
-    def gradient(self, residuals: np.ndarray) -> np.ndarray:
-        """The least-squares gradient ``J_i.T @ r_i`` of ``0.5 * ||r_i||^2``."""
-        return self.rmatvec(residuals)
-
-    def block_diagonal(self) -> sparse.csr_matrix:
-        """The stacked ``(k * rows, k * dim)`` block-diagonal materialisation."""
-        return sparse.block_diag(
-            [self.problem.residual_jacobian(self.points[i]) for i in range(self.batch_width)],
-            format="csr",
-        )
 
 
 def compile_problem(system: QuadraticSystem, strict_margin: float | None = None) -> CompiledProblem:

@@ -11,6 +11,10 @@ properties of the ``*_batch`` kernels of
   it is evaluated alone or inside a wider batch, which is what makes
   ``batch="on"`` and ``batch="rows"`` produce the same winning assignment.
 
+The CSR Jacobian is checked against a dense reference built here by a plain
+loop over the lowered linear and bilinear triplets, since the per-point
+``residual_jacobian`` shares the assembly under test.
+
 The solver-level corollary is checked too: with the same seed, the three
 multi-start solvers return identical fingerprints (assignment, status,
 violation) under ``batch="on"`` and ``batch="rows"``.
@@ -26,6 +30,7 @@ from repro.invariants.quadratic_system import (
     QuadraticConstraint,
     QuadraticSystem,
 )
+from repro.polynomial.compiled import lower_quadratic
 from repro.polynomial.monomial import Monomial
 from repro.polynomial.polynomial import Polynomial
 from repro.solvers.alternating import AlternatingSolver
@@ -126,6 +131,40 @@ def test_batched_penalty_and_gradients_match_per_point(system, batch, rho):
         )
 
 
+#: Relative tolerance of the CSR Jacobian against the dense reference.
+JACOBIAN_RTOL = 1e-12
+
+
+def _dense_jacobian(problem, point):
+    """Reference residual Jacobian: one plain loop per triplet, inactive rows zeroed."""
+    polynomials = [constraint.polynomial for constraint in problem.system.constraints]
+    triplets = lower_quadratic(polynomials, problem.index)
+    reference = np.zeros((problem.row_count, problem.dimension))
+    for row, col, value in zip(
+        triplets.linear_rows, triplets.linear_cols, triplets.linear_values
+    ):
+        reference[row, col] += value
+    for row, left, right, value in zip(
+        triplets.quad_rows, triplets.quad_left, triplets.quad_right, triplets.quad_values
+    ):
+        reference[row, left] += value * point[right]
+        reference[row, right] += value * point[left]
+    values = problem.constraint_values(point)
+    for row in range(problem.row_count):
+        if problem.nonneg_mask[row] and values[row] >= 0.0:
+            reference[row] = 0.0
+        if problem.positive_mask[row] and values[row] >= problem.strict_margin:
+            reference[row] = 0.0
+    return reference
+
+
+def _assert_product_close(product, matrix, vector):
+    """``product == matrix @ vector`` up to JACOBIAN_RTOL of the summands' magnitude."""
+    expected = matrix @ vector
+    bound = JACOBIAN_RTOL * (np.abs(matrix) @ np.abs(vector))
+    assert np.all(np.abs(product - expected) <= bound)
+
+
 @settings(max_examples=100, deadline=None)
 @given(systems, batches)
 def test_batched_jacobian_matches_per_point_jacobian(system, batch):
@@ -138,9 +177,15 @@ def test_batched_jacobian_matches_per_point_jacobian(system, batch):
     jv = jacobian.matvec(vectors)
     jtw = jacobian.rmatvec(weights)
     for i, point in enumerate(points):
-        scalar = problem.residual_jacobian(point)
-        assert np.allclose(jv[i], scalar.dot(vectors[i]), rtol=1e-9, atol=1e-10)
-        assert np.allclose(jtw[i], scalar.T.dot(weights[i]), rtol=1e-9, atol=1e-10)
+        reference = _dense_jacobian(problem, point)
+        assert np.allclose(
+            problem.residual_jacobian(point).toarray(),
+            reference,
+            rtol=JACOBIAN_RTOL,
+            atol=JACOBIAN_RTOL,
+        )
+        _assert_product_close(jv[i], reference, vectors[i])
+        _assert_product_close(jtw[i], reference.T, weights[i])
 
 
 @settings(max_examples=60, deadline=None)
@@ -154,8 +199,24 @@ def test_lockstep_rows_are_bit_identical_to_wide_batches(system, batch, rho):
     residuals = problem.residuals_batch(points)
     penalties = problem.penalty_batch(points, rho_members, objective_weight=1.0)
     gradients = problem.penalty_gradient_batch(points, rho_members, objective_weight=1.0)
+    rng = np.random.default_rng(0)
+    vectors = rng.standard_normal(points.shape)
+    weights = rng.standard_normal((points.shape[0], problem.row_count))
+    jacobian = problem.residual_jacobian_batch(points)
+    jv = jacobian.matvec(vectors)
+    jtw = jacobian.rmatvec(weights)
+    # Only the live members are assembled; the others' products are zero.
+    live = np.arange(points.shape[0]) % 2 == 0
+    partial = problem.residual_jacobian_batch(points, live)
+    assert np.array_equal(partial.matvec(vectors)[live], jv[live])
+    assert np.array_equal(partial.rmatvec(weights)[live], jtw[live])
+    assert not partial.matvec(vectors)[~live].any()
+    assert not partial.rmatvec(weights)[~live].any()
     for i in range(points.shape[0]):
         row = points[i : i + 1]
+        alone = problem.residual_jacobian_batch(row)
+        assert np.array_equal(jv[i], alone.matvec(vectors[i : i + 1])[0])
+        assert np.array_equal(jtw[i], alone.rmatvec(weights[i : i + 1])[0])
         assert np.array_equal(values[i], problem.constraint_values_batch(row)[0])
         assert np.array_equal(residuals[i], problem.residuals_batch(row)[0])
         assert np.array_equal(

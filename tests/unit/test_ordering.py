@@ -1,11 +1,18 @@
 """Unit tests for repro.polynomial.ordering."""
 
+import numpy as np
+import pytest
+
+from repro.polynomial.compiled import exponent_rows
 from repro.polynomial.monomial import Monomial
 from repro.polynomial.ordering import (
     MonomialOrder,
     count_monomials_up_to_degree,
     grevlex_key,
+    grlex_exponents,
     grlex_key,
+    grlex_labels,
+    grlex_ranks,
     lex_key,
     monomials_of_degree,
     monomials_up_to_degree,
@@ -103,3 +110,45 @@ def test_grlex_ranks_edge_cases():
     # No rows at all, and the zero-variable constant monomial.
     assert grlex_ranks(np.zeros((0, 3), dtype=np.int64)).tolist() == []
     assert grlex_ranks(np.zeros((2, 0), dtype=np.int64)).tolist() == [0, 0]
+
+
+def test_grlex_exponents_invert_ranks_and_the_enumeration_order():
+    for width in range(0, 7):
+        names = [f"v{i}" for i in range(width)]
+        index = {name: position for position, name in enumerate(names)}
+        for degree in range(0, 6):
+            basis = monomials_up_to_degree(names, degree)
+            exponents = grlex_exponents(np.arange(len(basis)), width)
+            assert np.array_equal(exponents, exponent_rows(basis, index, width)), (width, degree)
+            assert grlex_ranks(exponents).tolist() == list(range(len(basis))), (width, degree)
+
+
+def test_grlex_exponents_of_scattered_ranks():
+    """Any subset of ranks, in any order and with repeats, unranks row by row."""
+    rng = np.random.default_rng(0)
+    for width in range(1, 7):
+        total = count_monomials_up_to_degree(width, 5)
+        ranks = rng.integers(0, total, size=50)
+        assert grlex_ranks(grlex_exponents(ranks, width)).tolist() == ranks.tolist()
+
+
+def test_grlex_labels_match_monomial_str():
+    # Variable orders that differ from name order exercise the factor sort.
+    for variables in (["x"], ["y", "x"], ["n", "i", "s"], ["v2", "v10", "a", "b1"]):
+        for degree in range(0, 5):
+            basis = monomials_up_to_degree(variables, degree)
+            labels = grlex_labels(np.arange(len(basis)), variables)
+            assert labels == [str(monomial) for monomial in basis], (variables, degree)
+    basis = monomials_up_to_degree(["y", "x"], 4)
+    ranks = [7, 0, 13, 7]
+    assert grlex_labels(ranks, ["y", "x"]) == [str(basis[rank]) for rank in ranks]
+
+
+def test_grlex_exponents_edge_cases():
+    assert grlex_exponents(np.zeros(0, dtype=np.int64), 3).shape == (0, 3)
+    assert grlex_exponents(np.zeros(2, dtype=np.int64), 0).shape == (2, 0)
+    assert grlex_labels([0, 0], []) == ["1", "1"]
+    with pytest.raises(ValueError):
+        grlex_exponents(np.array([1]), 0)
+    with pytest.raises(ValueError):
+        grlex_exponents(np.array([-1]), 2)

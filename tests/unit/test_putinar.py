@@ -171,3 +171,35 @@ def test_merge_systems():
     second.add_nonnegative(parse_polynomial("$t_b_0_0"))
     first.merge(second)
     assert first.size == 2
+
+
+def test_pendulum_translation_interns_fewer_monomials_than_its_label_basis():
+    """Regression: ``coeff[...]`` origin labels come from grlex ranks.
+
+    Labelling the equalities once enumerated the whole label basis — every
+    monomial of degree <= 9 over inverted-pendulum's 12 variables, 293,930
+    ``Monomial`` objects interned for the life of the process — to print a
+    few thousand of them.
+    """
+    from repro.polynomial.monomial import Monomial
+    from repro.polynomial.ordering import count_monomials_up_to_degree
+    from repro.reduction.stages import (
+        run_frontend,
+        run_pairs,
+        run_preconditions,
+        run_templates,
+        run_translation,
+    )
+    from repro.suite.registry import get_benchmark
+
+    benchmark = get_benchmark("inverted-pendulum")
+    options = benchmark.options(upsilon=1)
+    frontend = run_frontend(benchmark.source)
+    precondition = run_preconditions(frontend, benchmark.precondition, options)
+    pairs = run_pairs(frontend, precondition, run_templates(frontend, options))
+    basis_size = count_monomials_up_to_degree(12, 9)
+    assert basis_size == 293_930
+    before = Monomial.interned_count()
+    system = run_translation(pairs, options)
+    assert system.size > 0
+    assert Monomial.interned_count() - before < basis_size

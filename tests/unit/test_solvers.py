@@ -262,14 +262,23 @@ def test_batch_modes_agree_on_winning_assignment():
 
 
 def test_solver_results_report_kernel_counters():
-    system = bilinear_system()
-    for mode, width in (("on", 3), ("rows", 1), ("off", 0)):
+    """``batch_width`` is the most live members one batched kernel call carried."""
+    cases = (
+        # The origin leader does not win here, so the two-member pack wave runs.
+        (bilinear_system(), "on", 2, 2),
+        (bilinear_system(), "rows", 1, 2),
+        (bilinear_system(), "off", 0, 2),
+        # The leader wave wins alone, so the pack never launches.
+        (objective_system(), "on", 1, 1),
+    )
+    for system, mode, width, restarts_used in cases:
         options = SolverOptions(restarts=3, max_iterations=200, batch=mode)
         result = PenaltyQCLPSolver(options).solve(system)
         assert result.feasible
         assert result.residual_evaluations > 0
         assert result.jacobian_evaluations > 0
         assert result.batch_width == width
+        assert result.restarts_used == restarts_used
 
 
 def test_start_batch_rows_are_pairwise_distinct():
