@@ -438,6 +438,8 @@ def run_multistart(
     restart loop's winner selection with :func:`winning_member`.  Lockstep
     row independence of the engines makes the two modes produce identical
     member trajectories, hence identical winning assignments.
+    ``details["interrupted"]`` is 1.0 when the control (a rival's win or the
+    deadline) stopped the winning member's descent mid-flight.
     """
     rng = np.random.default_rng(options.seed)
     counters = KernelCounters()
@@ -449,6 +451,8 @@ def run_multistart(
     objectives = np.full(restarts, np.inf)
     iterations = 0
     computed = 0
+    #: The first member whose descent the control stopped mid-flight.
+    cut = restarts
 
     if options.batch == "rows":
         best_violation = np.inf
@@ -470,6 +474,7 @@ def run_multistart(
                     f"objective={objectives[member]:.6g}"
                 )
             if outcome.interrupted:
+                cut = member
                 break
             if not have_best or improves(
                 best_violation, best_objective, violations[member], objectives[member],
@@ -501,6 +506,7 @@ def run_multistart(
             objectives[wave] = problem.objective_value_batch(outcome.points)
             computed = wave.stop
             if outcome.interrupted:
+                cut = wave.start
                 break
             if trigger is not None:
                 best, _ = winning_member(violations, objectives, computed, options.tolerance)
@@ -535,6 +541,8 @@ def run_multistart(
     violation = float(violations[winner])
     objective = float(objectives[winner])
     feasible = violation <= options.tolerance
+    # A cancellation or the deadline left the winner wherever it stood.
+    details["interrupted"] = float(winner >= cut)
     if size_details:
         details["dimension"] = float(problem.dimension)
         details["constraints"] = float(problem.row_count)

@@ -311,6 +311,7 @@ class PortfolioSolver(Solver):
         best_name: str | None = None
         best_violation = float("inf")
         best_objective = float("inf")
+        best_settled = False
         iterations = 0
         restarts = 0
         residual_evaluations = 0
@@ -333,9 +334,21 @@ class PortfolioSolver(Solver):
             batch_width = max(batch_width, result.batch_width)
             violation = result.max_violation if result.max_violation is not None else float("inf")
             objective = result.objective_value if result.objective_value is not None else float("inf")
-            if best is None or improves(best_violation, best_objective, violation, objective, tolerance):
+            # A strategy stopped mid-descent (a rival's win or the deadline)
+            # returns wherever it stood, often only barely feasible: it may
+            # win on violation, but never displace a completed feasible
+            # result on objective.
+            settled = violation <= tolerance and not result.details.get("interrupted")
+            if (
+                best is None
+                or (settled and not best_settled)
+                or (
+                    settled == best_settled
+                    and improves(best_violation, best_objective, violation, objective, tolerance)
+                )
+            ):
                 best, best_name = result, outcome.name
-                best_violation, best_objective = violation, objective
+                best_violation, best_objective, best_settled = violation, objective, settled
 
         if best is None:
             return SolverResult(

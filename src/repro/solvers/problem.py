@@ -399,12 +399,14 @@ class CompiledProblem:
     def residual_jacobian(self, point: np.ndarray) -> sparse.csr_matrix:
         """Sparse Jacobian of :meth:`residuals` (rows of inactive inequalities are empty).
 
-        The width-1 case of :class:`BatchJacobian`'s assembly, with the
+        The width-1 case of :class:`BatchJacobian`'s fill, with the
         masked-out entries dropped from the returned matrix.
         """
         points = np.asarray(point, dtype=float)[None, :]
+        pattern = self.jacobian_pattern()
+        data = pattern.fill(points, self.active_rows_batch(points))[0]
         # A copy: eliminate_zeros compacts ``indices`` in place, and those are the pattern's.
-        matrix = BatchJacobian(self, points).member_matrix(0).copy()
+        matrix = pattern.matrix(data).copy()
         matrix.eliminate_zeros()
         return matrix
 
@@ -448,6 +450,20 @@ class CompiledProblem:
         positive = self.positive_mask
         residuals[:, positive] = np.minimum(values[:, positive] - self.strict_margin, 0.0)
         return residuals
+
+    def active_rows_batch(self, points: np.ndarray) -> np.ndarray:
+        """``(k, rows)`` 0/1 mask of the rows whose residual depends on the point.
+
+        An inequality's residual is flat zero while the inequality holds, so
+        its Jacobian row is masked out; equality rows are always active.
+        """
+        values = self.constraint_values_batch(points)
+        active = np.ones_like(values)
+        nonneg = self.nonneg_mask
+        active[:, nonneg] = (values[:, nonneg] < 0.0).astype(float)
+        positive = self.positive_mask
+        active[:, positive] = (values[:, positive] < self.strict_margin).astype(float)
+        return active
 
     def max_violation_batch(self, points: np.ndarray) -> np.ndarray:
         """Per-member largest absolute residual → ``(k,)``."""
@@ -593,21 +609,10 @@ class JacobianPattern:
     where factor ``dimension`` reads a constant 1.0 (linear entries).
     ``slots`` maps each entry to its CSR position: a repeated ``(row, col)``
     (``x_i^2``, or a linear and a bilinear entry in one cell) sums into one
-    slot.  ``transpose`` permutes CSR ``data`` into the CSR order of ``J.T``.
+    slot.
     """
 
-    __slots__ = (
-        "shape",
-        "nnz",
-        "coefficients",
-        "factors",
-        "slots",
-        "indices",
-        "indptr",
-        "transpose",
-        "transpose_indices",
-        "transpose_indptr",
-    )
+    __slots__ = ("shape", "nnz", "coefficients", "factors", "slots", "indices", "indptr")
 
     def __init__(self, problem: CompiledProblem):
         linear = problem.linear
@@ -634,11 +639,6 @@ class JacobianPattern:
         self.indptr = np.concatenate(
             [[0], np.cumsum(np.bincount(slot_rows, minlength=rows))]
         ).astype(index_dtype)
-        self.transpose = np.argsort(columns, kind="stable").astype(index_dtype)
-        self.transpose_indices = slot_rows[self.transpose].astype(index_dtype)
-        self.transpose_indptr = np.concatenate(
-            [[0], np.cumsum(np.bincount(columns, minlength=dimension))]
-        ).astype(index_dtype)
 
     def fill(self, points: np.ndarray, active: np.ndarray) -> np.ndarray:
         """CSR ``data`` of every point's Jacobian → ``(n, nnz)``, masked by ``active`` rows.
@@ -660,22 +660,17 @@ class JacobianPattern:
     def matrix(self, data: np.ndarray) -> sparse.csr_matrix:
         return sparse.csr_matrix((data, self.indices, self.indptr), shape=self.shape)
 
-    def transposed_matrix(self, data: np.ndarray) -> sparse.csr_matrix:
-        return sparse.csr_matrix(
-            (data[self.transpose], self.transpose_indices, self.transpose_indptr),
-            shape=self.shape[::-1],
-        )
-
 
 class BatchJacobian:
     """The Jacobian of :meth:`CompiledProblem.residuals_batch` at ``k`` points.
 
-    One CSR matrix (and its transpose) per live member, on the problem's
-    :class:`JacobianPattern`: the batched Levenberg–Marquardt solver fills
-    them once per iteration and its CG products are plain per-member CSR
-    products.  Member ``i`` of an output touches only member ``i`` of the
-    input, which preserves the lockstep guarantee of the batched kernels;
-    the output rows of members that are not live are zero.
+    One CSR matrix per live member, on the problem's :class:`JacobianPattern`:
+    the batched Levenberg–Marquardt solver fills them once per iteration and
+    its CG products are plain per-member sparse products (``J_i.T`` is the
+    zero-copy CSC view of ``J_i``, which sums each output in row order).
+    Member ``i`` of an output touches only member ``i`` of the input, which
+    preserves the lockstep guarantee of the batched kernels; the output rows
+    of members that are not live are zero.
     """
 
     __slots__ = ("problem", "points", "members", "_matrices", "_transposes")
@@ -689,21 +684,10 @@ class BatchJacobian:
             np.arange(points.shape[0]) if live is None else np.flatnonzero(live)
         )
         member_points = points[self.members]
-        values = problem.constraint_values_batch(member_points)
-        # Rows of inactive inequalities are masked out of the Jacobian.
-        active = np.ones_like(values)
-        nonneg = problem.nonneg_mask
-        active[:, nonneg] = (values[:, nonneg] < 0.0).astype(float)
-        positive = problem.positive_mask
-        active[:, positive] = (values[:, positive] < problem.strict_margin).astype(float)
         pattern = problem.jacobian_pattern()
-        data = pattern.fill(member_points, active)
+        data = pattern.fill(member_points, problem.active_rows_batch(member_points))
         self._matrices = [pattern.matrix(row) for row in data]
-        self._transposes = [pattern.transposed_matrix(row) for row in data]
-
-    def member_matrix(self, position: int) -> sparse.csr_matrix:
-        """The CSR Jacobian of the ``position``-th live member (shares the pattern arrays)."""
-        return self._matrices[position]
+        self._transposes = [matrix.T for matrix in self._matrices]
 
     def matvec(self, vectors: np.ndarray) -> np.ndarray:
         """Per-member ``J_i @ v_i`` → ``(k, rows)``."""

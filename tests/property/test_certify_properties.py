@@ -20,13 +20,8 @@ def certified_sum():
     benchmark = RUNNING_EXAMPLE
     job = job_from_benchmark(benchmark, quick=True)
     task = build_task(benchmark.source, benchmark.precondition, benchmark.objective(), job.options)
-    # Cheapest-first, not a thread race: a racing portfolio can return a
-    # cancelled strategy's barely-feasible point (lower objective) that the
-    # raw lift below cannot snap, depending on thread timing.
     solver = make_solver(
-        "portfolio",
-        options=SolverOptions(restarts=1, max_iterations=200, time_limit=60.0),
-        executor="sequential",
+        "portfolio", options=SolverOptions(restarts=1, max_iterations=200, time_limit=60.0)
     )
     result = solver.solve(task.system)
     assert result.feasible

@@ -8,11 +8,12 @@ from repro.errors import SynthesisError
 from repro.invariants.quadratic_system import QuadraticSystem
 from repro.polynomial.parse import parse_polynomial
 from repro.solvers.alternating import AlternatingSolver
-from repro.solvers.base import SolverOptions
+from repro.solvers.base import SolverOptions, SolverResult
 from repro.solvers.portfolio import (
     DEFAULT_PORTFOLIO,
     PortfolioSolver,
     STRATEGIES,
+    StrategyOutcome,
     make_solver,
     strategy_names,
 )
@@ -134,6 +135,42 @@ def test_portfolio_solver_is_picklable():
     clone = pickle.loads(pickle.dumps(solver))
     assert clone.strategies == solver.strategies
     assert clone.solve(bilinear_system()).feasible
+
+
+# -- result assembly ----------------------------------------------------------------------
+
+
+def outcome(name, violation, objective, interrupted):
+    feasible = violation <= 1e-5
+    result = SolverResult(
+        assignment={"$s_f_1_0_0": 1.0} if feasible else None,
+        status="optimal" if feasible else "infeasible-best-effort",
+        objective_value=objective,
+        max_violation=violation,
+        details={"interrupted": float(interrupted)},
+        strategy=name,
+    )
+    return StrategyOutcome(name, result, seconds=0.1)
+
+
+@pytest.mark.parametrize(
+    "raced, winner",
+    [
+        # Regression: a thread race could return qclp's cancelled point
+        # (barely feasible, lower objective) over gauss-newton's completed
+        # one, in either order, and the raw exact lift of that point fails.
+        ([("gauss-newton", 2e-10, 5.0, False), ("qclp", 3e-6, 1.0, True)], "gauss-newton"),
+        ([("qclp", 3e-6, 1.0, True), ("gauss-newton", 2e-10, 5.0, False)], "gauss-newton"),
+        # An interrupted point still wins on violation ...
+        ([("gauss-newton", 0.5, 5.0, False), ("qclp", 3e-6, 1.0, True)], "qclp"),
+        # ... and completed feasible points still compete on objective.
+        ([("gauss-newton", 2e-10, 5.0, False), ("qclp", 3e-6, 1.0, False)], "qclp"),
+    ],
+)
+def test_interrupted_points_never_displace_completed_feasible_ones(raced, winner):
+    solver = PortfolioSolver(SolverOptions(tolerance=1e-5), strategies=("gauss-newton", "qclp"))
+    outcomes = [outcome(*entry) for entry in raced]
+    assert solver._assemble(outcomes, SolveControl(tolerance=1e-5)).strategy == winner
 
 
 # -- warm-start exchange ------------------------------------------------------------------

@@ -10,7 +10,7 @@ from repro.invariants.synthesis import build_task
 from repro.polynomial.parse import parse_polynomial
 from repro.solvers.alternating import AlternatingSolver
 from repro.solvers.base import SolverOptions
-from repro.solvers.problem import CompiledProblem, Deadline, compile_problem
+from repro.solvers.problem import CompiledProblem, Deadline, SolveControl, compile_problem
 from repro.solvers.qclp import GaussNewtonSolver, PenaltyQCLPSolver
 from repro.solvers.strong import RepresentativeEnumerator
 from repro.suite.registry import get_benchmark
@@ -184,6 +184,27 @@ def test_time_limit_is_enforced_inside_iteration_loops(batch):
     assert result.details["timed_out"] == 1.0
 
 
+@pytest.mark.parametrize("batch", ["on", "rows"])
+def test_results_say_whether_the_winner_was_stopped_mid_descent(batch):
+    """``details["interrupted"]`` flags a winner the control cut short.
+
+    The portfolio ranks such a point below every completed feasible result.
+    """
+
+    class StopAtSecondCheck(SolveControl):
+        checks = 0
+
+        def should_stop(self):
+            self.checks += 1
+            return self.checks > 1
+
+    problem = compile_problem(bilinear_system())
+    solver = PenaltyQCLPSolver(SolverOptions(restarts=1, max_iterations=200, batch=batch))
+    assert solver.solve_compiled(problem).details["interrupted"] == 0.0
+    # The first check launches the descent; the second stops its first iteration.
+    assert solver.solve_compiled(problem, StopAtSecondCheck()).details["interrupted"] == 1.0
+
+
 # -- GaussNewtonSolver ------------------------------------------------------------------
 
 
@@ -291,7 +312,6 @@ def test_start_batch_rows_are_pairwise_distinct():
     carry a strictly positive, strictly growing jitter scale.
     """
     from repro.solvers.batched import start_batch
-    from repro.solvers.problem import SolveControl
 
     problem = compile_problem(bilinear_system())
     solvers = (
