@@ -155,7 +155,7 @@ def workers_sweep(
     cpus = cpus if cpus is not None else (os.cpu_count() or 1)
     points: dict[str, dict] = {}
     for workers in _sweep_points(cpus):
-        server = SynthesisServer(workers=workers, scheduler="off")
+        server = SynthesisServer(workers=workers)
         with serve_in_background(server) as handle:
             executor_kind = server.engine.executor_kind
             point = _drive(handle.url, documents, clients, rounds=1)
@@ -183,12 +183,12 @@ def run(
 ) -> dict:
     documents = _documents(quick, limit)
     with tempfile.TemporaryDirectory(prefix="bench-server-store-") as root:
-        first = SynthesisServer(store=root, workers=clients, scheduler="off")
+        first = SynthesisServer(store=root, workers=clients)
         with serve_in_background(first) as handle:
             cold = _drive(handle.url, documents, clients, rounds=1)
             warm = _drive(handle.url, documents, clients, rounds=warm_rounds)
         # A brand-new server+engine on the same root: only the disk is warm.
-        second = SynthesisServer(store=root, workers=clients, scheduler="off")
+        second = SynthesisServer(store=root, workers=clients)
         with serve_in_background(second) as handle:
             restart = _drive(handle.url, documents, clients, rounds=warm_rounds)
     scaling = workers_sweep(clients=clients) if sweep else {"skipped": True, "points": {}}
@@ -219,9 +219,9 @@ def run(
 def append_history(path: str, report: dict) -> None:
     """Append one compact trend row for this run to the in-repo history file.
 
-    One JSON object per line (append-only, like the solve corpus): enough to
-    plot req/s, store-hit behaviour and multi-core scaling across PRs
-    without re-opening the full per-run reports.
+    One JSON object per line (append-only): enough to plot req/s, store-hit
+    behaviour and multi-core scaling across PRs without re-opening the full
+    per-run reports.
     """
     meta = report["meta"]
     sweep = report.get("workers_sweep", {})

@@ -31,10 +31,8 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import os
 import statistics
 import sys
-import tempfile
 import time
 
 import _bench_config
@@ -151,108 +149,6 @@ def run(
             ),
         }
     return report
-
-
-def measure_scheduler(
-    quick: bool = True,
-    limit: int | None = None,
-    limit_variables: int = 8,
-    solver_options: SolverOptions | None = None,
-    verify: str = "exact",
-) -> dict:
-    """Scheduler-off vs scheduler-on wall-clock over the full engine path.
-
-    Two passes over the suite, same programs, same solver budget, fresh
-    engine each pass, one shared throwaway corpus:
-
-    * pass "off" runs ``scheduler="record-only"`` — solve behaviour is
-      byte-identical to ``"off"`` (recording happens after the response is
-      assembled), and the pass doubles as the corpus warm-up;
-    * pass "on" runs ``scheduler="on"`` against the corpus pass "off" wrote —
-      the warm repeat run the scheduler is built to accelerate.
-
-    Both passes request exact certificates, so the comparison also checks the
-    safety model: predictions must not cost a single verified instance.
-    """
-    from repro.api import Engine, SynthesisRequest
-    from repro.schedule import SolveCorpus
-
-    if solver_options is None:
-        solver_options = SolverOptions(restarts=1, max_iterations=150, time_limit=15.0)
-    benchmarks = all_benchmarks()
-    if quick:
-        benchmarks = [b for b in benchmarks if b.variable_count() <= limit_variables]
-    if limit is not None:
-        benchmarks = benchmarks[:limit]
-
-    def requests() -> list[SynthesisRequest]:
-        built = []
-        for benchmark in benchmarks:
-            options = benchmark.options(upsilon=1) if quick else benchmark.options()
-            options = dataclasses.replace(options, strategy="portfolio", verify=verify)
-            built.append(
-                SynthesisRequest(
-                    program=benchmark.source,
-                    precondition=benchmark.precondition,
-                    objective=benchmark.objective(),
-                    options=options,
-                    request_id=benchmark.name,
-                )
-            )
-        return built
-
-    passes: dict[str, dict] = {}
-    with tempfile.TemporaryDirectory() as tmp:
-        corpus_path = os.path.join(tmp, "scheduler_corpus.jsonl")
-        for label, mode in (("off", "record-only"), ("on", "on")):
-            per: dict[str, dict] = {}
-            with Engine(solver_options=solver_options, scheduler=mode, corpus=corpus_path) as engine:
-                for request in requests():
-                    start = time.perf_counter()
-                    response = engine.synthesize(request)
-                    seconds = time.perf_counter() - start
-                    per[request.request_id] = {
-                        "seconds": seconds,
-                        "solve_seconds": response.timings.get("solve_seconds", 0.0),
-                        "solved": response.status == "ok",
-                        "verified": bool((response.verification or {}).get("verified")),
-                        "strategy": response.strategy,
-                        "predicted": response.timings.get("schedule_predicted", 0.0) > 0.0,
-                        "stagger_seconds": response.timings.get("schedule_stagger_seconds", 0.0),
-                    }
-                stats = engine.stats()
-            passes[label] = {
-                "engine_scheduler": mode,
-                "programs": len(per),
-                "solved": sum(1 for row in per.values() if row["solved"]),
-                "verified": sum(1 for row in per.values() if row["verified"]),
-                "predicted": sum(1 for row in per.values() if row["predicted"]),
-                "total_seconds": sum(row["seconds"] for row in per.values()),
-                "solve_seconds": sum(row["solve_seconds"] for row in per.values()),
-                "per_benchmark": per,
-                "schedule_stats": {
-                    key: value for key, value in stats.items() if key.startswith("schedule_")
-                },
-            }
-        corpus_rows = len(SolveCorpus(corpus_path))
-
-    off, on = passes["off"], passes["on"]
-    return {
-        "verify": verify,
-        "comparison": (
-            "pass 'off' (scheduler=record-only, solve behaviour identical to off) runs "
-            "cold and warms the corpus; pass 'on' is the warm repeat run, so its "
-            "wall-clock combines prediction gains with warm in-process caches"
-        ),
-        "corpus_rows": corpus_rows,
-        "off": off,
-        "on": on,
-        "speedup": (off["total_seconds"] / on["total_seconds"]) if on["total_seconds"] else None,
-        "solve_speedup": (
-            (off["solve_seconds"] / on["solve_seconds"]) if on["solve_seconds"] else None
-        ),
-        "coverage_preserved": on["solved"] >= off["solved"] and on["verified"] >= off["verified"],
-    }
 
 
 def measure_batch(
@@ -373,8 +269,6 @@ def append_history(report: dict, path: str) -> dict:
         row["batch_fingerprints_deterministic"] = report["batch_vs_off"][
             "fingerprints_deterministic"
         ]
-    if "scheduler" in report:
-        row["scheduler_speedup"] = report["scheduler"]["speedup"]
     with open(path, "a", encoding="utf-8") as handle:
         handle.write(json.dumps(row, sort_keys=True) + "\n")
     return row
@@ -395,11 +289,6 @@ def main(argv: list[str] | None = None) -> int:
                              "comparison's on/rows solves run on the iteration budget alone)")
     parser.add_argument("--output", default="BENCH_solvers.json",
                         help="write the JSON report here ('-' for stdout only)")
-    parser.add_argument("--scheduler", action="store_true",
-                        help="also compare the corpus scheduler off vs on (warm repeat run)")
-    parser.add_argument("--min-scheduler-speedup", type=float, default=None, metavar="RATIO",
-                        help="fail unless scheduler-on is at least RATIO x scheduler-off "
-                             "wall-clock with coverage preserved (implies --scheduler)")
     parser.add_argument("--batch-compare", action="store_true",
                         help="also compare batched qclp against the retired per-restart "
                              "loop (batch='off') and replay determinism (batch='rows')")
@@ -451,29 +340,6 @@ def main(argv: list[str] | None = None) -> int:
                 failures.append(
                     f"batch speedup {speedup if speedup is None else round(speedup, 3)} "
                     f"below required {args.min_batch_speedup}"
-                )
-    if args.scheduler or args.min_scheduler_speedup is not None:
-        scheduler = measure_scheduler(quick=args.quick, limit=args.limit, solver_options=options)
-        report["scheduler"] = scheduler
-        speedup = scheduler["speedup"]
-        print(
-            f"[scheduler] off {scheduler['off']['total_seconds']:.2f}s -> "
-            f"on {scheduler['on']['total_seconds']:.2f}s "
-            f"(speedup {speedup:.2f}x, predicted {scheduler['on']['predicted']}/"
-            f"{scheduler['on']['programs']}, verified {scheduler['on']['verified']})",
-            file=sys.stderr,
-        )
-        if args.min_scheduler_speedup is not None:
-            if not scheduler["coverage_preserved"]:
-                failures.append(
-                    f"scheduler-on lost coverage: solved {scheduler['on']['solved']} "
-                    f"(off {scheduler['off']['solved']}), verified {scheduler['on']['verified']} "
-                    f"(off {scheduler['off']['verified']})"
-                )
-            if speedup is None or speedup < args.min_scheduler_speedup:
-                failures.append(
-                    f"scheduler speedup {speedup if speedup is None else round(speedup, 3)} "
-                    f"below required {args.min_scheduler_speedup}"
                 )
 
     rendered = json.dumps(report, indent=2, sort_keys=True)

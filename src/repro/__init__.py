@@ -104,7 +104,6 @@ from repro.reduction import (
     compile_plan,
 )
 from repro.polynomial import Monomial, Polynomial, parse_polynomial
-from repro.schedule import SchedulePlan, Scheduler, SolveCorpus
 from repro.store import BlobStore, EngineStore, open_store
 from repro.semantics import Interpreter
 from repro.spec import (
@@ -157,12 +156,9 @@ __all__ = [
     "QuadraticSystem",
     "ReductionPlan",
     "RepresentativeEnumerator",
-    "SchedulePlan",
-    "Scheduler",
     "ReproError",
     "RequestValidationError",
     "SemanticsError",
-    "SolveCorpus",
     "SolverError",
     "SpecificationError",
     "StageCache",

@@ -18,9 +18,9 @@ solver options)`` result table — the second of two identical requests
 reports ``shared_solve=True`` and reuses the first's solver result.
 
 The four paper-named functions in :mod:`repro.invariants.synthesis`, the
-batch :class:`~repro.pipeline.SynthesisPipeline` and the ``repro.bench``
-runner are all thin layers over this class; a future HTTP/queue front-end
-binds here as well.
+batch :class:`~repro.pipeline.SynthesisPipeline`, the ``repro.bench`` runner
+and the HTTP front door in :mod:`repro.server` are all thin layers over this
+class.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from dataclasses import replace
 from typing import TYPE_CHECKING, Iterable, Iterator
 
 from repro.api.errors import EngineClosedError, RequestValidationError
-from repro.api.request import STRONG_MODES, SynthesisRequest, precondition_to_spec
+from repro.api.request import STRONG_MODES, SynthesisRequest
 from repro.api.response import ErrorInfo, SynthesisResponse, response_from_result
 from repro.api.workers import (
     FAULT_MARKER_ENV,
@@ -51,20 +51,9 @@ from repro.invariants.synthesis import (
 )
 from repro.pipeline.cache import TaskCache
 from repro.reduction.escalate import DEADLINE_SKIPPED, EscalationAttempt, EscalationTrace
-from repro.reduction.plan import objective_fingerprint
 from repro.reduction.task import STAGE_NAMES
-from repro.schedule import (
-    RequestFeatures,
-    SchedulePlan,
-    Scheduler,
-    SolveCorpus,
-    SolveRecord,
-    default_corpus_path,
-    ladder_for,
-    stable_fingerprints,
-)
 from repro.solvers.base import Solver, SolverOptions, SolverResult
-from repro.solvers.portfolio import DEFAULT_PORTFOLIO, PortfolioSolver, make_solver
+from repro.solvers.portfolio import make_solver
 from repro.solvers.strong import RepresentativeEnumerator
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -80,10 +69,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: engine is pooled (``workers > 1``) and the host has at least two cores,
 #: else ``"thread"``.
 EXECUTORS = ("auto", "thread", "process", "solve-process")
-
-#: Engine-level scheduler modes (requests can override via
-#: ``SynthesisOptions.scheduler``; ``"inherit"`` follows the engine).
-SCHEDULERS = ("off", "on", "record-only")
 
 #: Remaining-deadline floor below which another escalation rung is pointless.
 _ESCALATION_MIN_BUDGET = 0.01
@@ -151,8 +136,8 @@ class Engine:
         whole synthesize jobs (reduce, solve, verify) to a pool of
         ``workers`` persistent worker processes over the strict JSON wire
         protocol (:mod:`repro.api.workers`): each worker holds a warm
-        sequential engine with its own stage caches, store/corpus writes
-        happen in the workers, identical in-flight requests are deduplicated
+        sequential engine with its own stage caches, store writes happen
+        in the workers, identical in-flight requests are deduplicated
         parent-side (the rider's envelope reports ``shared_solve=True``), and
         a worker crash mid-job becomes a structured ``status="error"``
         envelope while the pool rebuilds.  Responses carry the JSON envelope
@@ -179,26 +164,6 @@ class Engine:
         ``cpu_count``-sized pool only where fan-out actually measures at
         least as fast as the sequential kernel.  ``0``/``1`` (the default)
         translates sequentially.
-    scheduler:
-        The corpus-driven portfolio scheduler (:mod:`repro.schedule`).
-        ``"off"`` (default) races portfolios exactly as configured;
-        ``"record-only"`` appends one corpus row per completed solve without
-        changing any schedule; ``"on"`` additionally predicts — the expected
-        winning strategy launches first with the rest of the line-up
-        staggered behind a learned grace period (never pruned), and
-        ``degree="auto"`` ladders start at the predicted rung with the
-        skipped lower rungs appended as downward repair.  Predictions only
-        reorder work whose acceptance is gated by feasibility checks and
-        (when requested) exact certificates, so a misprediction can cost
-        time but never correctness.
-    corpus:
-        The :class:`~repro.schedule.SolveCorpus` (or its path) backing the
-        scheduler; shared paths share training signal across processes and
-        restarts.  ``None`` with a non-``"off"`` scheduler falls back to
-        :func:`~repro.schedule.default_corpus_path`.  Passing a corpus while
-        ``scheduler="off"`` arms the engine for per-request
-        ``SynthesisOptions(scheduler=...)`` overrides without changing the
-        engine default.
     store:
         The persistent content-addressed store (:mod:`repro.store`): an
         :class:`~repro.store.EngineStore`, a :class:`~repro.store.BlobStore`
@@ -208,11 +173,11 @@ class Engine:
         this process or since the last restart), (2) persists every feasible
         Step-4 solve under its stable content hash, so requests differing
         only in e.g. their verification tier reuse the solve across
-        processes, (3) files every issued certificate under its own
-        fingerprint (named in ``verification["certificate_sha"]``), and
-        (4) roots the schedule corpus in the same data directory, one per
-        deployment.  A corrupt or half-written blob degrades to a cache
-        miss, never an error.  Store-served responses carry the JSON
+        processes, and (3) files every issued certificate under its own
+        fingerprint (named in ``verification["certificate_sha"]``).  The
+        engine writes nothing to disk outside the store root, and nothing at
+        all without a store.  A corrupt or half-written blob degrades to a
+        cache miss, never an error.  Store-served responses carry the JSON
         envelope only — the in-process ``result``/``task`` extras are
         absent, exactly as over the wire.
     """
@@ -226,8 +191,6 @@ class Engine:
         executor: str = "auto",
         max_cached_solves: int | None = 512,
         translation_workers: int | str = 0,
-        scheduler: str = "off",
-        corpus: SolveCorpus | str | None = None,
         store: "EngineStore | BlobStore | str | None" = None,
     ) -> None:
         if workers < 0:
@@ -242,10 +205,6 @@ class Engine:
             raise ValueError(f"translation_workers must be non-negative, got {translation_workers}")
         if executor not in EXECUTORS:
             raise ValueError(f"unknown executor {executor!r}; known executors: {', '.join(EXECUTORS)}")
-        if scheduler not in SCHEDULERS:
-            raise ValueError(
-                f"unknown scheduler {scheduler!r}; known schedulers: {', '.join(SCHEDULERS)}"
-            )
         self.workers = workers
         self.cache = cache if cache is not None else TaskCache()
         self.max_cached_solves = max_cached_solves
@@ -302,32 +261,11 @@ class Engine:
             "store_solve_writes": 0,
             "store_certificates_stored": 0,
         }
-        self.scheduler = scheduler
-        self._corpus: SolveCorpus | None = None
-        self._planner: Scheduler | None = None
-        if scheduler != "off" or corpus is not None or self.store is not None:
-            if corpus is None:
-                # One data directory per deployment: a store-backed engine
-                # roots its corpus next to the blob namespaces.
-                corpus = self.store.corpus_path if self.store is not None else default_corpus_path()
-            self._corpus = corpus if isinstance(corpus, SolveCorpus) else SolveCorpus(corpus)
-            self._planner = Scheduler(self._corpus)
         self._solver_stats_lock = threading.Lock()
         self._solver_stats = {
             "solver_residual_evaluations": 0,
             "solver_jacobian_evaluations": 0,
             "solver_batch_width_max": 0,
-        }
-        self._schedule_lock = threading.Lock()
-        self._schedule_stats = {
-            "schedule_predictions": 0,
-            "schedule_cold_starts": 0,
-            "schedule_strategy_hits": 0,
-            "schedule_strategy_misses": 0,
-            "schedule_degree_hits": 0,
-            "schedule_degree_misses": 0,
-            "schedule_rows_recorded": 0,
-            "schedule_record_failures": 0,
         }
         if self._executor_kind == "process" and self.workers > 1:
             # Fork the job workers now, from the constructing thread — before
@@ -367,13 +305,8 @@ class Engine:
 
     def _worker_config(self) -> WorkerConfig:
         """The JSON-able config the job workers build their engines from."""
-        corpus_path = None
-        if self.store is None and self._corpus is not None:
-            corpus_path = self._corpus.path
         return WorkerConfig(
             store_root=self.store.root if self.store is not None else None,
-            corpus_path=corpus_path,
-            scheduler=self.scheduler,
             solver_options=(
                 dataclasses.asdict(self.solver_options)
                 if self.solver_options is not None
@@ -437,12 +370,8 @@ class Engine:
             stats.update(self._translation_stats)
         with self._verify_lock:
             stats.update({key: float(value) for key, value in self._verify_stats.items()})
-        with self._schedule_lock:
-            stats.update({key: float(value) for key, value in self._schedule_stats.items()})
         with self._solver_stats_lock:
             stats.update({key: float(value) for key, value in self._solver_stats.items()})
-        if self._corpus is not None:
-            stats["schedule_corpus_rows"] = float(len(self._corpus))
         with self._store_lock:
             stats.update({key: float(value) for key, value in self._store_stats.items()})
         with self._inflight_lock:
@@ -482,148 +411,6 @@ class Engine:
                 self._verify_stats["repair_successes"] += 1
             if outcome.certificate is not None:
                 self._verify_stats["certificates_issued"] += 1
-
-    # -- scheduling --------------------------------------------------------------
-
-    def _schedule_mode(self, request: SynthesisRequest) -> str:
-        """The effective scheduler mode of one request (request over engine)."""
-        if self._corpus is None or self._planner is None:
-            return "off"
-        mode = request.options.scheduler
-        return self.scheduler if mode == "inherit" else mode
-
-    def _request_features(self, request: SynthesisRequest) -> RequestFeatures:
-        """The corpus feature vector of a request (pre-reduction fields only).
-
-        The stable fingerprints hash canonical *textual* renderings of the
-        program, precondition and objective — never ``id()``-based in-memory
-        keys — so they match across processes and engine restarts.
-        """
-        options = request.options
-        precondition_text = json.dumps(
-            precondition_to_spec(request.precondition), sort_keys=True, default=str
-        )
-        # Scheme knobs: the reduction fingerprint minus its leading degree —
-        # the degree travels as a numeric feature, not inside reduction_sha,
-        # so auto-ladder rungs and fixed-degree requests match each other.
-        scheme_knobs = options.reduction_fingerprint()[1:]
-        program_sha, reduction_sha = stable_fingerprints(
-            request.program,
-            precondition_text,
-            scheme_knobs,
-            str(objective_fingerprint(request.objective)),
-        )
-        return RequestFeatures(
-            program_sha=program_sha,
-            reduction_sha=reduction_sha,
-            program_chars=float(len(request.program)),
-            program_lines=float(request.program.count("\n") + 1),
-            degree=-1.0 if options.is_auto_degree else float(options.degree),
-            conjuncts=float(options.conjuncts),
-            upsilon=float(options.upsilon),
-            scheme=0.0 if options.translation == "putinar" else 1.0,
-            bounded=float(options.bounded),
-            strict=float(options.with_witness),
-            encode_sos=float(options.encode_sos),
-        )
-
-    def _enriched_features(self, request: SynthesisRequest, task) -> RequestFeatures:
-        """Request features plus the post-reduction size dimensions."""
-        features = self._request_features(request)
-        if task is None:
-            return features
-        return features.with_reduction(
-            task.statistics.get("constraint_pairs", 0.0),
-            task.system.counts().get("template_variables", 0),
-            task.system.size,
-        )
-
-    def _bump_schedule(self, key: str) -> None:
-        with self._schedule_lock:
-            self._schedule_stats[key] += 1
-
-    def _plan_solve(self, request: SynthesisRequest, job, task) -> SchedulePlan | None:
-        """Predict the portfolio schedule of one fixed-degree solve.
-
-        Prediction failures degrade to ``None`` (the unscheduled race) — the
-        scheduler is advisory and must never fail a request.
-        """
-        try:
-            features = self._enriched_features(request, task)
-            plan = self._planner.plan(
-                features, line_up=job.options.portfolio or DEFAULT_PORTFOLIO
-            )
-        except Exception:  # pragma: no cover - defensive: corpus corruption
-            return None
-        self._bump_schedule("schedule_predictions" if plan.predicted else "schedule_cold_starts")
-        return plan
-
-    def _maybe_record(
-        self,
-        request: SynthesisRequest,
-        response: SynthesisResponse,
-        *,
-        degree: int,
-        final_degree: int | None = None,
-        degrees_tried: tuple[int, ...] = (),
-        shared: bool = False,
-        enriched: bool = True,
-    ) -> None:
-        """Append one corpus row for a completed weak solve (post-verification).
-
-        Rows are written *after* verification so they reflect the
-        certificate-gated outcome; shared (deduplicated) solves are skipped —
-        the owning request already recorded the work.  Recording is advisory:
-        any failure only bumps ``schedule_record_failures``.
-
-        ``enriched=False`` records the pre-reduction feature vector (pair and
-        system counts left at 0).  Escalation-level rows use it so they live
-        in the same feature space as the escalation-level *queries*, which
-        run before any rung is reduced — a warm repeat of the same auto
-        request is then an exact feature match and its recorded minimal
-        degree dominates the vote.
-        """
-        mode = self._schedule_mode(request)
-        if mode == "off" or shared or self._corpus is None:
-            return
-        if request.mode in STRONG_MODES or request.reduce_only:
-            return
-        if response.status not in ("ok", "no_invariant"):
-            return
-        ok = False
-        try:
-            if enriched:
-                features = self._enriched_features(request, response.task)
-            else:
-                features = self._request_features(request)
-            statistics = response.statistics or {}
-            strategy_seconds = {
-                key[len("portfolio_") : -len("_seconds")]: float(value)
-                for key, value in statistics.items()
-                if key.startswith("portfolio_") and key.endswith("_seconds")
-            }
-            solve_seconds = float(response.timings.get("solve_seconds", 0.0))
-            strategy = response.strategy if response.status == "ok" else None
-            if not strategy_seconds and strategy:
-                strategy_seconds = {strategy: solve_seconds}
-            verification = response.verification
-            record = SolveRecord(
-                features=features,
-                strategy=strategy,
-                solver_status=response.solver_status or "",
-                feasible=response.status == "ok",
-                solve_seconds=solve_seconds,
-                strategy_seconds=strategy_seconds,
-                degree=degree,
-                final_degree=final_degree,
-                degrees_tried=degrees_tried,
-                repair_rounds=0 if verification is None else int(verification.get("repair_rounds", 0)),
-                verified=None if verification is None else bool(verification.get("verified")),
-            )
-            ok = self._corpus.append(record)
-        except Exception:  # pragma: no cover - defensive: recording never fails a request
-            ok = False
-        self._bump_schedule("schedule_rows_recorded" if ok else "schedule_record_failures")
 
     # -- submission --------------------------------------------------------------
 
@@ -835,7 +622,7 @@ class Engine:
             self._bump_store("store_response_misses")
         if self._executor_kind == "process" and self.workers > 1 and wire_clean:
             # The production path: the whole job — reduce, solve, verify,
-            # store/corpus writes — runs in a worker process.  The parent
+            # store writes — runs in a worker process.  The parent
             # does not write the store (the worker owns the write); it only
             # deduplicates identical in-flight requests.
             return self._execute_process_job(request, submission_id, deadline_epoch)
@@ -1033,32 +820,7 @@ class Engine:
         last_usable: SynthesisResponse | None = None
         final_degree: int | None = None
         exhausted = False
-        degrees = request.options.escalation_degrees()
-        plan: SchedulePlan | None = None
-        if (
-            self._schedule_mode(request) == "on"
-            and solver is None
-            and request.mode not in STRONG_MODES
-        ):
-            try:
-                line_up = (
-                    request.options.portfolio or DEFAULT_PORTFOLIO
-                    if request.options.strategy == "portfolio"
-                    else (request.options.strategy,)
-                )
-                plan = self._planner.plan(
-                    self._request_features(request),
-                    line_up=line_up,
-                    max_degree=request.options.max_degree,
-                )
-            except Exception:  # pragma: no cover - defensive: corpus corruption
-                plan = None
-            if plan is not None and plan.start_degree is not None and plan.start_degree > 1:
-                # Start at the predicted rung; the skipped lower rungs run
-                # after the upward ladder as downward repair, so prediction
-                # reorders the attempts but never drops one.
-                degrees = ladder_for(plan.start_degree, request.options.max_degree)
-        for degree in degrees:
+        for degree in request.options.escalation_degrees():
             remaining: float | None = None
             if request.deadline is not None:
                 remaining = float(request.deadline) - (time.perf_counter() - total_start)
@@ -1072,9 +834,7 @@ class Engine:
                 deadline=remaining,
             )
             start = time.perf_counter()
-            # Rungs never record corpus rows themselves: the ladder records
-            # one request-level row below, with the full escalation trace.
-            response = self._execute_fixed(derived, submission_id, solver, None, enumerator, record=False)
+            response = self._execute_fixed(derived, submission_id, solver, None, enumerator)
             seconds = time.perf_counter() - start
             attempts.append(
                 EscalationAttempt(
@@ -1127,25 +887,7 @@ class Engine:
                 "total_seconds": time.perf_counter() - total_start,
             }
         )
-        if plan is not None and plan.start_degree is not None:
-            merged["schedule_start_degree"] = float(plan.start_degree)
-            self._bump_schedule(
-                "schedule_degree_hits"
-                if final_degree == plan.start_degree
-                else "schedule_degree_misses"
-            )
         chosen.timings = merged
-        if solver is None:
-            self._maybe_record(
-                request,
-                chosen,
-                degree=final_degree if final_degree is not None else (
-                    trace.degrees_tried[-1] if trace.degrees_tried else 0
-                ),
-                final_degree=final_degree,
-                degrees_tried=tuple(trace.degrees_tried),
-                enriched=False,
-            )
         return chosen
 
     def _execute_fixed(
@@ -1155,7 +897,6 @@ class Engine:
         solver: Solver | None,
         task: SynthesisTask | None,
         enumerator: RepresentativeEnumerator | None,
-        record: bool = True,
     ) -> SynthesisResponse:
         total_start = time.perf_counter()
         timings: dict[str, float] = {}
@@ -1204,11 +945,10 @@ class Engine:
                 timings["solve_seconds"] = time.perf_counter() - start
                 shared = False
             else:
-                solve_result, solve_seconds, shared, schedule_timings = self._weak_solve(
+                solve_result, solve_seconds, shared = self._weak_solve(
                     request, job, built, solver, task
                 )
                 timings["solve_seconds"] = solve_seconds
-                timings.update(schedule_timings)
                 exact_assignment = None
                 if request.options.verify != "none" and solve_result.feasible:
                     from repro.certify.verify import verify_solution
@@ -1268,7 +1008,7 @@ class Engine:
                     result.statistics["verified"] = float(bool(verification.get("verified")))
 
             timings["total_seconds"] = time.perf_counter() - total_start
-            response = response_from_result(
+            return response_from_result(
                 request,
                 result,
                 submission_id=submission_id,
@@ -1279,17 +1019,6 @@ class Engine:
                 certificate=certificate,
                 verification=verification,
             )
-            # Escape-hatch submissions (live solver / pre-built task) carry
-            # inputs the corpus fingerprints cannot see; never record them.
-            if record and solver is None and task is None:
-                degree = request.options.degree
-                self._maybe_record(
-                    request,
-                    response,
-                    degree=int(degree) if isinstance(degree, int) else 0,
-                    shared=shared,
-                )
-            return response
         except Exception as exc:  # per-request failures become structured errors
             timings["total_seconds"] = time.perf_counter() - total_start
             return SynthesisResponse(
@@ -1310,16 +1039,9 @@ class Engine:
         task: SynthesisTask,
         solver_override: Solver | None,
         task_override: SynthesisTask | None,
-    ) -> tuple[SolverResult, float, bool, dict[str, float]]:
-        """Run (or share) the Step-4 solve.
-
-        Returns ``(result, seconds, shared, schedule_timings)`` — the last a
-        (possibly empty) dict of ``schedule_*`` entries merged into the
-        response timings when the corpus scheduler predicted this solve.
-        """
+    ) -> tuple[SolverResult, float, bool]:
+        """Run (or share) the Step-4 solve; returns ``(result, seconds, shared)``."""
         options = self._effective_solver_options(request)
-        schedule: dict[str, float] = {}
-        plan: SchedulePlan | None = None
         if solver_override is not None or self.solver is not None:
             solver = solver_override if solver_override is not None else self.solver
             # An explicit solver keeps its own options, but the request's
@@ -1336,45 +1058,22 @@ class Engine:
                     solver = copy.copy(solver)
                     solver.options = replace(solver.options, time_limit=limit)
         else:
-            if (
-                task_override is None
-                and job.options.strategy == "portfolio"
-                and self._schedule_mode(request) == "on"
-            ):
-                plan = self._plan_solve(request, job, task)
-            if plan is not None and plan.predicted:
-                # Predicted winner first, rest of the line-up staggered
-                # behind the learned grace period — reordered, never pruned.
-                solver = PortfolioSolver(
-                    options,
-                    strategies=plan.strategy_order,
-                    stagger_seconds=plan.stagger_seconds,
-                )
-                schedule = {
-                    "schedule_predicted": 1.0,
-                    "schedule_stagger_seconds": plan.stagger_seconds,
-                    "schedule_neighbors": float(plan.neighbors),
-                    "schedule_confidence": plan.confidence,
-                }
-            else:
-                solver = make_solver(
-                    job.options.strategy, options=options, portfolio=job.options.portfolio
-                )
+            solver = make_solver(
+                job.options.strategy, options=options, portfolio=job.options.portfolio
+            )
 
         # Escape-hatch submissions (live solver or pre-built task) bypass the
         # dedup table: their inputs are not captured by the request's keys.
         if solver_override is not None or task_override is not None:
             result, seconds = self._run_solve(solver, task.system)
-            return result, seconds, False, schedule
+            return result, seconds, False
 
         # The persistent solve store is the cross-process sibling of the
         # in-memory dedup table; an engine-level live solver is not captured
         # by content keys, so it opts the engine out.
         store_key: str | None = None
         if self.store is not None and self.solver is None:
-            store_key = self.store.solves.key_for(
-                request, self._schedule_mode(request) == "on", repr(options)
-            )
+            store_key = self.store.solves.key_for(request, repr(options))
         key = self._solve_dedup_key(request, job)
         with self._solve_lock:
             future = self._solves.get(key)
@@ -1390,7 +1089,7 @@ class Engine:
                         self._solves.pop(next(iter(self._solves)))
         if not owner:
             result, seconds = future.result()
-            return result, seconds, True, schedule
+            return result, seconds, True
         if store_key is not None:
             stored = self.store.solves.load(store_key)
             if stored is not None:
@@ -1398,7 +1097,7 @@ class Engine:
                 # paid for this solve: publish it to waiters and skip Step 4.
                 self._bump_store("store_solve_hits")
                 future.set_result(stored)
-                return stored[0], stored[1], True, schedule
+                return stored[0], stored[1], True
         try:
             pair = self._run_solve(solver, task.system)
         except BaseException as exc:
@@ -1410,26 +1109,13 @@ class Engine:
         future.set_result(pair)
         if store_key is not None and self.store.solves.store(store_key, pair[0], pair[1]):
             self._bump_store("store_solve_writes")
-        if plan is not None and plan.predicted:
-            self._bump_schedule(
-                "schedule_strategy_hits"
-                if pair[0].strategy == plan.primary
-                else "schedule_strategy_misses"
-            )
-        return pair[0], pair[1], False, schedule
+        return pair[0], pair[1], False
 
     def _solve_dedup_key(self, request: SynthesisRequest, job) -> tuple:
-        """The solve-dedup table key of a (non-escape-hatch) request.
-
-        A scheduler-``"on"`` solve may race a reordered, staggered portfolio,
-        so it never shares a table entry with the unscheduled shape of the
-        same request (``"record-only"`` solves behave identically to
-        ``"off"`` and do share).
-        """
+        """The solve-dedup table key of a (non-escape-hatch) request."""
         options = self._effective_solver_options(request)
         return (
             job.solve_key(),
-            self._schedule_mode(request) == "on",
             ("engine-solver", request.deadline)
             if self.solver is not None
             else ("resolved", repr(options)),
@@ -1447,9 +1133,7 @@ class Engine:
                 self._solves[key] = future
         if self.store is not None and self.solver is None:
             options = self._effective_solver_options(request)
-            store_key = self.store.solves.key_for(
-                request, self._schedule_mode(request) == "on", repr(options)
-            )
+            store_key = self.store.solves.key_for(request, repr(options))
             if self.store.solves.store(store_key, result, seconds, overwrite=True):
                 self._bump_store("store_solve_writes")
 

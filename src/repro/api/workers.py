@@ -3,8 +3,8 @@
 :class:`ProcessWorkerPool` owns a pool of persistent worker processes, each
 holding one warm sequential :class:`~repro.api.engine.Engine` (built once per
 worker by the pool initializer and reused for every job — its
-:class:`~repro.pipeline.cache.TaskCache`, solve-dedup table and scheduler
-stay hot across jobs).  A job ships the *entire* synthesize path — Steps 1-3
+:class:`~repro.pipeline.cache.TaskCache` and solve-dedup table stay hot
+across jobs).  A job ships the *entire* synthesize path — Steps 1-3
 reduction, the Step-4 solve, verification and repair — to a worker, so
 concurrent cold traffic runs on as many cores as there are workers instead of
 serialising on the parent's GIL.
@@ -22,8 +22,8 @@ The wire protocol is deliberately identical to the HTTP one:
 
 Nothing symbolic ever crosses the boundary — no pickled live ``Polynomial``
 or ``SynthesisTask`` objects, the same cheap-wire-format rule the
-shared-memory translation pool follows.  Store and corpus writes happen *in
-the workers* (both layers are process-safe by construction), so a store hit
+shared-memory translation pool follows.  Store writes happen *in the
+workers* (the store is process-safe by construction), so a store hit
 in the parent still short-circuits dispatch entirely, and everything a worker
 computes is immediately visible to the parent and to sibling workers.
 
@@ -62,13 +62,11 @@ class WorkerConfig:
     """Everything a worker needs to build its engine — JSON-able by design.
 
     The config crosses the process boundary as a plain dict of primitives
-    (the same rule as the job payloads): store and corpus travel as paths,
+    (the same rule as the job payloads): the store travels as its root path,
     solver options as their field dict, never as live objects.
     """
 
     store_root: str | None = None
-    corpus_path: str | None = None
-    scheduler: str = "off"
     solver_options: dict | None = None
     max_cached_solves: int | None = 512
     fault_marker: str | None = None
@@ -96,8 +94,6 @@ def _worker_init(config_fields: dict) -> None:
     _WORKER_ENGINE = Engine(
         workers=0,
         solver_options=solver_options,
-        scheduler=config.scheduler,
-        corpus=config.corpus_path,
         store=config.store_root,
         max_cached_solves=config.max_cached_solves,
     )
@@ -112,7 +108,7 @@ def run_job(payload: str) -> str:
     """Execute one synthesize job in this worker: JSON document in, JSON out.
 
     The worker engine does everything the parent would have done in-process —
-    stage-cached reduction, solve dedup, verification, store/corpus writes —
+    stage-cached reduction, solve dedup, verification, store writes —
     and the returned envelope is exactly what
     :meth:`~repro.api.response.SynthesisResponse.to_dict` emits (serialised
     with the store's ``default=str`` codec, so exact-rational certificate

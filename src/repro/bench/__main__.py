@@ -166,23 +166,6 @@ def main(argv: list[str] | None = None) -> int:
         default=0,
         help="fan Step-4 solves out across this many worker processes (0 = sequential)",
     )
-    parser.add_argument(
-        "--scheduler",
-        choices=["off", "on", "record-only"],
-        default="off",
-        help=(
-            "corpus-driven portfolio scheduler (needs --solve): 'record-only' logs "
-            "every solve outcome to the corpus, 'on' additionally predicts the "
-            "winning strategy / starting degree from past runs (never pruning)"
-        ),
-    )
-    parser.add_argument(
-        "--corpus",
-        help=(
-            "path of the scheduler's solve corpus (JSONL, shared across runs; "
-            "default: $REPRO_CORPUS_PATH or ~/.cache/repro/solve_corpus.jsonl)"
-        ),
-    )
     parser.add_argument("--no-progress", action="store_true", help="suppress per-benchmark progress lines")
     parser.add_argument("--output", help="write the rendered tables to this file as well")
     args = parser.parse_args(argv)
@@ -190,7 +173,7 @@ def main(argv: list[str] | None = None) -> int:
     sections: list[str] = []
     # One engine for the whole invocation: every table command shares its task
     # cache (and, with --workers, its process pool).
-    with bench_engine(workers=args.workers, scheduler=args.scheduler, corpus=args.corpus) as engine:
+    with bench_engine(workers=args.workers) as engine:
         if args.command in ("table1", "all"):
             sections.append("## Table 1 - literature summary\n\n" + render_table1() + "\n")
         if args.command in ("table2", "all"):

@@ -72,18 +72,11 @@ def default_bench_solver() -> Solver:
     return PenaltyQCLPSolver(bench_solver_options())
 
 
-def bench_engine(
-    workers: int = 0,
-    solver: Solver | None = None,
-    scheduler: str = "off",
-    corpus: str | None = None,
-) -> Engine:
+def bench_engine(workers: int = 0, solver: Solver | None = None) -> Engine:
     """An engine configured like the benchmark runner uses it.
 
     Pass the same engine to several :func:`measure_many` calls (or table
     commands) to share its task cache and solve-dedup table between them.
-    ``scheduler``/``corpus`` arm the corpus-driven portfolio scheduler
-    (:mod:`repro.schedule`) exactly as on :class:`~repro.api.engine.Engine`.
     """
     return Engine(
         workers=workers,
@@ -92,8 +85,6 @@ def bench_engine(
         # Step-4-only fan-out: the runner reads in-process result extras,
         # which the whole-job wire path (executor="process") does not carry.
         executor="solve-process" if workers > 1 else "thread",
-        scheduler=scheduler,
-        corpus=corpus,
     )
 
 

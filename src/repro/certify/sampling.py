@@ -1,4 +1,4 @@
-"""The sampling verification tier (absorbed from ``repro.invariants.checker``).
+"""The sampling verification tier: the independent invariant checker.
 
 A synthesized invariant should never be trusted just because the solver said
 so.  This module re-validates a concrete invariant three ways:

@@ -13,8 +13,8 @@ Pipeline (Sections 3 and 4 of the paper):
    ``StrongInvSynth``, ``WeakInvSynth``, ``RecStrongInvSynth`` and
    ``RecWeakInvSynth`` wired to the Step-4 solvers of :mod:`repro.solvers`.
 
-:mod:`repro.invariants.checker` independently re-validates any synthesized
-invariant, both by exact certificate substitution and by simulation.
+:mod:`repro.certify` independently re-validates any synthesized invariant,
+both by exact certificate and by simulation.
 """
 
 from repro.invariants.constraints import ConstraintPair
@@ -34,9 +34,9 @@ from repro.invariants.synthesis import (
 )
 from repro.invariants.template import PostTemplateEntry, TemplateEntry, TemplateSet
 
-# Imported last: the checker is now a shim over repro.certify.sampling, whose
-# imports re-enter this package's submodules.
-from repro.invariants.checker import CheckReport, check_invariant
+# Imported last: repro.certify.sampling's imports re-enter this package's
+# submodules.
+from repro.certify.sampling import CheckReport, check_invariant
 
 __all__ = [
     "CheckReport",

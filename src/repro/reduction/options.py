@@ -79,15 +79,6 @@ class SynthesisOptions:
     verify_seed:
         Seed of all verification/repair randomness (simulation schedules,
         derived arguments, sample valuations), for reproducible runs.
-    scheduler:
-        Per-request override of the engine's corpus-driven portfolio
-        scheduler (:mod:`repro.schedule`): ``"inherit"`` (default) follows
-        the :class:`~repro.api.engine.Engine`'s own ``scheduler`` mode,
-        ``"off"`` disables prediction and recording for this request,
-        ``"record-only"`` records the solve outcome without predicting, and
-        ``"on"`` both predicts and records.  A request can only downgrade:
-        an engine constructed without a corpus (``scheduler="off"``) ignores
-        ``"on"``/``"record-only"`` requests.
     """
 
     degree: int | str = 2
@@ -105,7 +96,6 @@ class SynthesisOptions:
     verify: str = "none"
     max_repair_rounds: int = 2
     verify_seed: int = 0
-    scheduler: str = "inherit"
 
     def __post_init__(self) -> None:
         from repro.solvers.portfolio import STRATEGIES
@@ -147,11 +137,6 @@ class SynthesisOptions:
             )
         if isinstance(self.verify_seed, bool) or not isinstance(self.verify_seed, int):
             raise SynthesisError(f"verify_seed must be an integer, got {self.verify_seed!r}")
-        if self.scheduler not in ("inherit", "off", "on", "record-only"):
-            raise SynthesisError(
-                f"unknown scheduler mode {self.scheduler!r}; "
-                "known modes: inherit, off, on, record-only"
-            )
 
     @property
     def is_auto_degree(self) -> bool:

@@ -20,7 +20,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--store",
         default=None,
-        help="persistent store root (responses, solves, certificates, schedule corpus); "
+        help="persistent store root (responses, solves, certificates); "
         "defaults to no persistence",
     )
     parser.add_argument(
@@ -37,12 +37,6 @@ def main(argv: list[str] | None = None) -> int:
         help="engine executor back-end; auto picks processes on multi-core hosts "
         "when --workers > 1 (default: %(default)s)",
     )
-    parser.add_argument(
-        "--scheduler",
-        default="record-only",
-        choices=("off", "record-only", "on"),
-        help="corpus scheduler mode of the served engine (default: %(default)s)",
-    )
     options = parser.parse_args(argv)
 
     server = SynthesisServer(
@@ -51,7 +45,6 @@ def main(argv: list[str] | None = None) -> int:
         store=options.store,
         workers=options.workers,
         executor=options.executor,
-        scheduler=options.scheduler,
     )
 
     async def run() -> None:

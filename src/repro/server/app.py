@@ -120,7 +120,8 @@ class SynthesisServer:
         :attr:`port` once started).
     store:
         The persistent store root handed to an owned engine — warm responses,
-        solves, certificates and the schedule corpus all live there.
+        solves and certificates all live there.  ``None`` (the default)
+        persists nothing.
     workers:
         Concurrency of an owned engine (default 2).  Under the process
         executor this is the number of worker *processes* — the server's
@@ -132,10 +133,6 @@ class SynthesisServer:
         Executor back-end of an owned engine (default ``"auto"``: worker
         processes when ``workers > 1`` and the host is multi-core, else
         threads).  See :class:`~repro.api.engine.Engine`.
-    scheduler:
-        Scheduler mode of an owned engine.  Defaults to ``"record-only"``:
-        every server-handled solve contributes a corpus row to the deployment
-        data directory without changing schedules.
     solver_options:
         Default solver knobs of an owned engine.
     """
@@ -149,7 +146,6 @@ class SynthesisServer:
         store=None,
         workers: int | None = None,
         executor: str = "auto",
-        scheduler: str = "record-only",
         solver_options=None,
     ) -> None:
         self._owns_engine = engine is None
@@ -157,7 +153,6 @@ class SynthesisServer:
             engine = Engine(
                 workers=max(1, workers) if workers is not None else 2,
                 executor=executor,
-                scheduler=scheduler,
                 store=store,
                 solver_options=solver_options,
             )

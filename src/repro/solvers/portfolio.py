@@ -16,21 +16,20 @@ a configurable list of strategies over it:
 * **warm-start exchange** — every strategy may seed its next restart from the
   portfolio's best-known point.
 
-Three executors are supported.  ``"thread"`` races all strategies
+Two executors are supported.  ``"thread"`` races all strategies
 concurrently (the numpy-heavy evaluation closures release the GIL for most of
 their work).  ``"sequential"`` runs the strategies cheapest-first and stops at
 the first feasible point — the optimistic "race cheap certificates before
-expensive ones" mode, and the right choice on single-core machines.
-``"process"`` fans strategies out over separate processes (no warm-start
-exchange, cancellation only between completions).  The default ``"auto"``
-picks ``"thread"`` on multi-core machines and ``"sequential"`` otherwise.
+expensive ones" mode, and the right choice on single-core machines.  The
+default ``"auto"`` picks ``"thread"`` on multi-core machines and
+``"sequential"`` otherwise.
 """
 
 from __future__ import annotations
 
 import os
 import time
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, ThreadPoolExecutor, wait
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
@@ -58,7 +57,7 @@ STRATEGIES: dict[str, Callable[[SolverOptions], Solver]] = {
 #: penalty solver, and the bilinear block-coordinate solver.
 DEFAULT_PORTFOLIO: tuple[str, ...] = ("gauss-newton", "qclp", "alternating")
 
-EXECUTORS = ("auto", "thread", "sequential", "process")
+EXECUTORS = ("auto", "thread", "sequential")
 
 
 def strategy_names() -> tuple[str, ...]:
@@ -88,7 +87,6 @@ def make_solver(
     strategy: str = "qclp",
     options: SolverOptions | None = None,
     portfolio: Sequence[str] = (),
-    executor: str = "auto",
 ) -> Solver:
     """Instantiate the Step-4 solver named by ``strategy``.
 
@@ -97,7 +95,7 @@ def make_solver(
     :data:`DEFAULT_PORTFOLIO`).
     """
     if strategy == "portfolio":
-        return PortfolioSolver(options, strategies=tuple(portfolio) or DEFAULT_PORTFOLIO, executor=executor)
+        return PortfolioSolver(options, strategies=tuple(portfolio) or DEFAULT_PORTFOLIO)
     factory = STRATEGIES.get(strategy)
     if factory is None:
         known = ", ".join([*STRATEGIES, "portfolio"])
@@ -112,11 +110,10 @@ class StrategyOutcome:
     """What one racing strategy produced (``result`` is None when it was skipped).
 
     ``seconds`` is recorded for every strategy — winners, losers and
-    cancelled entries alike — so schedulers mining race outcomes see the full
-    per-strategy cost, not just the winning time.  ``cancelled`` marks a
-    strategy that never ran its solver: the race was already won (or the
-    deadline gone) when its turn came, including a staggered launch whose
-    grace period was cut short by the primary's win.
+    cancelled entries alike — so race reports show the full per-strategy
+    cost, not just the winning time.  ``cancelled`` marks a strategy that
+    never ran its solver: the race was already won (or the deadline gone)
+    when its turn came.
     """
 
     name: str
@@ -130,13 +127,6 @@ class StrategyOutcome:
         return self.result is not None and self.result.feasible
 
 
-def _run_strategy(solver: Solver, problem: CompiledProblem) -> tuple[SolverResult, float]:
-    """Process-executor entry point (module-level for picklability)."""
-    start = time.perf_counter()
-    result = solver.solve_compiled(problem)
-    return result, time.perf_counter() - start
-
-
 class PortfolioSolver(Solver):
     """Race several Step-4 strategies on one shared compiled problem."""
 
@@ -146,13 +136,10 @@ class PortfolioSolver(Solver):
         strategies: Sequence[str] = DEFAULT_PORTFOLIO,
         executor: str = "auto",
         stop_on_feasible: bool = True,
-        stagger_seconds: float = 0.0,
     ):
         super().__init__(options)
         if not strategies:
             raise SynthesisError("a portfolio needs at least one strategy")
-        if stagger_seconds < 0:
-            raise SynthesisError(f"stagger_seconds must be non-negative, got {stagger_seconds}")
         unknown = [name for name in strategies if name not in STRATEGIES]
         if unknown:
             raise SynthesisError(
@@ -168,10 +155,6 @@ class PortfolioSolver(Solver):
         self.strategies = tuple(strategies)
         self.executor = executor
         self.stop_on_feasible = stop_on_feasible
-        #: Grace period before every strategy after the first launches (a
-        #: scheduler's "predicted primary first" staggered start).  0 races
-        #: everything at once — the historical behaviour.
-        self.stagger_seconds = stagger_seconds
 
     # -- strategy construction -----------------------------------------------------
 
@@ -206,8 +189,6 @@ class PortfolioSolver(Solver):
         executor = self._resolved_executor()
         if executor == "thread":
             outcomes = self._race_threads(problem, control)
-        elif executor == "process":
-            outcomes = self._race_processes(problem, control)
         else:
             outcomes = self._race_sequential(problem, control)
         return self._assemble(outcomes, control)
@@ -236,14 +217,9 @@ class PortfolioSolver(Solver):
     def _race_threads(self, problem: CompiledProblem, control: SolveControl) -> list[StrategyOutcome]:
         solvers = self._solvers()
 
-        def run(entry: tuple[str, Solver], defer_seconds: float = 0.0) -> StrategyOutcome:
+        def run(entry: tuple[str, Solver]) -> StrategyOutcome:
             name, solver = entry
             start = time.perf_counter()
-            # Staggered launch: sleep out the grace period on the shared
-            # control so a primary win (or the deadline) cancels the launch
-            # outright — the deferred strategy then never costs a core.
-            if defer_seconds > 0.0 and control.wait_stop(defer_seconds):
-                return StrategyOutcome(name, None, time.perf_counter() - start, cancelled=True)
             try:
                 result = solver.solve_compiled(problem, control)
                 return StrategyOutcome(name, result, time.perf_counter() - start)
@@ -251,57 +227,7 @@ class PortfolioSolver(Solver):
                 return StrategyOutcome(name, None, time.perf_counter() - start, error=repr(error))
 
         with ThreadPoolExecutor(max_workers=len(solvers)) as pool:
-            futures = [
-                pool.submit(run, entry, self.stagger_seconds if index else 0.0)
-                for index, entry in enumerate(solvers)
-            ]
-            return [future.result() for future in futures]
-
-    def _race_processes(self, problem: CompiledProblem, control: SolveControl) -> list[StrategyOutcome]:
-        """Process racing: isolated strategies, first feasible completion wins.
-
-        No shared control crosses the process boundary, so there is no
-        warm-start exchange and cancellation happens between completions: once
-        a feasible result arrives the remaining futures are abandoned.
-        """
-        solvers = self._solvers()
-        remaining = control.deadline.remaining()
-        if remaining is not None:
-            solvers = [
-                (name, replace_time_limit(solver, remaining)) for name, solver in solvers
-            ]
-        outcomes: dict[str, StrategyOutcome] = {}
-        with ProcessPoolExecutor(max_workers=len(solvers)) as pool:
-            futures = {
-                pool.submit(_run_strategy, solver, problem): name for name, solver in solvers
-            }
-            pending = set(futures)
-            while pending:
-                done, pending = wait(pending, return_when=FIRST_COMPLETED)
-                stop = False
-                for future in done:
-                    name = futures[future]
-                    try:
-                        result, seconds = future.result()
-                        outcomes[name] = StrategyOutcome(name, result, seconds)
-                        if result.feasible:
-                            control.report(
-                                problem.vector(result.assignment),
-                                result.max_violation or 0.0,
-                                result.objective_value or 0.0,
-                                strategy=name,
-                            )
-                            if self.stop_on_feasible:
-                                stop = True
-                    except Exception as error:  # pragma: no cover - worker crash
-                        outcomes[name] = StrategyOutcome(name, None, 0.0, error=repr(error))
-                if stop:
-                    for future in pending:
-                        future.cancel()
-                    break
-        for name, _ in solvers:
-            outcomes.setdefault(name, StrategyOutcome(name=name, result=None, seconds=0.0, cancelled=True))
-        return [outcomes[name] for name, _ in solvers]
+            return list(pool.map(run, solvers))
 
     # -- result assembly ------------------------------------------------------------------
 
@@ -381,11 +307,3 @@ class PortfolioSolver(Solver):
             strategy=best_name,
         )
 
-
-def replace_time_limit(solver: Solver, seconds: float) -> Solver:
-    """A copy-free tightening of a solver's wall-clock budget (process racing)."""
-    limit = solver.options.time_limit
-    solver.options = replace(
-        solver.options, time_limit=seconds if limit is None else min(limit, seconds)
-    )
-    return solver

@@ -140,21 +140,6 @@ class SolveControl:
     def stop(self) -> None:
         self._stop.set()
 
-    def wait_stop(self, timeout: float | None = None) -> bool:
-        """Block until the solve is stopped or ``timeout`` elapses.
-
-        Returns True when the solve should not proceed (another strategy won,
-        someone cancelled, or the deadline ran out while waiting).  This is
-        what a staggered portfolio strategy sleeps on during its grace
-        period: a primary win during the wait cancels the launch outright.
-        """
-        remaining = self.deadline.remaining()
-        if remaining is not None:
-            timeout = remaining if timeout is None else min(timeout, remaining)
-        if self._stop.wait(timeout):
-            return True
-        return self.deadline.expired()
-
     @property
     def timed_out(self) -> bool:
         return self.deadline.expired()

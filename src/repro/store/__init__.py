@@ -1,9 +1,9 @@
 """repro.store — the persistent content-addressed artifact store.
 
 One disk root per deployment holds every artifact the engine would otherwise
-recompute: response envelopes, Step-4 solver results, exact certificates and
-the schedule corpus — all keyed by stable content hashes, all shared between
-concurrent worker processes, all surviving restarts.  See
+recompute: response envelopes, Step-4 solver results and exact certificates,
+all keyed by stable content hashes, all shared between concurrent worker
+processes, all surviving restarts.  See
 :mod:`repro.store.blobs` for the crash-safety model and
 :mod:`repro.store.views` for the namespaces the
 :class:`~repro.api.engine.Engine` plugs into via ``Engine(store=...)``.

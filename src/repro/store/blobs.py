@@ -7,7 +7,6 @@ partitions the deployments' artifact kinds (``responses``, ``solves``,
 unbounded::
 
     <root>/<namespace>/<key[:2]>/<key>.json
-    <root>/corpus/solve_corpus.jsonl          (the schedule corpus rides along)
 
 Three properties make the store safe to share between concurrent worker
 processes without any locking:
@@ -99,11 +98,6 @@ class BlobStore:
         return f"BlobStore({self.root!r})"
 
     # -- paths -------------------------------------------------------------------
-
-    @property
-    def corpus_path(self) -> str:
-        """The schedule corpus of this deployment (one data directory per root)."""
-        return os.path.join(self.root, "corpus", "solve_corpus.jsonl")
 
     def path_for(self, namespace: str, key: str) -> str:
         """The on-disk path of one blob (validates namespace and key)."""
@@ -227,7 +221,6 @@ class BlobStore:
                         entry
                         for entry in os.listdir(self.root)
                         if _NAMESPACE_RE.match(entry)
-                        and entry != "corpus"
                         and os.path.isdir(os.path.join(self.root, entry))
                     )
                 )

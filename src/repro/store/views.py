@@ -96,14 +96,13 @@ class SolveStore:
         self.blobs = blobs
 
     @staticmethod
-    def key_for(request: "SynthesisRequest", scheduled: bool, solver_options: str) -> str:
+    def key_for(request: "SynthesisRequest", solver_options: str) -> str:
         """The stable content hash of one Step-4 solve.
 
         Mirrors the engine's in-memory dedup key, rendered content-stable:
         the reduction inputs (program, precondition, objective, reduction
-        fingerprint), the strategy line-up, whether a corpus scheduler may
-        reorder the race, and the effective solver options.  Verification
-        knobs are deliberately absent — ``verify="exact"`` and
+        fingerprint), the strategy line-up and the effective solver options.
+        Verification knobs are deliberately absent — ``verify="exact"`` and
         ``verify="none"`` share one persisted solve.
         """
         from repro.api.request import objective_to_dict, precondition_to_spec
@@ -117,7 +116,6 @@ class SolveStore:
             options.strategy,
             list(options.portfolio),
             request.mode,
-            scheduled,
             solver_options,
         ]
         return content_key("solve", STORE_SCHEMA_VERSION, payload)
@@ -191,10 +189,10 @@ class CertificateStore:
 class EngineStore:
     """One deployment's persistent data directory, as the engine sees it.
 
-    Bundles the blob store with its three namespace views and the schedule
-    corpus path, so ``Engine(store=...)`` (or the HTTP server) needs exactly
-    one handle — and two engines handed the same root transparently share
-    every artifact kind across processes and restarts.
+    Bundles the blob store with its three namespace views, so
+    ``Engine(store=...)`` (or the HTTP server) needs exactly one handle — and
+    two engines handed the same root transparently share every artifact kind
+    across processes and restarts.
     """
 
     def __init__(self, blobs: BlobStore) -> None:
@@ -206,10 +204,6 @@ class EngineStore:
     @property
     def root(self) -> str:
         return self.blobs.root
-
-    @property
-    def corpus_path(self) -> str:
-        return self.blobs.corpus_path
 
     def stats(self) -> dict[str, float]:
         """Handle counters plus on-disk byte/blob accounting per namespace.

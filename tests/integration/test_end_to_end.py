@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.invariants.checker import check_invariant
+from repro.certify.sampling import check_invariant
 from repro.invariants.synthesis import SynthesisOptions, build_task, strong_inv_synth, weak_inv_synth
 from repro.polynomial.parse import parse_polynomial
 from repro.solvers.base import SolverOptions

@@ -68,7 +68,7 @@ def test_statistics_recorded(running_example_task):
 def test_appendix_b1_invariant_is_consistent_with_simulation(sum_cfg, sum_precondition):
     """The invariant the paper reports at label 9 (Appendix B.1) survives simulation and
     constraint-pair sampling when combined with the paper's pre-condition."""
-    from repro.invariants.checker import check_invariant
+    from repro.certify.sampling import check_invariant
     from repro.invariants.result import Invariant
     from repro.spec.assertions import parse_assertion
 

@@ -141,9 +141,10 @@ def test_from_dict_rejects_unknown_fields():
     assert "solver" in str(info.value)
 
 
-def test_from_dict_rejects_unknown_option_fields():
+@pytest.mark.parametrize("field", ["upsilon_max", "scheduler"])
+def test_from_dict_rejects_unknown_option_fields(field):
     payload = sum_request().to_dict()
-    payload["options"]["upsilon_max"] = 3
+    payload["options"][field] = 3
     with pytest.raises(RequestValidationError) as info:
         SynthesisRequest.from_dict(payload)
     assert any(entry["field"] == "options" for entry in info.value.errors)

@@ -42,10 +42,7 @@ EXPECTED_REPRO_ALL = [
     "RepresentativeEnumerator",
     "ReproError",
     "RequestValidationError",
-    "SchedulePlan",
-    "Scheduler",
     "SemanticsError",
-    "SolveCorpus",
     "SolverError",
     "SpecificationError",
     "StageCache",

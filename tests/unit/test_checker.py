@@ -1,9 +1,9 @@
-"""Unit tests for repro.invariants.checker and result objects."""
+"""Unit tests for the sampling checker (repro.certify.sampling) and result objects."""
 
 import pytest
 
 from repro.cfg.labels import Label, LabelKind
-from repro.invariants.checker import check_invariant
+from repro.certify.sampling import check_invariant
 from repro.invariants.result import Invariant, SynthesisResult
 from repro.invariants.quadratic_system import QuadraticSystem
 from repro.invariants.template import TemplateSet

@@ -68,6 +68,8 @@ def test_portfolio_validates_configuration():
         PortfolioSolver(strategies=("qclp", "qclp"))  # outcomes are keyed by name
     with pytest.raises(SynthesisError):
         PortfolioSolver(executor="fibers")
+    with pytest.raises(SynthesisError):
+        PortfolioSolver(executor="process")
 
 
 # -- racing ------------------------------------------------------------------------------

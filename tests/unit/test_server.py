@@ -34,7 +34,7 @@ def document_for(name: str, **overrides) -> dict:
 
 @pytest.fixture(scope="module")
 def served():
-    server = SynthesisServer(workers=2, solver_options=QUICK_SOLVE, scheduler="off")
+    server = SynthesisServer(workers=2, solver_options=QUICK_SOLVE)
     with serve_in_background(server) as handle:
         yield handle
 
@@ -173,9 +173,7 @@ def test_stats_merges_engine_and_server_counters(client):
 
 
 def test_server_with_store_serves_warm_requests_from_disk(tmp_path):
-    server = SynthesisServer(
-        store=tmp_path, workers=2, solver_options=QUICK_SOLVE, scheduler="off"
-    )
+    server = SynthesisServer(store=tmp_path, workers=2, solver_options=QUICK_SOLVE)
     with serve_in_background(server) as handle:
         client = SynthesisClient(handle.url)
         cold = client.synthesize(document_for("sum"))
@@ -185,3 +183,18 @@ def test_server_with_store_serves_warm_requests_from_disk(tmp_path):
         assert warm["invariants"] == cold["invariants"]
         stats = client.stats()
         assert stats["store_response_hits"] == 1.0
+
+
+def test_server_without_store_writes_nothing_under_home(tmp_path, monkeypatch):
+    home, cache = tmp_path / "home", tmp_path / "cache"
+    home.mkdir()
+    cache.mkdir()
+    monkeypatch.setenv("HOME", str(home))
+    monkeypatch.setenv("XDG_CACHE_HOME", str(cache))
+    monkeypatch.delenv("REPRO_CORPUS_PATH", raising=False)
+    server = SynthesisServer(workers=1, solver_options=QUICK_SOLVE)
+    with serve_in_background(server) as handle:
+        response = SynthesisClient(handle.url).synthesize(document_for("sum"))
+    assert response["status"] == "ok"
+    assert list(home.iterdir()) == []
+    assert list(cache.iterdir()) == []

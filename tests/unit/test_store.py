@@ -55,11 +55,9 @@ def test_solve_key_shares_across_verification_tiers(tmp_path):
     store = open_store(tmp_path)
     none_tier = make_request()
     exact_tier = make_request(options=SUM.options(upsilon=1, verify="exact"))
-    assert store.solves.key_for(none_tier, False, "opts") == store.solves.key_for(
-        exact_tier, False, "opts"
-    )
-    assert store.solves.key_for(none_tier, False, "opts") != store.solves.key_for(
-        none_tier, True, "opts"
+    assert store.solves.key_for(none_tier, "opts") == store.solves.key_for(exact_tier, "opts")
+    assert store.solves.key_for(none_tier, "opts") != store.solves.key_for(
+        none_tier, "different-opts"
     )
 
 
@@ -224,7 +222,6 @@ def test_open_store_coerces_every_spec(tmp_path):
     assert open_store(store) is store
     assert open_store(store.blobs).root == store.root
     assert open_store(str(tmp_path)).root == store.root
-    assert store.corpus_path == os.path.join(str(tmp_path), "corpus", "solve_corpus.jsonl")
 
 
 # -- concurrent writers ------------------------------------------------------------
