@@ -182,6 +182,11 @@ class PairCertificate:
                     f"got {len(self.multipliers)}"
                 )
             for index, multiplier in enumerate(self.multipliers):
+                # The PSD test reads a square block, the expansion every entry:
+                # both must see the same matrix, one row and column per basis monomial.
+                side = len(multiplier.basis)
+                if len(multiplier.gram) != side or any(len(row) != side for row in multiplier.gram):
+                    return f"Gram matrix of multiplier h_{index} is not {side}x{side} for its basis"
                 if not multiplier.is_psd():
                     return f"Gram matrix of multiplier h_{index} is not PSD"
         else:
@@ -328,11 +333,11 @@ def check_certificate(
     """Validate a certificate by exact polynomial identity over ``Fraction``.
 
     Per pair: the positivity witness must be strictly positive, every Putinar
-    multiplier's Gram matrix must be PSD (decided by exact rational
-    ``L D L^T``), every Handelman lambda non-negative, and the paper's
-    equation (†) must hold as a *polynomial identity* — the conclusion minus
-    the expanded right-hand side must be the zero polynomial.  Nothing is
-    sampled and no solver runs.
+    multiplier's Gram matrix must be square with one row per basis monomial
+    and PSD (decided by exact rational ``L D L^T``), every Handelman lambda
+    non-negative, and the paper's equation (†) must hold as a *polynomial
+    identity* — the conclusion minus the expanded right-hand side must be the
+    zero polynomial.  Nothing is sampled and no solver runs.
 
     When ``task`` is supplied the certificate is additionally *bound* to that
     reduction: every Step-2 constraint pair of the task must appear in the

@@ -60,12 +60,30 @@ DENOMINATOR_LADDER: tuple[int, ...] = (
 _ZERO = Fraction(0)
 
 
+def snap(value: Fraction, max_denominator: int) -> Fraction:
+    """The closest rational to ``value`` with denominator at most ``max_denominator``.
+
+    Equal to ``value.limit_denominator(max_denominator)``.  When
+    ``|value| < 1 / (2 * max_denominator)`` the answer is 0 without running
+    the continued fraction: every non-zero candidate lies at least
+    ``1 / max_denominator`` from 0, so it is farther from ``value`` than 0 is.
+    """
+    if 2 * max_denominator * abs(value.numerator) < value.denominator:
+        return _ZERO
+    return value.limit_denominator(max_denominator)
+
+
+def _snap_solver_value(floats: Mapping[str, float], name: str, max_denominator: int) -> Fraction:
+    """The solver's value of unknown ``name`` (0 when absent), snapped."""
+    return snap(Fraction(float(floats.get(name, 0.0))), max_denominator)
+
+
 def rationalize(
     assignment: Mapping[str, float], max_denominator: int
 ) -> dict[str, Fraction]:
     """Per-coefficient continued-fraction rounding of a numeric assignment."""
     return {
-        name: Fraction(float(value)).limit_denominator(max_denominator)
+        name: snap(Fraction(float(value)), max_denominator)
         for name, value in assignment.items()
     }
 
@@ -128,9 +146,9 @@ class LiftResult:
     violations: list[ExactViolation] = field(default_factory=list)
 
 
-def _template_values(assignment: Mapping[str, float]) -> dict[str, float]:
+def _template_values(assignment: Mapping[str, float]) -> dict[str, Fraction]:
     return {
-        name: float(value)
+        name: Fraction(float(value))
         for name, value in assignment.items()
         if classify_unknown(name) is VariableRole.TEMPLATE
     }
@@ -170,9 +188,7 @@ def _float_gram(
     prefix = f"{UNKNOWN_PREFIX}l_{prov.tag}_{which}"
     lower = [
         [
-            Fraction(float(floats.get(f"{prefix}_{row}_{col}", 0.0))).limit_denominator(
-                pin_denominator
-            )
+            _snap_solver_value(floats, f"{prefix}_{row}_{col}", pin_denominator)
             for col in range(row + 1)
         ]
         for row in range(dimension)
@@ -254,19 +270,17 @@ def _solve_completion(
 
     One equation per monomial (the constant included): the contribution
     columns combined with the solved coefficients must reproduce ``target``
-    exactly.
+    exactly.  Each equation is a sparse row gathered from the columns' terms.
     """
-    support: set[Monomial] = set()
-    for polynomial in (target, *contributions):
-        for monomial, _ in polynomial.items():
-            support.add(monomial)
-    equations = sorted(support, key=Monomial.sort_key)
-    matrix = [
-        [contribution.coefficient(monomial) for contribution in contributions]
-        for monomial in equations
-    ]
-    rhs = [target.coefficient(monomial) for monomial in equations]
-    return solve_linear(matrix, rhs, guesses)
+    rows: dict[Monomial, dict[int, Fraction]] = {}
+    for column, contribution in enumerate(contributions):
+        for monomial, coefficient in contribution.items():
+            rows.setdefault(monomial, {})[column] = coefficient
+    for monomial, _ in target.items():
+        rows.setdefault(monomial, {})
+    return solve_linear(
+        list(rows.values()), [target.coefficient(monomial) for monomial in rows], guesses
+    )
 
 
 def _pinned_multiplier(
@@ -381,9 +395,9 @@ def _certify_pair_putinar_at(
         _pinned_multiplier(prov, which, basis, floats, pin_denominator)
         for which in range(multiplier_count)
     ]
-    eps_guess = Fraction(
-        float(floats.get(f"{UNKNOWN_PREFIX}eps_{prov.tag}", 0.0))
-    ).limit_denominator(max(pin_denominator, 10**6))
+    eps_guess = _snap_solver_value(
+        floats, f"{UNKNOWN_PREFIX}eps_{prov.tag}", max(pin_denominator, 10**6)
+    )
 
     def contribution(which: int, monomial: Monomial) -> Polynomial:
         base = Polynomial.from_monomial(monomial)
@@ -538,9 +552,7 @@ def _certify_pair_handelman(
         concrete_products.append(value)
 
     guesses = [
-        Fraction(float(floats.get(f"{UNKNOWN_PREFIX}t_{prov.tag}_{k}_0", 0.0))).limit_denominator(
-            pin_denominator
-        )
+        _snap_solver_value(floats, f"{UNKNOWN_PREFIX}t_{prov.tag}_{k}_0", pin_denominator)
         for k in range(len(products))
     ]
     # lambda_0 (the constant product) and eps are trailing unknowns so the
@@ -551,8 +563,8 @@ def _certify_pair_handelman(
     if prov.with_witness:
         columns.append(Polynomial.one())
         trailing.append(
-            Fraction(float(floats.get(f"{UNKNOWN_PREFIX}eps_{prov.tag}", 0.0))).limit_denominator(
-                max(pin_denominator, 10**6)
+            _snap_solver_value(
+                floats, f"{UNKNOWN_PREFIX}eps_{prov.tag}", max(pin_denominator, 10**6)
             )
         )
     solution = _solve_completion(columns, [*guesses[1:], *trailing], conclusion)
@@ -672,7 +684,7 @@ def lift_solution(
     start = time.perf_counter()
     deadline = None if time_budget is None else start + time_budget
     rungs = tuple(ladder) if ladder is not None else DENOMINATOR_LADDER
-    template_floats = _template_values(assignment)
+    template_values = _template_values(assignment)
     attempts = 0
     last_reason: str | None = None
     # Pass 1 walks the whole ladder at the translator's own witness basis
@@ -685,11 +697,9 @@ def lift_solution(
             if time_budget is not None and time.perf_counter() - start > time_budget:
                 last_reason = last_reason or "lift time budget exhausted"
                 break
-            exact_s = {
-                name: Fraction(value).limit_denominator(denominator)
-                for name, value in template_floats.items()
-            }
-            signature = tuple(sorted(exact_s.items()))
+            exact_s = {name: snap(value, denominator) for name, value in template_values.items()}
+            # Every rung snaps the same names in the same order.
+            signature = tuple(exact_s.values())
             if signature in seen:
                 continue
             seen.add(signature)

@@ -2,9 +2,9 @@
 
 Two small, fully exact routines over :class:`fractions.Fraction`:
 
-* :func:`solve_linear` — solve an (under/over-determined) linear system
-  ``A x = b`` exactly, pinning the free variables to a caller-supplied guess,
-  so the solution stays close to the numeric point the solver found;
+* :func:`solve_linear` — solve an (under/over-determined) sparse linear
+  system ``A x = b`` exactly, pinning the free variables to a caller-supplied
+  guess, so the solution stays close to the numeric point the solver found;
 * :func:`ldl_decompose` — the rational ``L D L^T`` decomposition that decides
   positive semidefiniteness of a symmetric rational matrix *exactly* (no
   square roots, no eigenvalue tolerances).
@@ -16,67 +16,75 @@ not inherit floating-point semantics from the solver stack.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Sequence
+from typing import Mapping, Sequence
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
 def solve_linear(
-    matrix: Sequence[Sequence[Fraction]],
+    rows: Sequence[Mapping[int, Fraction]],
     rhs: Sequence[Fraction],
     guess: Sequence[Fraction],
 ) -> list[Fraction] | None:
-    """Solve ``matrix @ x = rhs`` exactly, pinning free variables to ``guess``.
+    """Solve ``A x = rhs`` exactly for sparse rows, pinning free variables to ``guess``.
 
-    The system is reduced to RREF over :class:`Fraction`; non-pivot columns
-    are fixed at their ``guess`` values and the pivot columns solved from the
-    reduced rows.  Returns ``None`` when the system is inconsistent.  The
-    ``guess`` supplies both the dimension of ``x`` and the preferred values of
-    the solution's free coordinates.
+    ``rows[i]`` maps column index to the non-zero entries of row ``i`` of
+    ``A``.  Gauss–Jordan keeps every pivot row fully reduced (a one at its
+    pivot column, zero at every other pivot column); each incoming row is
+    reduced against them and, if anything is left, pivots on its lowest
+    remaining non-zero column.  The pivot rows then form the reduced row
+    echelon form of ``A``, which is unique, so neither the pivot set nor the
+    solution depends on the row order.  Non-pivot columns are fixed at their
+    ``guess`` values and the pivot columns solved from the reduced rows.
+    Returns ``None`` when the system is inconsistent.  The ``guess`` supplies
+    both the dimension of ``x`` and the preferred values of the solution's
+    free coordinates.
     """
-    rows = len(matrix)
-    cols = len(guess)
-    augmented = [list(matrix[i]) + [rhs[i]] for i in range(rows)]
-    pivots: list[tuple[int, int]] = []
-    rank = 0
-    for col in range(cols):
-        pivot_row = None
-        for r in range(rank, rows):
-            if augmented[r][col]:
-                pivot_row = r
-                break
-        if pivot_row is None:
+    pivots: dict[int, tuple[dict[int, Fraction], Fraction]] = {}
+    for entries, value in zip(rows, rhs):
+        row = {col: Fraction(entry) for col, entry in entries.items() if entry}
+        value = Fraction(value)
+        # Pivot rows are zero at each other's pivot columns, so one pass clears them all.
+        for col in [col for col in row if col in pivots]:
+            pivot_row, pivot_value = pivots[col]
+            factor = row[col]
+            _subtract(row, pivot_row, factor)
+            value -= factor * pivot_value
+        if not row:
+            if value:
+                return None
             continue
-        augmented[rank], augmented[pivot_row] = augmented[pivot_row], augmented[rank]
-        pivot = augmented[rank][col]
-        if pivot != _ONE:
-            augmented[rank] = [value / pivot for value in augmented[rank]]
-        lead = augmented[rank]
-        for r in range(rows):
-            if r == rank:
-                continue
-            factor = augmented[r][col]
-            if factor:
-                row = augmented[r]
-                augmented[r] = [a - factor * b for a, b in zip(row, lead)]
-        pivots.append((rank, col))
-        rank += 1
-        if rank == rows:
-            break
-    for r in range(rank, rows):
-        if augmented[r][cols]:
-            return None
-    pivot_columns = {col for _, col in pivots}
-    solution = [Fraction(guess[j]) if j not in pivot_columns else _ZERO for j in range(cols)]
-    for r, c in pivots:
-        value = augmented[r][cols]
-        row = augmented[r]
-        for j in range(cols):
-            if j != c and row[j] and j not in pivot_columns:
-                value -= row[j] * solution[j]
-        solution[c] = value
+        lead = min(row)
+        scale = row[lead]
+        if scale != _ONE:
+            row = {col: entry / scale for col, entry in row.items()}
+            value /= scale
+        for col, (pivot_row, pivot_value) in pivots.items():
+            factor = pivot_row.get(lead)
+            if factor is not None:
+                _subtract(pivot_row, row, factor)
+                pivots[col] = (pivot_row, pivot_value - factor * value)
+        pivots[lead] = (row, value)
+    solution = [_ZERO if j in pivots else Fraction(guess[j]) for j in range(len(guess))]
+    for col, (pivot_row, value) in pivots.items():
+        for other, entry in pivot_row.items():
+            if other != col:
+                value -= entry * solution[other]
+        solution[col] = value
     return solution
+
+
+def _subtract(
+    target: dict[int, Fraction], source: Mapping[int, Fraction], factor: Fraction
+) -> None:
+    """``target -= factor * source`` in place, dropping the entries that cancel."""
+    for col, entry in source.items():
+        updated = target.get(col, _ZERO) - factor * entry
+        if updated:
+            target[col] = updated
+        else:
+            target.pop(col, None)
 
 
 def ldl_decompose(

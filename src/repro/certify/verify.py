@@ -126,6 +126,7 @@ def verify_solution(
             else:
                 outcome.reason = f"sampling check failed: {report.summary()}"
     elif mode == "exact":
+        lifts: list[LiftResult] = []  # every lift this request ran, repair's included
 
         def validate_exact(candidate: Mapping[str, float]) -> tuple[bool, object]:
             # The lift honours whatever remains of the request deadline (its
@@ -135,6 +136,7 @@ def verify_solution(
             if deadline_seconds is not None:
                 budget = max(0.05, deadline_seconds - (time.perf_counter() - start))
             lift = lift_solution(task, candidate, time_budget=budget)
+            lifts.append(lift)
             if not lift.ok or lift.certificate is None:
                 return False, lift
             check = check_certificate(lift.certificate, task=task)
@@ -161,6 +163,8 @@ def verify_solution(
                 outcome.reason = None
                 outcome.solve_result = repair.solve_result
                 _absorb_lift(outcome, repair.payload)  # type: ignore[arg-type]
+        outcome.details["lift_attempts"] = float(sum(lift.attempts for lift in lifts))
+        outcome.details["lift_seconds"] = sum(lift.seconds for lift in lifts)
     outcome.seconds = time.perf_counter() - start
     return outcome
 
@@ -169,8 +173,6 @@ def _absorb_lift(outcome: VerificationOutcome, lift: LiftResult) -> None:
     outcome.certificate = lift.certificate
     outcome.exact_assignment = lift.exact_assignment
     outcome.lift_denominator = lift.denominator
-    outcome.details["lift_attempts"] = float(lift.attempts)
-    outcome.details["lift_seconds"] = lift.seconds
 
 
 def _repair(

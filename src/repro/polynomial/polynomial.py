@@ -343,11 +343,17 @@ class Polynomial:
 
         Variables not listed in ``mapping`` are left untouched.  This is used
         both for the paper's update-function composition (``g o alpha``) and
-        for the textual substitutions ``phi[x <- y]`` of Section 4.
+        for the textual substitutions ``phi[x <- y]`` of Section 4.  When every
+        replacement is a constant (exact template coefficients, program
+        states), each term's coefficient is scaled directly.
         """
         if not mapping:
             return self
         replacements = {name: Polynomial.coerce(value) for name, value in mapping.items()}
+        if all(replacement.is_constant() for replacement in replacements.values()):
+            return self._substitute_constants(
+                {name: replacement.constant_term() for name, replacement in replacements.items()}
+            )
         accumulated: dict[Monomial, Fraction] = {}
         power_cache: dict[tuple[str, int], Polynomial] = {}
         for monomial, coefficient in self._terms.items():
@@ -373,6 +379,32 @@ class Polynomial:
                         accumulated[key] = total
                     else:
                         del accumulated[key]
+        return Polynomial._from_validated(accumulated)
+
+    def _substitute_constants(self, constants: Mapping[str, Fraction]) -> "Polynomial":
+        """:meth:`substitute` for constant replacements: scale coefficients, drop variables."""
+        accumulated: dict[Monomial, Fraction] = {}
+        for monomial, coefficient in self._terms.items():
+            kept: list[tuple[str, int]] = []
+            for var, exp in monomial.items:
+                constant = constants.get(var)
+                if constant is None:
+                    kept.append((var, exp))
+                else:
+                    coefficient *= constant if exp == 1 else constant**exp
+            if not coefficient:
+                continue
+            unchanged = len(kept) == len(monomial.items)
+            key = monomial if unchanged else Monomial._from_tuple(tuple(kept))
+            existing = accumulated.get(key)
+            if existing is None:
+                accumulated[key] = coefficient
+            else:
+                total = existing + coefficient
+                if total:
+                    accumulated[key] = total
+                else:
+                    del accumulated[key]
         return Polynomial._from_validated(accumulated)
 
     def rename(self, mapping: Mapping[str, str]) -> "Polynomial":

@@ -60,7 +60,7 @@ def test_exact_verification_round_trip(name):
     assert response.invariants
 
 
-def test_repair_round_reaches_a_verified_result():
+def test_repair_round_reaches_a_verified_result(monkeypatch):
     """A deliberately crippled first solve is repaired to a certified one.
 
     The pure-feasibility Gauss-Newton sprint deterministically lands on a
@@ -68,6 +68,17 @@ def test_repair_round_reaches_a_verified_result():
     slack — exactly the kind of pseudo-solution the exact lift rejects — and
     the repair loop's tightened re-race must then reach a certificate.
     """
+    import repro.certify.verify as verify_module
+
+    lift_attempts = []
+    unrecorded_lift = verify_module.lift_solution
+
+    def recording_lift(*args, **kwargs):
+        lift = unrecorded_lift(*args, **kwargs)
+        lift_attempts.append(lift.attempts)
+        return lift
+
+    monkeypatch.setattr(verify_module, "lift_solution", recording_lift)
     benchmark = get_benchmark("recursive-cube-sum")
     request = _exact_request(benchmark, max_repair_rounds=3, strategy="gauss-newton")
     with Engine() as engine:
@@ -78,6 +89,9 @@ def test_repair_round_reaches_a_verified_result():
     assert verification["verified"] is True, verification
     assert verification["repaired"] is True
     assert verification["repair_rounds"] >= 1
+    # The reported lift work covers the rejected lift as well as the accepted one.
+    assert len(lift_attempts) >= 2
+    assert verification["details"]["lift_attempts"] == sum(lift_attempts)
     certificate = Certificate.from_dict(response.certificate)
     assert check_certificate(certificate, task=response.task).ok
 

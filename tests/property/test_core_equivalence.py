@@ -122,6 +122,19 @@ def test_fast_substitution_equals_validated_substitution(p, replacement, variabl
 
 
 @settings(max_examples=80, deadline=None)
+@given(
+    polynomials,
+    st.dictionaries(st.sampled_from(VARIABLES), coefficients, min_size=1, max_size=3),
+)
+def test_constant_substitution_equals_the_generic_path(p, constants):
+    direct = p.substitute(constants)
+    # A non-constant replacement for a variable ``p`` lacks changes nothing
+    # but sends the substitution down the generic polynomial-product path.
+    generic = p.substitute({**constants, "w": Polynomial.variable("w") + 1})
+    assert_equivalent(direct, to_reference(generic))
+
+
+@settings(max_examples=80, deadline=None)
 @given(power_maps, power_maps)
 def test_monomial_interning_is_canonical(a, b):
     left, right = Monomial(a), Monomial(b)

@@ -1,11 +1,15 @@
 """Unit tests for the certificate subsystem (repro.certify)."""
 
+import math
+import random
 from fractions import Fraction
 
 import pytest
 
 from repro.certify import (
     Certificate,
+    PairCertificate,
+    SOSWitness,
     check_certificate,
     derive_argument_sets,
     exact_violations,
@@ -14,10 +18,12 @@ from repro.certify import (
     rationalize,
     solve_linear,
 )
+from repro.certify.lift import DENOMINATOR_LADDER, snap
 from repro.certify.sampling import check_invariant
 from repro.invariants.quadratic_system import QuadraticSystem
 from repro.invariants.synthesis import build_task
 from repro.pipeline.jobs import job_from_benchmark
+from repro.polynomial.monomial import Monomial
 from repro.polynomial.parse import parse_polynomial
 from repro.solvers.base import DEFAULT_STRICT_MARGIN, SolverOptions
 from repro.solvers.portfolio import make_solver
@@ -34,14 +40,85 @@ F = Fraction
 
 def test_solve_linear_prefers_the_guess_on_free_columns():
     # x0 + x1 = 3 with guess (1, 1): x1 stays free at 1, x0 becomes 2.
-    solution = solve_linear([[F(1), F(1)]], [F(3)], [F(1), F(1)])
+    solution = solve_linear([{0: F(1), 1: F(1)}], [F(3)], [F(1), F(1)])
     assert solution == [F(2), F(1)]
 
 
 def test_solve_linear_detects_inconsistency():
-    matrix = [[F(1), F(2)], [F(2), F(4)]]
-    assert solve_linear(matrix, [F(1), F(3)], [F(0), F(0)]) is None
-    assert solve_linear(matrix, [F(1), F(2)], [F(0), F(0)]) is not None
+    rows = [{0: F(1), 1: F(2)}, {0: F(2), 1: F(4)}]
+    assert solve_linear(rows, [F(1), F(3)], [F(0), F(0)]) is None
+    assert solve_linear(rows, [F(1), F(2)], [F(0), F(0)]) is not None
+
+
+def _dense_solve(matrix, rhs, guess):
+    """Dense Gauss-Jordan with free columns pinned to ``guess``: the sparse solve's oracle."""
+    rows = len(matrix)
+    cols = len(guess)
+    augmented = [list(matrix[i]) + [rhs[i]] for i in range(rows)]
+    pivots = []
+    rank = 0
+    for col in range(cols):
+        pivot_row = next((r for r in range(rank, rows) if augmented[r][col]), None)
+        if pivot_row is None:
+            continue
+        augmented[rank], augmented[pivot_row] = augmented[pivot_row], augmented[rank]
+        pivot = augmented[rank][col]
+        augmented[rank] = [value / pivot for value in augmented[rank]]
+        lead = augmented[rank]
+        for r in range(rows):
+            factor = augmented[r][col]
+            if r != rank and factor:
+                augmented[r] = [a - factor * b for a, b in zip(augmented[r], lead)]
+        pivots.append((rank, col))
+        rank += 1
+        if rank == rows:
+            break
+    if any(augmented[r][cols] for r in range(rank, rows)):
+        return None
+    pivot_columns = {col for _, col in pivots}
+    solution = [F(guess[j]) if j not in pivot_columns else F(0) for j in range(cols)]
+    for r, c in pivots:
+        value = augmented[r][cols]
+        for j in range(cols):
+            if j != c and j not in pivot_columns:
+                value -= augmented[r][j] * solution[j]
+        solution[c] = value
+    return solution
+
+
+def _random_system(rng):
+    """A sparse rational system; often rank-deficient, sometimes inconsistent."""
+    rows, cols = rng.randint(1, 8), rng.randint(1, 8)
+
+    def entry():
+        return F(rng.randint(-4, 4), rng.randint(1, 3)) if rng.random() < 0.35 else F(0)
+
+    matrix = [[entry() for _ in range(cols)] for _ in range(rows)]
+    point = [F(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(cols)]
+    rhs = [sum(a * x for a, x in zip(row, point)) for row in matrix]
+    for _ in range(rng.randint(0, 3)):
+        # A combination of two rows, whose right-hand side sometimes breaks consistency.
+        a, b = rng.randrange(rows), rng.randrange(rows)
+        s, t = F(rng.randint(-3, 3), rng.randint(1, 2)), F(rng.randint(-3, 3))
+        matrix.append([s * x + t * y for x, y in zip(matrix[a], matrix[b])])
+        rhs.append(s * rhs[a] + t * rhs[b] + (F(1) if rng.random() < 0.3 else F(0)))
+    order = list(range(len(matrix)))
+    rng.shuffle(order)
+    guess = [F(rng.randint(-3, 3), rng.randint(1, 5)) for _ in range(cols)]
+    return [matrix[i] for i in order], [rhs[i] for i in order], guess
+
+
+def test_sparse_solve_matches_the_dense_elimination():
+    rng = random.Random(20201015)
+    inconsistent = 0
+    for _ in range(600):
+        matrix, rhs, guess = _random_system(rng)
+        rows = [{j: value for j, value in enumerate(row) if value} for row in matrix]
+        expected = _dense_solve(matrix, rhs, guess)
+        assert solve_linear(rows, rhs, guess) == expected
+        inconsistent += expected is None
+    # Both outcomes are exercised.
+    assert 100 < inconsistent < 500
 
 
 def test_ldl_decides_psd_exactly():
@@ -62,6 +139,46 @@ def test_ldl_decides_psd_exactly():
 
 
 # ---------------------------------------------------------------------------
+# Checker soundness: Gram shape
+# ---------------------------------------------------------------------------
+
+
+def _one_multiplier_certificate(basis, gram):
+    """A claim that ``x + 1 > 0`` everywhere, as ``x + 1 = 1/2 + h_0`` with no assumptions.
+
+    The claim is false at x = -2, so no SOS ``h_0`` can make it valid.
+    """
+    pair = PairCertificate(
+        name="pair",
+        target="f",
+        scheme="putinar",
+        assumptions=(),
+        conclusion=parse_polynomial("x + 1"),
+        witness=F(1, 2),
+        multipliers=(SOSWitness(basis=basis, gram=gram),),
+    )
+    return Certificate(scheme="putinar", pairs=(pair,))
+
+
+def test_checker_rejects_a_gram_with_fewer_rows_than_its_basis():
+    # Row (1/2, 1) over basis (1, x) expands to 1/2 + x, which closes the
+    # identity; a PSD test of the leading 1x1 block alone would pass it.
+    basis = (Monomial.one(), Monomial.of("x"))
+    certificate = _one_multiplier_certificate(basis, ((F(1, 2), F(1)),))
+    for candidate in (certificate, Certificate.from_json(certificate.to_json())):
+        check = check_certificate(candidate)
+        assert not check.ok
+        assert check.failures[0][1] == "Gram matrix of multiplier h_0 is not 2x2 for its basis"
+
+
+def test_checker_rejects_a_gram_with_more_rows_than_its_basis():
+    certificate = _one_multiplier_certificate((Monomial.one(),), ((F(1, 2), F(0)), (F(0), F(1))))
+    check = check_certificate(certificate)
+    assert not check.ok
+    assert check.failures[0][1] == "Gram matrix of multiplier h_0 is not 1x1 for its basis"
+
+
+# ---------------------------------------------------------------------------
 # Rationalization and exact system evaluation
 # ---------------------------------------------------------------------------
 
@@ -69,6 +186,26 @@ def test_ldl_decides_psd_exactly():
 def test_rationalize_snaps_solver_noise_to_clean_rationals():
     snapped = rationalize({"a": 0.50000001, "b": -1e-12}, max_denominator=4)
     assert snapped == {"a": F(1, 2), "b": F(0)}
+
+
+def test_snap_equals_limit_denominator_on_every_rung():
+    values = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-300, 0.1, -0.3333333, 7.75]
+    rng = random.Random(7)
+    values += [rng.uniform(-1.0, 1.0) * 10.0 ** rng.randint(-9, 2) for _ in range(200)]
+    nudge = Fraction(1, 10**30)
+    for denominator in DENOMINATOR_LADDER:
+        half = 1 / (2 * denominator)
+        candidates = [Fraction(value) for value in values]
+        for tie in (Fraction(1, 2 * denominator), Fraction(-1, 2 * denominator)):
+            candidates += [tie, tie - nudge, tie + nudge]
+        for side in (half, -half):
+            candidates += [
+                Fraction(math.nextafter(side, 0.0)),
+                Fraction(math.nextafter(side, 2 * side)),
+            ]
+        for value in candidates:
+            expected = value.limit_denominator(denominator)
+            assert snap(value, denominator) == expected, (value, denominator)
 
 
 def test_exact_violations_has_no_float_tolerance():
