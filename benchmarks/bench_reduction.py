@@ -1,4 +1,4 @@
-"""Staged-reduction benchmarks: stage cache reuse, parallel translation, escalation.
+"""Staged-reduction benchmarks: stage cache reuse, vectorised translation, escalation.
 
 Three measurements over the suite registry, emitted as machine-readable JSON
 (``BENCH_reduction.json`` by default) so the reduction-performance trajectory
@@ -13,13 +13,10 @@ is tracked across PRs::
    and assembles from cached stages.  The report also breaks out *prefix*
    reuse: how much of the warm-within-cold sweep (second degree of the first
    pass) came from shared frontend/precondition stages.
-2. **translation** — the Putinar translation of the largest systems, three
-   ways: the symbolic per-``Polynomial`` reference loop (the old sequential
-   baseline), the vectorised flat-array kernel, and the parallel path an
-   ``Engine(translation_workers="auto")`` would actually run (the
-   shared-memory fan-out where calibration enables it, the sequential
-   vectorised kernel elsewhere).  ``--min-translation-speedup`` turns the
-   parallel-path speedup into a CI gate.
+2. **translation** — the Putinar translation of the largest systems, two
+   ways: the symbolic per-``Polynomial`` reference loop (the old baseline)
+   and the vectorised flat-array kernel, the only path an engine runs.
+   ``--min-translation-speedup`` turns the kernel's speedup into a CI gate.
 3. **escalation vs fixed degree** — ``degree="auto"`` wall-clock against the
    sum of the fixed-degree requests it replaces.
 """
@@ -36,7 +33,6 @@ import _bench_config
 from repro.api.engine import Engine
 from repro.api.request import SynthesisRequest
 from repro.invariants.putinar import putinar_translate
-from repro.invariants.translation import TranslationPool, calibrate_parallel_translation
 from repro.pipeline.cache import TaskCache
 from repro.pipeline.jobs import SynthesisJob
 from repro.reduction import EscalationTrace
@@ -107,14 +103,11 @@ def measure_degree_sweep(benchmarks, degrees=(1, 2), upsilon: int = 1) -> dict:
     }
 
 
-def measure_translation(benchmarks, workers: int = 4, upsilon: int = 1, top: int = 3) -> dict:
-    """Symbolic loop vs vectorised kernel vs the auto-gated parallel path.
+def measure_translation(benchmarks, upsilon: int = 1, top: int = 3) -> dict:
+    """Symbolic reference loop vs the vectorised kernel every engine runs.
 
-    ``parallel`` is what ``Engine(translation_workers="auto")`` actually runs:
-    the shared-memory pool where :func:`calibrate_parallel_translation` says
-    it wins on this machine, the sequential vectorised kernel everywhere else
-    — so its speedup over the symbolic baseline is the honest end-to-end gain
-    and the number the CI gate holds.
+    ``speedup`` is the vectorised kernel's gain over the symbolic baseline;
+    it is the number the CI gate holds.
     """
     from repro.invariants.synthesis import build_task
 
@@ -127,55 +120,31 @@ def measure_translation(benchmarks, workers: int = 4, upsilon: int = 1, top: int
     tasks.sort(key=lambda pair: pair[1].system.size, reverse=True)
     tasks = tasks[:top]
 
-    auto_enabled = calibrate_parallel_translation(workers=workers)
-    pool = TranslationPool(workers=workers) if auto_enabled else None
-    if pool is not None:
-        pool.warm()  # worker start-up is not billed to the first program
-
     per_benchmark: dict[str, dict] = {}
     symbolic_total = 0.0
     vectorized_total = 0.0
-    parallel_total = 0.0
-    try:
-        for name, task in tasks:
-            start = time.perf_counter()
-            symbolic = putinar_translate(task.pairs, upsilon=upsilon, kernel="symbolic")
-            symbolic_seconds = time.perf_counter() - start
-            start = time.perf_counter()
-            vectorized = putinar_translate(task.pairs, upsilon=upsilon)
-            vectorized_seconds = time.perf_counter() - start
-            assert vectorized.size == symbolic.size
-            if pool is not None:
-                start = time.perf_counter()
-                parallel = putinar_translate(task.pairs, upsilon=upsilon, pool=pool)
-                parallel_seconds = time.perf_counter() - start
-                assert parallel.size == symbolic.size
-            else:
-                parallel_seconds = vectorized_seconds
-            per_benchmark[name] = {
-                "pairs": len(task.pairs),
-                "system_size": symbolic.size,
-                "symbolic_seconds": symbolic_seconds,
-                "vectorized_seconds": vectorized_seconds,
-                "parallel_seconds": parallel_seconds,
-                "speedup_vectorized": symbolic_seconds / vectorized_seconds if vectorized_seconds else None,
-                "speedup_parallel": symbolic_seconds / parallel_seconds if parallel_seconds else None,
-            }
-            symbolic_total += symbolic_seconds
-            vectorized_total += vectorized_seconds
-            parallel_total += parallel_seconds
-    finally:
-        if pool is not None:
-            pool.close()
+    for name, task in tasks:
+        start = time.perf_counter()
+        symbolic = putinar_translate(task.pairs, upsilon=upsilon, kernel="symbolic")
+        symbolic_seconds = time.perf_counter() - start
+        start = time.perf_counter()
+        vectorized = putinar_translate(task.pairs, upsilon=upsilon)
+        vectorized_seconds = time.perf_counter() - start
+        assert vectorized.size == symbolic.size
+        per_benchmark[name] = {
+            "pairs": len(task.pairs),
+            "system_size": symbolic.size,
+            "symbolic_seconds": symbolic_seconds,
+            "vectorized_seconds": vectorized_seconds,
+            "speedup": symbolic_seconds / vectorized_seconds if vectorized_seconds else None,
+        }
+        symbolic_total += symbolic_seconds
+        vectorized_total += vectorized_seconds
     return {
-        "workers": workers,
-        "auto_enabled": auto_enabled,
         "per_benchmark": per_benchmark,
-        "sequential_total_seconds": symbolic_total,
+        "symbolic_total_seconds": symbolic_total,
         "vectorized_total_seconds": vectorized_total,
-        "parallel_total_seconds": parallel_total,
-        "vectorized_speedup": symbolic_total / vectorized_total if vectorized_total else None,
-        "speedup": symbolic_total / parallel_total if parallel_total else None,
+        "speedup": symbolic_total / vectorized_total if vectorized_total else None,
     }
 
 
@@ -232,10 +201,10 @@ def measure_escalation(benchmarks, max_degree: int = 2, upsilon: int = 1) -> dic
     }
 
 
-def run(quick: bool = True, limit: int | None = None, workers: int = 4) -> dict:
+def run(quick: bool = True, limit: int | None = None) -> dict:
     benchmarks = _select(quick, limit)
     sweep = measure_degree_sweep(benchmarks)
-    translation = measure_translation(benchmarks, workers=workers)
+    translation = measure_translation(benchmarks)
     escalation = measure_escalation(benchmarks[: min(len(benchmarks), 6)])
     return {
         "benchmark": "staged-reduction",
@@ -248,7 +217,6 @@ def run(quick: bool = True, limit: int | None = None, workers: int = 4) -> dict:
         "summary": {
             "staged_warm_speedup": sweep["warm_speedup"],
             "prefix_stage_hit_rate": sweep["prefix_stage_hit_rate"],
-            "translation_vectorized_speedup": translation["vectorized_speedup"],
             "translation_speedup": translation["speedup"],
             "escalation_vs_fixed_ratio": escalation["auto_vs_fixed_ratio"],
             "escalation_minimal_degrees": {
@@ -264,16 +232,15 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--quick", action="store_true", default=True, help="small benchmarks only (default)")
     parser.add_argument("--full", dest="quick", action="store_false", help="include the large benchmarks")
     parser.add_argument("--limit", type=int, default=None, help="only the first N programs")
-    parser.add_argument("--workers", type=int, default=4, help="shared-memory pool width for parallel translation")
     parser.add_argument("--output", default="BENCH_reduction.json", help="write the JSON report here")
     parser.add_argument(
         "--min-translation-speedup", type=float, default=None,
-        help="fail (exit 1) when the parallel translation path is below this speedup "
-             "over the sequential symbolic baseline",
+        help="fail (exit 1) when the vectorised translation kernel is below this speedup "
+             "over the symbolic baseline",
     )
     args = parser.parse_args(argv)
 
-    report = run(quick=args.quick, limit=args.limit, workers=args.workers)
+    report = run(quick=args.quick, limit=args.limit)
     summary = report["summary"]
     sweep = report["degree_sweep"]
 
@@ -287,15 +254,8 @@ def main(argv: list[str] | None = None) -> int:
           f"({fmt(summary['staged_warm_speedup'], '.0f', 'x')})")
     print(f"prefix stage hit rate    : {fmt(summary['prefix_stage_hit_rate'], '.0%')} "
           "(later degrees reusing program-level stages)")
-    translation = report["translation"]
-    fanout = (
-        f"shared-memory fan-out over {translation['workers']} workers"
-        if translation["auto_enabled"]
-        else "sequential (calibration kept the fan-out off on this machine)"
-    )
-    print(f"vectorised translation   : {fmt(summary['translation_vectorized_speedup'], '.2f', 'x')} "
+    print(f"vectorised translation   : {fmt(summary['translation_speedup'], '.2f', 'x')} "
           "over the symbolic loop")
-    print(f"parallel path            : {fmt(summary['translation_speedup'], '.2f', 'x')} — {fanout}")
     print(f"escalation vs fixed      : "
           f"{fmt(summary['escalation_vs_fixed_ratio'], '.2f', 'x wall-clock of the cold fixed ladder')}")
     print(f"minimal degrees          : {summary['escalation_minimal_degrees']}")
@@ -306,7 +266,7 @@ def main(argv: list[str] | None = None) -> int:
         speedup = summary["translation_speedup"]
         if speedup is not None and speedup < args.min_translation_speedup:
             print(
-                f"FAIL: parallel translation path {speedup:.2f}x is below the "
+                f"FAIL: vectorised translation {speedup:.2f}x is below the "
                 f"--min-translation-speedup gate of {args.min_translation_speedup:.2f}x",
                 file=sys.stderr,
             )

@@ -2,8 +2,8 @@
 
 The :class:`repro.api.Engine` accepts many typed
 :class:`~repro.api.request.SynthesisRequest` values at once, deduplicates
-shared Step 1-3 reductions through its task cache, fans the numeric Step-4
-solves out across a worker pool and streams per-request responses back **as
+shared Step 1-3 reductions through its task cache, runs the requests
+concurrently on its worker pool and streams per-request responses back **as
 they finish** (out of submission order, each stamped with its submission
 id)::
 

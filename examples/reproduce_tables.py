@@ -26,7 +26,7 @@ def main() -> None:
     parser.add_argument("--full", action="store_true", help="run the paper's full parameter set")
     parser.add_argument("--solve", action="store_true", help="also run the Step-4 solver per benchmark")
     parser.add_argument("--workers", type=int, default=0,
-                        help="worker processes for the Step-4 solves (0 = sequential)")
+                        help="worker threads for the requests (0 = sequential)")
     args = parser.parse_args()
     quick = not args.full
 

@@ -95,7 +95,7 @@ from repro.invariants import (
     weak_inv_synth,
 )
 from repro.lang import parse_program, pretty_print
-from repro.pipeline import SynthesisJob, SynthesisPipeline, TaskCache, job_from_benchmark
+from repro.pipeline import SynthesisJob, TaskCache, job_from_benchmark
 from repro.reduction import (
     AUTO_DEGREE,
     EscalationTrace,
@@ -166,7 +166,6 @@ __all__ = [
     "SynthesisHandle",
     "SynthesisJob",
     "SynthesisOptions",
-    "SynthesisPipeline",
     "SynthesisRequest",
     "SynthesisResponse",
     "SynthesisResult",

@@ -1,7 +1,7 @@
 """The Engine: one service-grade front door for every synthesis caller.
 
 An :class:`Engine` is a long-lived session object that owns the Step 1-3
-:class:`~repro.pipeline.cache.TaskCache` and the Step-4 worker pool, and
+:class:`~repro.pipeline.cache.TaskCache` and its request workers, and
 executes typed :class:`~repro.api.request.SynthesisRequest` values:
 
 * :meth:`Engine.synthesize` — one request, blocking, returns a
@@ -17,10 +17,14 @@ through the task cache, and solves through a per-``(reduction, strategy,
 solver options)`` result table — the second of two identical requests
 reports ``shared_solve=True`` and reuses the first's solver result.
 
+A pooled engine (``workers > 1``) runs requests either on its worker threads
+or, the production path, as whole jobs on one
+:class:`~repro.api.workers.ProcessWorkerPool`; that pool is the only process
+pool an engine ever owns.
+
 The four paper-named functions in :mod:`repro.invariants.synthesis`, the
-batch :class:`~repro.pipeline.SynthesisPipeline`, the ``repro.bench`` runner
-and the HTTP front door in :mod:`repro.server` are all thin layers over this
-class.
+``repro.bench`` runner and the HTTP front door in :mod:`repro.server` are all
+thin layers over this class.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ import json
 import os
 import threading
 import time
-from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, ThreadPoolExecutor, wait
+from concurrent.futures import FIRST_COMPLETED, Future, ThreadPoolExecutor, wait
 from dataclasses import replace
 from typing import TYPE_CHECKING, Iterable, Iterator
 
@@ -57,28 +61,26 @@ from repro.solvers.portfolio import make_solver
 from repro.solvers.strong import RepresentativeEnumerator
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.invariants.translation import TranslationPool
     from repro.store import BlobStore, EngineStore
 
 #: Engine execution back-ends.  ``"process"`` is the multi-core production
 #: path: whole synthesize jobs ship to persistent worker processes over the
-#: JSON wire protocol (:mod:`repro.api.workers`).  ``"solve-process"`` is the
-#: legacy Step-4-only fan-out kept for in-process batch consumers (the
-#: pipeline, the bench runner) that need the rich ``result``/``task`` extras
-#: a wire envelope cannot carry.  ``"auto"`` picks ``"process"`` when the
-#: engine is pooled (``workers > 1``) and the host has at least two cores,
-#: else ``"thread"``.
-EXECUTORS = ("auto", "thread", "process", "solve-process")
+#: JSON wire protocol (:mod:`repro.api.workers`).  ``"thread"`` runs them on
+#: the engine's worker threads and keeps the in-process ``result``/``task``
+#: extras a wire envelope cannot carry.  ``"auto"`` picks ``"process"`` when
+#: the engine is pooled (``workers > 1``) and the host has at least two
+#: cores, else ``"thread"``.
+EXECUTORS = ("auto", "thread", "process")
 
 #: Remaining-deadline floor below which another escalation rung is pointless.
 _ESCALATION_MIN_BUDGET = 0.01
 
 
 def _solve_system(solver: Solver, system) -> tuple[SolverResult, float]:
-    """Worker entry point: one Step-4 solve (module-level for picklability).
+    """One Step-4 solve and its own compute time.
 
-    Returns the result with the solve's own compute time, so pooled runs
-    report per-request solver time rather than queue latency.
+    Module-level so tracing can wrap every solve the engine runs at one
+    name; the time excludes the dedup table and store lookups around it.
     """
     start = time.perf_counter()
     result = solver.solve(system)
@@ -112,7 +114,7 @@ class SynthesisHandle:
 
 
 class Engine:
-    """A synthesis session: persistent task cache plus a Step-4 worker pool.
+    """A synthesis session: persistent task cache plus a request worker pool.
 
     Parameters
     ----------
@@ -144,26 +146,13 @@ class Engine:
         only (no in-process ``result``/``task`` extras), exactly as over the
         wire; requests that need live objects — escape-hatch submissions, an
         engine-level ``solver``, ``reduce_only`` — transparently fall back to
-        the thread path.  ``"solve-process"`` is the legacy Step-4-only
-        process fan-out kept for batch consumers that need the rich extras.
-        ``"auto"`` (default) picks ``"process"`` when ``workers > 1`` and the
-        host has at least two cores, else ``"thread"``.
+        the thread path.  ``"auto"`` (default) picks ``"process"`` when
+        ``workers > 1`` and the host has at least two cores, else
+        ``"thread"``.
     max_cached_solves:
         Size bound of the solve-dedup result table (oldest entries evicted
         first), so a long-lived engine's memory stays bounded.  ``None``
         disables eviction.
-    translation_workers:
-        ``n > 1`` fans the vectorised Step-3 translation kernels of each
-        reduction out across a dedicated
-        :class:`~repro.invariants.translation.TranslationPool` of ``n``
-        shared-memory worker processes (exponent/coefficient arrays travel
-        through ``multiprocessing.shared_memory``, never pickled
-        ``Polynomial`` objects; results merge in pair-index order, so the
-        system is bit-identical to a sequential translation).  ``"auto"``
-        runs a one-time calibration on first use and enables a
-        ``cpu_count``-sized pool only where fan-out actually measures at
-        least as fast as the sequential kernel.  ``0``/``1`` (the default)
-        translates sequentially.
     store:
         The persistent content-addressed store (:mod:`repro.store`): an
         :class:`~repro.store.EngineStore`, a :class:`~repro.store.BlobStore`
@@ -190,19 +179,10 @@ class Engine:
         solver_options: SolverOptions | None = None,
         executor: str = "auto",
         max_cached_solves: int | None = 512,
-        translation_workers: int | str = 0,
         store: "EngineStore | BlobStore | str | None" = None,
     ) -> None:
         if workers < 0:
             raise ValueError(f"workers must be non-negative, got {workers}")
-        if isinstance(translation_workers, str):
-            if translation_workers != "auto":
-                raise ValueError(
-                    f"translation_workers must be a non-negative int or 'auto', "
-                    f"got {translation_workers!r}"
-                )
-        elif translation_workers < 0:
-            raise ValueError(f"translation_workers must be non-negative, got {translation_workers}")
         if executor not in EXECUTORS:
             raise ValueError(f"unknown executor {executor!r}; known executors: {', '.join(EXECUTORS)}")
         self.workers = workers
@@ -210,11 +190,9 @@ class Engine:
         self.max_cached_solves = max_cached_solves
         self.solver = solver
         self.solver_options = solver_options
-        self.translation_workers = translation_workers
         self.executor = executor
         self._executor_kind = self._resolve_executor(executor, workers)
         self._threads: ThreadPoolExecutor | None = None
-        self._processes: ProcessPoolExecutor | None = None
         self._jobs: ProcessWorkerPool | None = None
         self._inflight: dict[str, Future] = {}
         self._inflight_lock = threading.Lock()
@@ -223,8 +201,6 @@ class Engine:
             "process_jobs_shared": 0,
             "process_jobs_failed": 0,
         }
-        self._translators: "TranslationPool | None" = None
-        self._translation_disabled = False
         self._pool_lock = threading.Lock()
         self._solves: dict[tuple, Future] = {}
         self._solve_lock = threading.Lock()
@@ -236,7 +212,6 @@ class Engine:
             "translation_compile_seconds": 0.0,
             "translation_fanout_seconds": 0.0,
             "translation_assemble_seconds": 0.0,
-            "translation_parallel_runs": 0.0,
         }
         self._verify_lock = threading.Lock()
         self._verify_stats = {
@@ -331,27 +306,11 @@ class Engine:
     def close(self, wait_for_pending: bool = True) -> None:
         """Shut the worker pools down; further submissions raise :class:`EngineClosedError`."""
         self._closed = True
-        self.shutdown_pools(wait_for_pending=wait_for_pending)
-
-    def shutdown_pools(self, wait_for_pending: bool = True) -> None:
-        """Release the worker pools without closing the engine.
-
-        The caches survive and the pools are lazily recreated on the next
-        submission — this is how batch-scoped callers (e.g.
-        :class:`~repro.pipeline.SynthesisPipeline`) avoid keeping worker
-        processes alive between batches.
-        """
         with self._pool_lock:
             threads, self._threads = self._threads, None
-            processes, self._processes = self._processes, None
-            translators, self._translators = self._translators, None
             jobs, self._jobs = self._jobs, None
         if threads is not None:
             threads.shutdown(wait=wait_for_pending)
-        if processes is not None:
-            processes.shutdown(wait=wait_for_pending)
-        if translators is not None:
-            translators.close()
         if jobs is not None:
             jobs.close(wait=wait_for_pending)
 
@@ -399,8 +358,6 @@ class Engine:
                 self._translation_stats[f"translation_{phase}_seconds"] += extra.get(
                     f"stage_translation_{phase}_seconds", 0.0
                 )
-            if extra.get("stage_translation_workers", 0.0) > 1.0:
-                self._translation_stats["translation_parallel_runs"] += 1.0
 
     def _record_verification(self, outcome) -> None:
         with self._verify_lock:
@@ -523,51 +480,6 @@ class Engine:
                     max_workers=self.workers, thread_name_prefix="repro-engine"
                 )
             return self._threads
-
-    def _process_pool(self) -> ProcessPoolExecutor:
-        with self._pool_lock:
-            if self._closed:
-                raise EngineClosedError("engine is closed")
-            if self._processes is None:
-                self._processes = ProcessPoolExecutor(max_workers=max(2, self.workers))
-            return self._processes
-
-    def _translation_pool(self) -> "TranslationPool | None":
-        """The shared-memory translation pool (``None`` when sequential).
-
-        Deliberately separate from the request pools: the translation fan-out
-        owns its worker processes and shared-memory segments, and submitting
-        translation sub-tasks to the request pool from inside a request could
-        deadlock once every worker thread is itself a waiting request.  Under
-        ``translation_workers="auto"`` the first call runs (and caches) a
-        calibration micro-benchmark and enables the pool only where parallel
-        fan-out measured at least as fast as the sequential kernel.
-        """
-        requested = self.translation_workers
-        if requested == 0 or requested == 1 or self._translation_disabled:
-            return None
-        from repro.invariants.translation import (
-            TranslationPool,
-            calibrate_parallel_translation,
-        )
-
-        if requested == "auto":
-            if not calibrate_parallel_translation():
-                self._translation_disabled = True
-                return None
-            workers = None  # pool default: cpu_count
-        else:
-            workers = int(requested)
-        with self._pool_lock:
-            if self._closed:
-                raise EngineClosedError("engine is closed")
-            if self._translators is None:
-                pool = TranslationPool(workers=workers)
-                if not pool.available:
-                    self._translation_disabled = True
-                    return None
-                self._translators = pool
-            return self._translators
 
     def _effective_solver_options(self, request: SynthesisRequest) -> SolverOptions | None:
         """Request solver options over engine defaults, tightened by the deadline."""
@@ -908,9 +820,7 @@ class Engine:
                 timings["reduction_seconds"] = 0.0
             else:
                 start = time.perf_counter()
-                built, from_cache, report = self.cache.get_or_build_with_report(
-                    job, translation_pool=self._translation_pool()
-                )
+                built, from_cache, report = self.cache.get_or_build_with_report(job)
                 timings["reduction_seconds"] = time.perf_counter() - start
                 timings.update(report.timings())
                 self._record_translation(report)
@@ -1138,10 +1048,7 @@ class Engine:
                 self._bump_store("store_solve_writes")
 
     def _run_solve(self, solver: Solver, system) -> tuple[SolverResult, float]:
-        if self._executor_kind == "solve-process" and self.workers > 1:
-            pair = self._process_pool().submit(_solve_system, solver, system).result()
-        else:
-            pair = _solve_system(solver, system)
+        pair = _solve_system(solver, system)
         # Kernel-evaluation accounting of the batched Step-4 engines, surfaced
         # through :meth:`stats` next to the cache/dedup counters.
         with self._solver_stats_lock:

@@ -21,8 +21,8 @@ The wire protocol is deliberately identical to the HTTP one:
   response codec.
 
 Nothing symbolic ever crosses the boundary — no pickled live ``Polynomial``
-or ``SynthesisTask`` objects, the same cheap-wire-format rule the
-shared-memory translation pool follows.  Store writes happen *in the
+or ``SynthesisTask`` objects.  This pool is the only process pool an
+:class:`~repro.api.engine.Engine` owns.  Store writes happen *in the
 workers* (the store is process-safe by construction), so a store hit
 in the parent still short-circuits dispatch entirely, and everything a worker
 computes is immediately visible to the parent and to sibling workers.

@@ -164,7 +164,7 @@ def main(argv: list[str] | None = None) -> int:
         "--workers",
         type=int,
         default=0,
-        help="fan Step-4 solves out across this many worker processes (0 = sequential)",
+        help="run this many requests at once on worker threads (0 = sequential)",
     )
     parser.add_argument("--no-progress", action="store_true", help="suppress per-benchmark progress lines")
     parser.add_argument("--output", help="write the rendered tables to this file as well")
@@ -172,7 +172,7 @@ def main(argv: list[str] | None = None) -> int:
 
     sections: list[str] = []
     # One engine for the whole invocation: every table command shares its task
-    # cache (and, with --workers, its process pool).
+    # cache (and, with --workers, its worker threads).
     with bench_engine(workers=args.workers) as engine:
         if args.command in ("table1", "all"):
             sections.append("## Table 1 - literature summary\n\n" + render_table1() + "\n")

@@ -4,8 +4,8 @@ Since the service-API refactor this module is a thin measurement layer on top
 of :class:`repro.api.Engine`: benchmarks become typed
 :class:`~repro.api.request.SynthesisRequest` values, reductions are
 deduplicated through the engine's task cache, and with ``workers > 1`` the
-Step-4 solves of a whole table run concurrently across the engine's process
-pool while results stream back.
+requests of a whole table run concurrently on the engine's worker threads
+while results stream back.
 """
 
 from __future__ import annotations
@@ -82,9 +82,10 @@ def bench_engine(workers: int = 0, solver: Solver | None = None) -> Engine:
         workers=workers,
         solver=solver,
         solver_options=bench_solver_options(),
-        # Step-4-only fan-out: the runner reads in-process result extras,
-        # which the whole-job wire path (executor="process") does not carry.
-        executor="solve-process" if workers > 1 else "thread",
+        # Threads, not worker processes: the runner reads the in-process
+        # ``task``/``result`` extras, which the whole-job wire path
+        # (executor="process") does not carry.
+        executor="thread",
     )
 
 
@@ -234,8 +235,8 @@ def measure_many(
     The quick preset lowers the multiplier degree (Upsilon) to 1, which keeps
     every reduction under a few seconds; it is used by the default pytest
     benchmark run so that CI stays fast.  The full preset (``quick=False``)
-    reproduces the paper's parameters.  ``workers > 1`` fans the Step-4 solves
-    out across the engine's process pool; pass an ``engine`` (see
+    reproduces the paper's parameters.  ``workers > 1`` runs that many
+    requests at once on the engine's worker threads; pass an ``engine`` (see
     :func:`bench_engine`) to share its task cache between calls.
 
     ``option_overrides`` patches individual synthesis options per benchmark

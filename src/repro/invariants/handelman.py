@@ -22,16 +22,13 @@ benchmarks.
 from __future__ import annotations
 
 from itertools import combinations_with_replacement
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
 from repro.invariants.constraints import ConstraintPair
 from repro.invariants.quadratic_system import PairProvenance, QuadraticSystem
 from repro.invariants.template import UNKNOWN_PREFIX
 from repro.polynomial.ordering import grlex_key
 from repro.polynomial.polynomial import Polynomial
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.invariants.translation import TranslationPool
 
 
 def _has_unknowns(polynomial: Polynomial) -> bool:
@@ -109,30 +106,19 @@ def translate_pair_handelman(
         system.add_equality(collected[monomial], origin=f"{pair.name}:coeff[{monomial}]")
 
 
-def translate_pair_handelman_system(
-    pair: ConstraintPair, pair_index: int, max_factors: int = 2, with_witness: bool = True
-) -> QuadraticSystem:
-    """One pair's Handelman translation as a standalone system."""
-    system = QuadraticSystem()
-    translate_pair_handelman(pair, pair_index, system, max_factors=max_factors, with_witness=with_witness)
-    return system
-
-
 def handelman_translate(
     pairs: Sequence[ConstraintPair],
     max_factors: int = 2,
     with_witness: bool = True,
     objective: Polynomial | None = None,
     kernel: str = "vectorized",
-    pool: "TranslationPool | None" = None,
 ) -> QuadraticSystem:
     """Translate constraint pairs into a quadratic system with scalar multipliers.
 
-    ``kernel`` and ``pool`` behave exactly as in
+    ``kernel`` behaves exactly as in
     :func:`repro.invariants.putinar.putinar_translate`: the default runs the
-    vectorised flat-array kernel (optionally fanned out over a shared-memory
-    :class:`~repro.invariants.translation.TranslationPool`), while
-    ``kernel="symbolic"`` keeps the per-``Polynomial`` reference loop.
+    vectorised flat-array kernel, while ``kernel="symbolic"`` keeps the
+    per-``Polynomial`` reference loop.
     """
     if kernel == "vectorized":
         from repro.invariants.translation import handelman_translate_vectorized
@@ -142,7 +128,6 @@ def handelman_translate(
             max_factors=max_factors,
             with_witness=with_witness,
             objective=objective,
-            pool=pool,
         )
     if kernel != "symbolic":
         raise ValueError(f"unknown translation kernel {kernel!r}")

@@ -18,7 +18,7 @@ eps-variables.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
 from repro.invariants.constraints import ConstraintPair
 from repro.invariants.quadratic_system import PairProvenance, QuadraticSystem
@@ -26,9 +26,6 @@ from repro.invariants.template import UNKNOWN_PREFIX
 from repro.polynomial.ordering import grlex_key, monomials_up_to_degree
 from repro.polynomial.polynomial import Polynomial
 from repro.polynomial.sos import gram_matrix_encoding
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.invariants.translation import TranslationPool
 
 
 @dataclass(frozen=True)
@@ -134,21 +131,6 @@ def translate_pair(
             )
 
 
-def translate_pair_system(
-    pair: ConstraintPair, pair_index: int, options: PutinarOptions
-) -> QuadraticSystem:
-    """Translate one constraint pair into its own standalone system.
-
-    Every unknown generated for a pair is namespaced by the pair index, so
-    per-pair systems merged back in index order are constraint-for-constraint
-    identical to a sequential translation (see
-    :func:`repro.invariants.quadratic_system.merge_pair_systems`).
-    """
-    system = QuadraticSystem()
-    translate_pair(pair, pair_index, options, system)
-    return system
-
-
 def putinar_translate(
     pairs: Sequence[ConstraintPair],
     upsilon: int = 2,
@@ -156,7 +138,6 @@ def putinar_translate(
     encode_sos: bool = True,
     objective: Polynomial | None = None,
     kernel: str = "vectorized",
-    pool: "TranslationPool | None" = None,
 ) -> QuadraticSystem:
     """Translate all constraint pairs into one quadratic system.
 
@@ -177,17 +158,12 @@ def putinar_translate(
         of :mod:`repro.invariants.translation`; ``"symbolic"`` runs the
         per-``Polynomial`` reference loop.  The two produce identical systems
         (the property tests in ``tests/property`` are the oracle).
-    pool:
-        Optional :class:`~repro.invariants.translation.TranslationPool` for
-        the shared-memory fan-out (vectorised kernel only).  When the pool is
-        unavailable on this platform the translation silently stays on the
-        sequential vectorised path.
     """
     options = PutinarOptions(upsilon=upsilon, with_witness=with_witness, encode_sos=encode_sos)
     if kernel == "vectorized":
         from repro.invariants.translation import putinar_translate_vectorized
 
-        return putinar_translate_vectorized(pairs, options, objective=objective, pool=pool)
+        return putinar_translate_vectorized(pairs, options, objective=objective)
     if kernel != "symbolic":
         raise ValueError(f"unknown translation kernel {kernel!r}")
     system = QuadraticSystem()

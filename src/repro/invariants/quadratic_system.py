@@ -11,9 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Iterator, Mapping, Sequence
-
-import numpy as np
+from typing import Iterable, Iterator, Mapping
 
 from repro.errors import SynthesisError
 from repro.invariants.template import UNKNOWN_PREFIX
@@ -279,120 +277,3 @@ class QuadraticSystem:
 
     def __setstate__(self, state: dict) -> None:
         self.__dict__.update(state)
-
-    # -- numeric compilation ---------------------------------------------------------------
-
-    def compile(self, variable_order: Sequence[str] | None = None) -> "CompiledSystem":
-        """Compile the system into numpy-friendly form for the numeric solvers."""
-        order = list(variable_order) if variable_order is not None else self.variables()
-        return CompiledSystem.from_system(self, order)
-
-
-def merge_pair_systems(system: QuadraticSystem, pairs: Sequence, executor, worker) -> None:
-    """Fan independent per-pair translations across ``executor`` and merge in order.
-
-    ``worker(pair, pair_index)`` must return a standalone
-    :class:`QuadraticSystem` (for process pools: a picklable module-level
-    function, e.g. a ``functools.partial`` over one).  Merging the per-pair
-    systems in pair-index order reproduces the sequential translation
-    constraint-for-constraint, because every generated unknown is namespaced
-    by its pair index.  Shared by the Putinar and Handelman translators so
-    the fan-out semantics can never diverge between the two schemes.
-
-    All worker results are collected *before* any of them is merged: if a
-    worker fails, its original exception propagates and ``system`` is left
-    untouched instead of holding a partial merge.
-    """
-    futures = [executor.submit(worker, pair, index) for index, pair in enumerate(pairs)]
-    translated = [future.result() for future in futures]
-    for part in translated:
-        system.merge(part)
-
-
-@dataclass(frozen=True)
-class CompiledConstraint:
-    """A constraint compiled to ``x^T Q x + c^T x + b (kind) 0`` in index space."""
-
-    kind: ConstraintKind
-    quadratic: tuple[tuple[int, int, float], ...]
-    linear: tuple[tuple[int, float], ...]
-    constant: float
-    origin: str = ""
-
-    def value(self, point: np.ndarray) -> float:
-        total = self.constant
-        for index, coefficient in self.linear:
-            total += coefficient * point[index]
-        for row, col, coefficient in self.quadratic:
-            total += coefficient * point[row] * point[col]
-        return total
-
-    def gradient(self, point: np.ndarray) -> np.ndarray:
-        gradient = np.zeros(point.shape[0])
-        for index, coefficient in self.linear:
-            gradient[index] += coefficient
-        for row, col, coefficient in self.quadratic:
-            gradient[row] += coefficient * point[col]
-            gradient[col] += coefficient * point[row]
-        return gradient
-
-
-@dataclass(frozen=True)
-class CompiledSystem:
-    """A :class:`QuadraticSystem` with variables mapped to vector indices."""
-
-    variables: tuple[str, ...]
-    constraints: tuple[CompiledConstraint, ...]
-    objective: CompiledConstraint
-
-    @staticmethod
-    def from_system(system: QuadraticSystem, order: Sequence[str]) -> "CompiledSystem":
-        index = {name: position for position, name in enumerate(order)}
-
-        def compile_polynomial(polynomial: Polynomial, kind: ConstraintKind, origin: str) -> CompiledConstraint:
-            quadratic: list[tuple[int, int, float]] = []
-            linear: list[tuple[int, float]] = []
-            constant = 0.0
-            for monomial, coefficient in polynomial.items():
-                value = float(coefficient)
-                names = monomial.items
-                degree = monomial.degree()
-                if degree == 0:
-                    constant += value
-                elif degree == 1:
-                    variable = names[0][0]
-                    linear.append((index[variable], value))
-                elif degree == 2:
-                    if len(names) == 1:
-                        variable = names[0][0]
-                        quadratic.append((index[variable], index[variable], value))
-                    else:
-                        quadratic.append((index[names[0][0]], index[names[1][0]], value))
-                else:  # pragma: no cover - guarded by QuadraticConstraint
-                    raise SynthesisError(f"constraint of degree {degree} cannot be compiled")
-            return CompiledConstraint(
-                kind=kind,
-                quadratic=tuple(quadratic),
-                linear=tuple(linear),
-                constant=constant,
-                origin=origin,
-            )
-
-        compiled = tuple(
-            compile_polynomial(constraint.polynomial, constraint.kind, constraint.origin)
-            for constraint in system.constraints
-        )
-        objective = compile_polynomial(system.objective, ConstraintKind.EQUALITY, "objective")
-        return CompiledSystem(variables=tuple(order), constraints=compiled, objective=objective)
-
-    @property
-    def dimension(self) -> int:
-        return len(self.variables)
-
-    def assignment_from_vector(self, point: np.ndarray) -> dict[str, float]:
-        """Convert a solution vector back to a name-to-value assignment."""
-        return {name: float(value) for name, value in zip(self.variables, point)}
-
-    def vector_from_assignment(self, assignment: Mapping[str, float]) -> np.ndarray:
-        """Convert an assignment into a vector in this system's variable order."""
-        return np.array([float(assignment.get(name, 0.0)) for name in self.variables])

@@ -25,7 +25,7 @@ cores (:func:`build_task`, :func:`result_from_solution`,
 from __future__ import annotations
 
 import time
-from typing import TYPE_CHECKING, Mapping, Union
+from typing import Mapping, Union
 
 from repro.cfg.builder import build_cfg
 from repro.invariants.handelman import handelman_translate
@@ -42,9 +42,6 @@ from repro.spec.objectives import FeasibilityObjective, Objective
 from repro.spec.preconditions import Precondition, augment_entry_preconditions
 from repro.solvers.base import Solver, SolverResult
 from repro.solvers.strong import RepresentativeEnumerator
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.invariants.translation import TranslationPool
 
 ProgramLike = Union[str, Program]
 PreconditionLike = Union[None, Precondition, Mapping[str, Mapping[int, str]]]
@@ -74,7 +71,6 @@ def build_task(
     precondition: PreconditionLike = None,
     objective: Objective | None = None,
     options: SynthesisOptions | None = None,
-    translation_pool: "TranslationPool | None" = None,
 ) -> SynthesisTask:
     """Run Steps 1-3 and return the resulting task (templates, pairs, system).
 
@@ -82,14 +78,12 @@ def build_task(
     :class:`~repro.reduction.plan.ReductionPlan` and executes its stages
     uncached (callers wanting cross-request stage reuse go through
     :class:`~repro.pipeline.cache.TaskCache`, which runs the same plan
-    against a shared :class:`~repro.reduction.cache.StageCache`).  Pass
-    ``translation_pool`` to fan the vectorised per-pair translation kernels
-    of Step 3 out over shared-memory workers.
+    against a shared :class:`~repro.reduction.cache.StageCache`).
     """
     from repro.reduction.plan import compile_plan
 
     plan = compile_plan(program, precondition, objective, options)
-    task, _ = plan.execute(cache=None, translation_pool=translation_pool)
+    task, _ = plan.execute(cache=None)
     return task
 
 

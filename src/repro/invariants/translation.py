@@ -1,4 +1,4 @@
-"""The vectorised Step-3 translation kernel and its shared-memory fan-out.
+"""The vectorised Step-3 translation kernel.
 
 The symbolic translators in :mod:`repro.invariants.putinar` and
 :mod:`repro.invariants.handelman` build every multiplier, guard product and
@@ -10,16 +10,16 @@ the graded-lexicographic basis:
 1. **Compile** (:func:`_compile_putinar_pair` / :func:`_compile_handelman_pair`)
    lowers one constraint pair to flat int64 arrays: program-part exponent rows,
    unknown ids and :class:`~repro.polynomial.compiled.CoefficientPool` ids.
-   Exact :class:`~fractions.Fraction` coefficients never leave the parent.
+   Exact :class:`~fractions.Fraction` coefficients never reach the kernel.
 2. **Kernel** (:func:`run_kernel`) forms all guard products ``h_i * g_i`` by
    broadcasting exponent matrices, ranks every resulting program monomial with
    :func:`~repro.polynomial.ordering.grlex_ranks`, and batch-groups the terms
    of every coefficient-matching equality with one stable argsort.  The kernel
-   touches integers only, so it runs equally well in-process or in a worker.
+   touches integers only.
 3. **Assembly** materialises the symbolic :class:`QuadraticSystem` from the
    grouped index arrays — one trusted ``Polynomial`` per equality, provenance
-   reconstructed from the pair metadata kept parent-side.  The ``coeff[...]``
-   origin labels are unranked from the emitted groups' grlex ranks with
+   reconstructed from the pair metadata.  The ``coeff[...]`` origin labels
+   are unranked from the emitted groups' grlex ranks with
    :func:`~repro.polynomial.ordering.grlex_labels`, so no basis monomial is
    ever enumerated.
 
@@ -28,21 +28,11 @@ monomial within its equality group (the t/l/eps id layout is collision-free by
 construction), so grouping never has to add two ``Fraction`` coefficients and
 the pooled ids reproduce the symbolic result bit-for-bit.  The property tests
 in ``tests/property/test_translation_equivalence.py`` are the oracle.
-
-Parallel mode ships the per-pair payloads to a persistent process pool through
-``multiprocessing.shared_memory`` — flat int64 buffers in both directions, no
-pickled polynomials — and assembles the returned index arrays in pair-index
-order, so the parallel system is bit-identical to the sequential one.
-:func:`calibrate_parallel_translation` measures whether the fan-out actually
-beats the in-process kernel on this machine; ``Engine(translation_workers=
-"auto")`` enables the pool only when it does.
 """
 
 from __future__ import annotations
 
-import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -64,7 +54,6 @@ from repro.polynomial.compiled import (
     POOL_MINUS_TWO,
     POOL_PLUS_ONE,
     CoefficientPool,
-    MixedTermArrays,
     lower_gram_triples,
     lower_mixed,
 )
@@ -76,17 +65,6 @@ from repro.polynomial.ordering import (
     grlex_ranks,
 )
 from repro.polynomial.polynomial import Polynomial
-
-try:  # pragma: no cover - exercised indirectly; absence is the fallback path
-    from multiprocessing import shared_memory as _shared_memory
-except ImportError:  # pragma: no cover
-    _shared_memory = None
-
-
-#: Pairs whose total term count is below this stay on the in-process kernel
-#: even when a pool is configured: the fan-out's fixed cost (two shared-memory
-#: segments plus a pickle round-trip of the job headers) dwarfs tiny systems.
-MIN_PARALLEL_TERMS = 4096
 
 _NO_UNKNOWN = -1
 
@@ -119,11 +97,6 @@ class KernelPayload:
     prod_b: np.ndarray  # (np,) unknown id of the guard term or -1
     prod_coeff: np.ndarray  # (np,) CoefficientPool ids (sign pre-baked)
     prod_t_base: np.ndarray  # (np,) id of t_{i,0} for the row's multiplier
-
-    @property
-    def term_count(self) -> int:
-        """Exact number of terms the kernel will emit for this payload."""
-        return int(self.direct_a.size + self.h_count * self.prod_b.size)
 
 
 @dataclass(frozen=True)
@@ -229,18 +202,21 @@ def _sos_template(width: int, upsilon: int) -> KernelResult:
 
 
 # ---------------------------------------------------------------------------
-# Translation profile (satellite: compile/fanout/assemble sub-timings)
+# Translation profile (compile/fanout/assemble sub-timings)
 # ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class TranslationProfile:
-    """Where one translation's wall-clock went (attached to the system)."""
+    """Where one translation's wall-clock went (attached to the system).
 
-    mode: str  # "vectorized" | "vectorized-parallel"
-    workers: int  # 0 for the in-process kernel
+    ``fanout_seconds`` times the in-process kernel (:func:`run_kernel` over
+    every pair); it keeps its name because clients read the
+    ``stage_translation_fanout_seconds`` timing key built from it.
+    """
+
     compile_seconds: float
-    fanout_seconds: float  # kernel execution, in-process or across the pool
+    fanout_seconds: float
     assemble_seconds: float
 
     @property
@@ -255,7 +231,7 @@ class TranslationProfile:
 
 @dataclass
 class _PairJob:
-    """Parent-side metadata needed to assemble one pair's kernel result."""
+    """The metadata needed to assemble one pair's kernel result."""
 
     provenance: PairProvenance
     pair_name: str
@@ -616,348 +592,8 @@ def _assemble_handelman(
 
 
 # ---------------------------------------------------------------------------
-# Shared-memory fan-out
-# ---------------------------------------------------------------------------
-
-_HEADER_FIELDS = 4  # width, h_count, n_direct, n_prod
-
-
-def _flatten_payload(payload: KernelPayload) -> np.ndarray:
-    """Serialise a payload into one flat int64 array (worker wire format)."""
-    width = payload.width
-    n_direct = payload.direct_a.size
-    n_prod = payload.prod_b.size
-    parts = [
-        np.asarray([width, payload.h_count, n_direct, n_prod], dtype=np.int64),
-        payload.h_exponents.reshape(-1),
-        payload.direct_exponents.reshape(-1),
-        payload.direct_a,
-        payload.direct_b,
-        payload.direct_coeff,
-        payload.prod_exponents.reshape(-1),
-        payload.prod_b,
-        payload.prod_coeff,
-        payload.prod_t_base,
-    ]
-    return np.concatenate(parts)
-
-
-def _payload_from_flat(flat: np.ndarray) -> KernelPayload:
-    """Rebuild a payload from the wire format (views, no copies)."""
-    width, h_count, n_direct, n_prod = (int(value) for value in flat[:_HEADER_FIELDS])
-    cursor = _HEADER_FIELDS
-
-    def take(count: int) -> np.ndarray:
-        nonlocal cursor
-        piece = flat[cursor : cursor + count]
-        cursor += count
-        return piece
-
-    return KernelPayload(
-        width=width,
-        h_count=h_count,
-        h_exponents=take(h_count * width).reshape(h_count, width),
-        direct_exponents=take(n_direct * width).reshape(n_direct, width),
-        direct_a=take(n_direct),
-        direct_b=take(n_direct),
-        direct_coeff=take(n_direct),
-        prod_exponents=take(n_prod * width).reshape(n_prod, width),
-        prod_b=take(n_prod),
-        prod_coeff=take(n_prod),
-        prod_t_base=take(n_prod),
-    )
-
-
-def _result_capacity(payload: KernelPayload) -> int:
-    """Upper bound (in int64 slots) of a payload's serialised kernel result."""
-    terms = payload.term_count
-    # [n_eq, n_terms] header + eq_mu + eq_offsets + a + b + coeff.
-    return 5 * terms + 3
-
-
-def _run_worker_jobs(
-    in_buf, out_buf, jobs: list[tuple[int, int, int, int]]
-) -> list[tuple[int, int, int]]:
-    """Run a worker's kernel jobs over the mapped buffers.
-
-    Isolated in its own function so every numpy view into the shared-memory
-    buffers (including the payload views inside each job's
-    :class:`KernelPayload`) is dropped when it returns — ``SharedMemory.close``
-    refuses to unmap while exported buffer pointers are still alive.
-    """
-    in_view = np.frombuffer(in_buf, dtype=np.int64)
-    out_view = np.frombuffer(out_buf, dtype=np.int64)
-    done: list[tuple[int, int, int]] = []
-    for pair_index, in_offset, in_length, out_offset in jobs:
-        payload = _payload_from_flat(in_view[in_offset : in_offset + in_length])
-        result = run_kernel(payload)
-        n_eq = int(result.eq_mu.size)
-        n_terms = int(result.term_a.size)
-        cursor = out_offset
-        out_view[cursor] = n_eq
-        out_view[cursor + 1] = n_terms
-        cursor += 2
-        for array in (
-            result.eq_mu,
-            result.eq_offsets,
-            result.term_a,
-            result.term_b,
-            result.term_coeff,
-        ):
-            out_view[cursor : cursor + array.size] = array
-            cursor += array.size
-        done.append((pair_index, n_eq, n_terms))
-    return done
-
-
-def _attach_shared_memory(name: str):
-    """Attach to a parent-owned segment without resource-tracker registration.
-
-    The parent created the segment and will unlink it; a worker registering
-    the same name with *its* resource tracker would make that tracker warn
-    about (or try to re-clean) a segment it never owned at shutdown
-    (bpo-39959).  Python gains ``track=False`` only in 3.13, so the
-    registration is suppressed around the attach instead; workers run this
-    single-threaded, before any other shared-memory use.
-    """
-    from multiprocessing import resource_tracker
-
-    original = resource_tracker.register
-    resource_tracker.register = lambda *args, **kwargs: None
-    try:
-        return _shared_memory.SharedMemory(name=name)
-    finally:
-        resource_tracker.register = original
-
-
-def _pool_worker(
-    in_name: str, out_name: str, jobs: list[tuple[int, int, int, int]]
-) -> list[tuple[int, int, int]]:
-    """Worker entry: run kernels over shared-memory payloads, write flat results.
-
-    ``jobs`` rows are ``(pair_index, in_offset, in_length, out_offset)``.
-    Returns ``(pair_index, n_eq, n_terms)`` so the parent knows each result's
-    actual extent inside its reserved output region.
-    """
-    in_shm = _attach_shared_memory(in_name)
-    out_shm = _attach_shared_memory(out_name)
-    try:
-        return _run_worker_jobs(in_shm.buf, out_shm.buf, jobs)
-    finally:
-        in_shm.close()
-        out_shm.close()
-
-
-class TranslationPool:
-    """A persistent worker pool that exchanges only flat arrays via shared memory.
-
-    Payloads are packed into one input segment, workers write grouped results
-    into pre-reserved regions of one output segment, and the parent reads them
-    back in pair-index order — nothing symbolic ever crosses a process
-    boundary.  A worker failure propagates its original exception and no
-    partial result is consumed.
-    """
-
-    def __init__(self, workers: int | None = None, min_terms: int = MIN_PARALLEL_TERMS) -> None:
-        self.workers = max(2, int(workers) if workers else (os.cpu_count() or 2))
-        self.min_terms = min_terms
-        self._executor: ProcessPoolExecutor | None = None
-
-    @property
-    def available(self) -> bool:
-        """Whether shared memory exists on this platform (else callers fall back)."""
-        return _shared_memory is not None
-
-    def _ensure_executor(self) -> ProcessPoolExecutor:
-        if self._executor is None:
-            self._executor = ProcessPoolExecutor(max_workers=self.workers)
-        return self._executor
-
-    def warm(self) -> None:
-        """Spin the workers up eagerly (used by benchmarks and calibration)."""
-        executor = self._ensure_executor()
-        list(executor.map(int, range(self.workers)))
-
-    def run(self, payloads: Sequence[KernelPayload]) -> list[KernelResult]:
-        """Run every payload's kernel across the pool; results in input order."""
-        if not self.available:
-            raise SynthesisError("multiprocessing.shared_memory is unavailable on this platform")
-        if not payloads:
-            return []
-        flats = [_flatten_payload(payload) for payload in payloads]
-        in_lengths = [flat.size for flat in flats]
-        in_offsets = np.concatenate([[0], np.cumsum(in_lengths)])
-        out_capacities = [_result_capacity(payload) for payload in payloads]
-        out_offsets = np.concatenate([[0], np.cumsum(out_capacities)])
-
-        in_shm = _shared_memory.SharedMemory(
-            create=True, size=max(int(in_offsets[-1]), 1) * 8
-        )
-        out_shm = _shared_memory.SharedMemory(
-            create=True, size=max(int(out_offsets[-1]), 1) * 8
-        )
-        in_view = out_view = None
-        try:
-            in_view = np.frombuffer(in_shm.buf, dtype=np.int64)
-            for flat, offset in zip(flats, in_offsets):
-                in_view[int(offset) : int(offset) + flat.size] = flat
-
-            # Balance pairs over workers greedily by exact term count.
-            bins: list[list[tuple[int, int, int, int]]] = [[] for _ in range(self.workers)]
-            loads = [0] * self.workers
-            order = sorted(
-                range(len(payloads)), key=lambda i: payloads[i].term_count, reverse=True
-            )
-            for index in order:
-                slot = loads.index(min(loads))
-                bins[slot].append(
-                    (index, int(in_offsets[index]), in_lengths[index], int(out_offsets[index]))
-                )
-                loads[slot] += payloads[index].term_count + 64
-
-            executor = self._ensure_executor()
-            futures = [
-                executor.submit(_pool_worker, in_shm.name, out_shm.name, chunk)
-                for chunk in bins
-                if chunk
-            ]
-            extents: dict[int, tuple[int, int]] = {}
-            for future in futures:
-                for pair_index, n_eq, n_terms in future.result():
-                    extents[pair_index] = (n_eq, n_terms)
-
-            out_view = np.frombuffer(out_shm.buf, dtype=np.int64)
-            results: list[KernelResult] = []
-            for index in range(len(payloads)):
-                n_eq, n_terms = extents[index]
-                cursor = int(out_offsets[index]) + 2
-
-                def take(count: int) -> np.ndarray:
-                    nonlocal cursor
-                    piece = out_view[cursor : cursor + count].copy()
-                    cursor += count
-                    return piece
-
-                results.append(
-                    KernelResult(
-                        eq_mu=take(n_eq),
-                        eq_offsets=take(n_eq + 1),
-                        term_a=take(n_terms),
-                        term_b=take(n_terms),
-                        term_coeff=take(n_terms),
-                    )
-                )
-            return results
-        finally:
-            del in_view, out_view
-            in_shm.close()
-            in_shm.unlink()
-            out_shm.close()
-            out_shm.unlink()
-
-    def close(self) -> None:
-        if self._executor is not None:
-            self._executor.shutdown(wait=True, cancel_futures=True)
-            self._executor = None
-
-    def __enter__(self) -> "TranslationPool":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-
-# ---------------------------------------------------------------------------
-# Calibration (Engine(translation_workers="auto"))
-# ---------------------------------------------------------------------------
-
-_CALIBRATION_CACHE: dict[int, bool] = {}
-
-
-def _calibration_payloads() -> list[KernelPayload]:
-    """A deterministic medium-sized workload resembling a real degree-2 sweep."""
-    width = 4
-    upsilon = 2
-    h_exponents = _basis_exponents(width, upsilon)
-    h_dim = h_exponents.shape[0]
-    payloads = []
-    for seed in range(12):
-        n_direct = 40 + seed
-        n_prod = 90 + 3 * seed
-        direct_exponents = (np.arange(n_direct * width).reshape(n_direct, width) + seed) % 3
-        prod_exponents = (np.arange(n_prod * width).reshape(n_prod, width) + 2 * seed) % 3
-        payloads.append(
-            KernelPayload(
-                width=width,
-                h_count=h_dim,
-                h_exponents=h_exponents,
-                direct_exponents=direct_exponents.astype(np.int64),
-                direct_a=np.arange(n_direct, dtype=np.int64) % 7 - 1,
-                direct_b=np.full(n_direct, _NO_UNKNOWN, dtype=np.int64),
-                direct_coeff=np.zeros(n_direct, dtype=np.int64),
-                prod_exponents=prod_exponents.astype(np.int64),
-                prod_b=np.arange(n_prod, dtype=np.int64) % 5 - 1,
-                prod_coeff=np.ones(n_prod, dtype=np.int64),
-                prod_t_base=np.full(n_prod, 32, dtype=np.int64),
-            )
-        )
-    return payloads
-
-
-def calibrate_parallel_translation(workers: int | None = None, repeats: int = 3) -> bool:
-    """Whether the shared-memory fan-out beats the in-process kernel here.
-
-    Runs a deterministic microbenchmark once per process (cached by worker
-    count): the pool wins only when its best wall-clock over ``repeats`` runs
-    is at least as fast as the sequential kernel's — on single-core boxes or
-    platforms without shared memory this returns False and callers stay on the
-    (already vectorised) sequential path.
-    """
-    count = max(2, int(workers) if workers else (os.cpu_count() or 2))
-    cached = _CALIBRATION_CACHE.get(count)
-    if cached is not None:
-        return cached
-    if _shared_memory is None or (os.cpu_count() or 1) < 2:
-        _CALIBRATION_CACHE[count] = False
-        return False
-    payloads = _calibration_payloads()
-    try:
-        with TranslationPool(count, min_terms=0) as pool:
-            pool.warm()
-            sequential = parallel = float("inf")
-            for _ in range(repeats):
-                start = time.perf_counter()
-                for payload in payloads:
-                    run_kernel(payload)
-                sequential = min(sequential, time.perf_counter() - start)
-                start = time.perf_counter()
-                pool.run(payloads)
-                parallel = min(parallel, time.perf_counter() - start)
-        decision = parallel <= sequential
-    except Exception:  # pragma: no cover - a broken pool must never take down synthesis
-        decision = False
-    _CALIBRATION_CACHE[count] = decision
-    return decision
-
-
-# ---------------------------------------------------------------------------
 # Entry points
 # ---------------------------------------------------------------------------
-
-
-def _run_jobs(
-    jobs: Sequence[_PairJob], pool: TranslationPool | None
-) -> tuple[list[KernelResult], str, int]:
-    payloads = [job.payload for job in jobs]
-    use_pool = (
-        pool is not None
-        and pool.available
-        and len(payloads) > 1
-        and sum(payload.term_count for payload in payloads) >= pool.min_terms
-    )
-    if use_pool:
-        return pool.run(payloads), "vectorized-parallel", pool.workers
-    return [run_kernel(payload) for payload in payloads], "vectorized", 0
 
 
 def _build_system(
@@ -981,18 +617,15 @@ def putinar_translate_vectorized(
     pairs: Sequence[ConstraintPair],
     options,
     objective: Polynomial | None = None,
-    pool: TranslationPool | None = None,
 ) -> QuadraticSystem:
     """Vectorised Putinar translation; equal to the symbolic path constraint-for-constraint."""
     start = time.perf_counter()
     jobs = [_compile_putinar_pair(pair, index, options) for index, pair in enumerate(pairs)]
     compiled_at = time.perf_counter()
-    results, mode, workers = _run_jobs(jobs, pool)
+    results = [run_kernel(job.payload) for job in jobs]
     fanned_at = time.perf_counter()
     system = _build_system(jobs, results, _assemble_putinar, objective)
     system.translation_profile = TranslationProfile(
-        mode=mode,
-        workers=workers,
         compile_seconds=compiled_at - start,
         fanout_seconds=fanned_at - compiled_at,
         assemble_seconds=time.perf_counter() - fanned_at,
@@ -1005,7 +638,6 @@ def handelman_translate_vectorized(
     max_factors: int = 2,
     with_witness: bool = True,
     objective: Polynomial | None = None,
-    pool: TranslationPool | None = None,
 ) -> QuadraticSystem:
     """Vectorised Handelman translation; equal to the symbolic path constraint-for-constraint."""
     start = time.perf_counter()
@@ -1014,12 +646,10 @@ def handelman_translate_vectorized(
         for index, pair in enumerate(pairs)
     ]
     compiled_at = time.perf_counter()
-    results, mode, workers = _run_jobs(jobs, pool)
+    results = [run_kernel(job.payload) for job in jobs]
     fanned_at = time.perf_counter()
     system = _build_system(jobs, results, _assemble_handelman, objective)
     system.translation_profile = TranslationProfile(
-        mode=mode,
-        workers=workers,
         compile_seconds=compiled_at - start,
         fanout_seconds=fanned_at - compiled_at,
         assemble_seconds=time.perf_counter() - fanned_at,

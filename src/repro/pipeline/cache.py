@@ -22,7 +22,6 @@ from repro.reduction.plan import ReductionPlan, ReductionReport, compile_plan
 from repro.reduction.task import STAGE_NAMES, SynthesisTask
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.invariants.translation import TranslationPool
     from repro.pipeline.jobs import SynthesisJob
 
 
@@ -35,7 +34,7 @@ class TaskCache:
 
     The reduction (template construction, constraint-pair generation and the
     Putinar/Handelman translation) is the expensive exact-arithmetic part of
-    the pipeline; many batched jobs — parameter sweeps, repeated solver runs,
+    a request; many batched jobs — parameter sweeps, repeated solver runs,
     re-submitted benchmarks — share it verbatim, and many more share a prefix
     of it.  Whole-task builds of distinct keys run concurrently; builds of
     the same key are serialised so the reduction is performed exactly once,
@@ -66,21 +65,17 @@ class TaskCache:
     def __len__(self) -> int:
         return len(self._tasks)
 
-    def get_or_build(
-        self, job: "SynthesisJob", translation_pool: "TranslationPool | None" = None
-    ) -> tuple[SynthesisTask, bool]:
+    def get_or_build(self, job: "SynthesisJob") -> tuple[SynthesisTask, bool]:
         """The task for ``job``, building it on first use.
 
         Returns ``(task, from_cache)``; ``from_cache`` reports a *whole-task*
         hit (stage-level reuse shows up in :meth:`stats` instead).
         """
-        task, from_cache, _ = self.get_or_build_with_report(
-            job, translation_pool=translation_pool
-        )
+        task, from_cache, _ = self.get_or_build_with_report(job)
         return task, from_cache
 
     def get_or_build_with_report(
-        self, job: "SynthesisJob", translation_pool: "TranslationPool | None" = None
+        self, job: "SynthesisJob"
     ) -> tuple[SynthesisTask, bool, ReductionReport]:
         """Like :meth:`get_or_build`, plus the per-stage execution report.
 
@@ -103,9 +98,15 @@ class TaskCache:
                     self.hits += 1
                     return cached, True, _TASK_HIT_REPORT
             start = time.perf_counter()
-            task, report = plan.execute(
-                cache=self.stages, translation_pool=translation_pool
-            )
+            try:
+                task, report = plan.execute(cache=self.stages)
+            except BaseException:
+                # A failed build stores nothing, so eviction never reaches
+                # its lock: drop the lock here if it is still the registered one.
+                with self._lock:
+                    if self._key_locks.get(key) is key_lock:
+                        del self._key_locks[key]
+                raise
             elapsed = time.perf_counter() - start
             with self._lock:
                 self._tasks[key] = task

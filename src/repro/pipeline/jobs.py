@@ -1,4 +1,4 @@
-"""Job descriptors consumed by the batch synthesis pipeline."""
+"""Job descriptors: the Step 1-3 reduction key and Step-4 solve key of one request."""
 
 from __future__ import annotations
 
@@ -35,9 +35,10 @@ class SynthesisJob:
 
         Jobs with equal keys produce identical
         :class:`~repro.invariants.synthesis.SynthesisTask` objects, so the
-        pipeline translates the first and reuses it for the rest.  Solver-side
-        option knobs (``strategy``/``portfolio``) are excluded: jobs differing
-        only in their Step-4 back-end still share one reduction.
+        task cache translates the first and reuses it for the rest.
+        Solver-side option knobs (``strategy``/``portfolio``) are excluded:
+        jobs differing only in their Step-4 back-end still share one
+        reduction.
         """
         return (
             self.source,
@@ -50,7 +51,7 @@ class SynthesisJob:
         """Hashable key identifying this job's Step-4 solve.
 
         Extends :meth:`reduction_key` with the solver strategy, so the
-        pipeline deduplicates solves only between jobs that would run the
+        engine deduplicates solves only between jobs that would run the
         same back-end on the same system.
         """
         return (*self.reduction_key(), self.options.strategy, self.options.portfolio)

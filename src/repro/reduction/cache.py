@@ -82,14 +82,23 @@ class StageCache:
             if key in values:
                 counter.hits += 1
                 return values[key], True, 0.0
-            key_lock = self._key_locks.setdefault((stage, *key), threading.Lock())
+            lock_key = (stage, *key)
+            key_lock = self._key_locks.setdefault(lock_key, threading.Lock())
         with key_lock:
             with self._lock:
                 if key in values:
                     counter.hits += 1
                     return values[key], True, 0.0
             start = time.perf_counter()
-            value = builder()
+            try:
+                value = builder()
+            except BaseException:
+                # A failed build stores nothing, so eviction never reaches
+                # its lock: drop the lock here if it is still the registered one.
+                with self._lock:
+                    if self._key_locks.get(lock_key) is key_lock:
+                        del self._key_locks[lock_key]
+                raise
             elapsed = time.perf_counter() - start
             with self._lock:
                 values[key] = value

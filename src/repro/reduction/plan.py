@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Mapping, Union
+from typing import Mapping, Union
 
 from repro.errors import SynthesisError
 from repro.invariants.constraints import ConstraintPair
@@ -40,9 +40,6 @@ from repro.reduction.stages import (
 from repro.reduction.task import STAGE_NAMES, SynthesisTask
 from repro.spec.objectives import FeasibilityObjective, Objective
 from repro.spec.preconditions import Precondition
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.invariants.translation import TranslationPool
 
 ProgramLike = Union[str, Program]
 PreconditionLike = Union[None, Precondition, Mapping[str, Mapping[int, str]]]
@@ -140,18 +137,12 @@ class ReductionPlan:
 
     # -- execution ---------------------------------------------------------------
 
-    def execute(
-        self,
-        cache: StageCache | None = None,
-        translation_pool: "TranslationPool | None" = None,
-    ) -> tuple[SynthesisTask, ReductionReport]:
+    def execute(self, cache: StageCache | None = None) -> tuple[SynthesisTask, ReductionReport]:
         """Run the plan, reusing every stage ``cache`` already holds.
 
         Returns the assembled task together with a :class:`ReductionReport`
         recording, per stage, the build time (zero on a cache hit) and
-        whether it came from the cache.  ``translation_pool`` fans the
-        vectorised per-pair translation kernels out over shared-memory
-        workers (see :mod:`repro.invariants.translation`).
+        whether it came from the cache.
         """
         executions: list[StageExecution] = []
 
@@ -183,7 +174,7 @@ class ReductionPlan:
         translated: QuadraticSystem = stage(
             "translation",
             self.translation_key,
-            lambda: run_translation(pairs, self.options, pool=translation_pool),
+            lambda: run_translation(pairs, self.options),
         )
 
         start = time.perf_counter()
@@ -199,7 +190,6 @@ class ReductionPlan:
                 ("stage_translation_compile_seconds", profile.compile_seconds),
                 ("stage_translation_fanout_seconds", profile.fanout_seconds),
                 ("stage_translation_assemble_seconds", profile.assemble_seconds),
-                ("stage_translation_workers", float(profile.workers)),
             )
 
         report = ReductionReport(stages=tuple(executions), extra_timings=extra_timings)
@@ -215,8 +205,7 @@ class ReductionPlan:
             "stages_from_cache": float(report.cached_stages),
         }
         for key, value in extra_timings:
-            if key.endswith("_seconds"):
-                statistics[key.replace("stage_translation_", "time_translation_")] = value
+            statistics[key.replace("stage_translation_", "time_translation_")] = value
         task = SynthesisTask(
             program=frontend.program,
             cfg=frontend.cfg,

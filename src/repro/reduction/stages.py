@@ -22,7 +22,6 @@ stage                     depends on
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 from repro.cfg.builder import build_cfg
 from repro.cfg.graph import ProgramCFG
@@ -38,9 +37,6 @@ from repro.reduction.options import SynthesisOptions
 from repro.reduction.task import STAGE_NAMES
 from repro.spec.bounded import apply_bounded_reals_model
 from repro.spec.preconditions import Precondition, augment_entry_preconditions
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.invariants.translation import TranslationPool
 
 __all__ = [
     "Frontend",
@@ -94,11 +90,7 @@ def run_pairs(
     return generate_constraint_pairs(frontend.cfg, precondition, templates)
 
 
-def run_translation(
-    pairs: list[ConstraintPair],
-    options: SynthesisOptions,
-    pool: "TranslationPool | None" = None,
-) -> QuadraticSystem:
+def run_translation(pairs: list[ConstraintPair], options: SynthesisOptions) -> QuadraticSystem:
     """Step 3: the Positivstellensatz translation, objective-free.
 
     The objective is deliberately *not* part of this stage: it only sets the
@@ -107,11 +99,7 @@ def run_translation(
     objective during plan assembly.
 
     The translation runs the vectorised flat-array kernel
-    (:mod:`repro.invariants.translation`); ``pool`` optionally fans the
-    per-pair kernels out over shared-memory workers, with a result that is
-    bit-identical to the sequential one because per-pair blocks are assembled
-    in pair-index order and every generated unknown name is keyed by the pair
-    index.
+    (:mod:`repro.invariants.translation`).
     """
     if options.translation == "putinar":
         return putinar_translate(
@@ -119,6 +107,5 @@ def run_translation(
             upsilon=options.upsilon,
             with_witness=options.with_witness,
             encode_sos=options.encode_sos,
-            pool=pool,
         )
-    return handelman_translate(pairs, with_witness=options.with_witness, pool=pool)
+    return handelman_translate(pairs, with_witness=options.with_witness)

@@ -76,12 +76,6 @@ class Deadline:
     def expired(self) -> bool:
         return self._expires_at is not None and time.monotonic() >= self._expires_at
 
-    def remaining(self) -> float | None:
-        """Seconds left, ``None`` when unlimited (never negative)."""
-        if self._expires_at is None:
-            return None
-        return max(0.0, self._expires_at - time.monotonic())
-
 
 def improves(
     best_violation: float,

@@ -4,10 +4,9 @@
 translations as flat numpy index kernels; this file is the oracle pinning it
 to the per-``Polynomial`` reference loop (``kernel="symbolic"``): same
 constraints in the same order, same origins, same unknown-variable order,
-same provenance, same objective — and the shared-memory fan-out must be
-bit-identical to the sequential kernel.  Hypothesis drives the translation
-knobs; the constraint pairs are derived once per program and reused so each
-example stays in the milliseconds.
+same provenance, same objective.  Hypothesis drives the translation knobs;
+the constraint pairs are derived once per program and reused so each example
+stays in the milliseconds.
 """
 
 from functools import lru_cache
@@ -17,7 +16,6 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from repro.invariants.handelman import handelman_translate
 from repro.invariants.putinar import putinar_translate
 from repro.invariants.synthesis import SynthesisOptions, build_task
-from repro.invariants.translation import TranslationPool
 
 LOOP_SOURCE = """
 count(n) {
@@ -81,7 +79,7 @@ def test_vectorized_putinar_matches_symbolic(program, degree, upsilon, with_witn
         pairs, upsilon=upsilon, with_witness=with_witness, encode_sos=encode_sos,
     )
     assert snapshot(vectorized) == snapshot(symbolic)
-    assert vectorized.translation_profile.mode == "vectorized"
+    assert vectorized.translation_profile is not None
 
 
 @settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -98,21 +96,3 @@ def test_vectorized_handelman_matches_symbolic(program, degree, max_factors, wit
     )
     vectorized = handelman_translate(pairs, max_factors=max_factors, with_witness=with_witness)
     assert snapshot(vectorized) == snapshot(symbolic)
-
-
-def test_parallel_fanout_is_bit_identical_to_sequential():
-    """Regression: the shared-memory fan-out merges in pair-index order.
-
-    ``min_terms=0`` forces the pool even for this small system, and two
-    workers make a reordering bug observable.
-    """
-    pairs = pairs_for("branch", 2)
-    with TranslationPool(workers=2, min_terms=0) as pool:
-        if not pool.available:  # pragma: no cover - platform without shared_memory
-            return
-        putinar_parallel = putinar_translate(pairs, upsilon=2, pool=pool)
-        handelman_parallel = handelman_translate(pairs, pool=pool)
-    assert snapshot(putinar_parallel) == snapshot(putinar_translate(pairs, upsilon=2))
-    assert snapshot(handelman_parallel) == snapshot(handelman_translate(pairs))
-    assert putinar_parallel.translation_profile.mode == "vectorized-parallel"
-    assert putinar_parallel.translation_profile.workers == 2

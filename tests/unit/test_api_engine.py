@@ -68,6 +68,32 @@ def test_identical_requests_share_reduction_and_solve(engine):
     assert first == second  # fingerprint equality ignores cache flags
 
 
+def test_requests_differing_only_in_strategy_share_reduction_not_solve():
+    benchmark = get_benchmark("sum")
+    qclp = request_for("sum", options=benchmark.options(upsilon=1, strategy="qclp"))
+    gauss = request_for("sum", options=benchmark.options(upsilon=1, strategy="gauss-newton"))
+    with Engine(solver_options=QUICK_SOLVE) as engine:
+        first = engine.synthesize(qclp)
+        second = engine.synthesize(gauss)
+        assert engine.stats()["misses"] == 1.0  # one shared reduction
+    assert not first.from_cache and second.from_cache
+    assert not second.shared_solve
+
+
+def test_portfolio_strategy_resolves_the_race():
+    benchmark = get_benchmark("freire1")
+    request = request_for(
+        "freire1",
+        options=benchmark.options(upsilon=1, strategy="portfolio"),
+        solver_options=SolverOptions(restarts=1, max_iterations=80),
+    )
+    with Engine() as engine:
+        response = engine.synthesize(request)
+    assert response.ok
+    assert response.strategy is not None
+    assert any(key.startswith("portfolio_") for key in response.result.statistics)
+
+
 def test_strong_mode_returns_representatives(engine):
     from repro.solvers.strong import RepresentativeEnumerator
 
@@ -199,6 +225,17 @@ def test_task_cache_is_boundable():
 
 
 # -- lifecycle ---------------------------------------------------------------------
+
+
+def test_engine_rejects_negative_workers():
+    with pytest.raises(ValueError, match="workers must be non-negative"):
+        Engine(workers=-1)
+
+
+def test_context_manager_closes_a_pooled_engine():
+    with Engine(workers=2, executor="thread", solver_options=QUICK_SOLVE) as engine:
+        assert engine.synthesize(request_for("sum")).ok
+    assert engine.closed and engine._threads is None
 
 
 def test_closed_engine_rejects_submissions():

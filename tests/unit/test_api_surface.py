@@ -50,7 +50,6 @@ EXPECTED_REPRO_ALL = [
     "SynthesisHandle",
     "SynthesisJob",
     "SynthesisOptions",
-    "SynthesisPipeline",
     "SynthesisRequest",
     "SynthesisResponse",
     "SynthesisResult",

@@ -55,12 +55,13 @@ def test_auto_executor_decision_table():
     # Explicit choices always win, whatever the host looks like.
     assert resolve("thread", 8, cpus=16) == "thread"
     assert resolve("process", 8, cpus=1) == "process"
-    assert resolve("solve-process", 8, cpus=1) == "solve-process"
 
 
 def test_unknown_executor_rejected():
     with pytest.raises(ValueError, match="unknown executor"):
         Engine(executor="fork-bomb")
+    with pytest.raises(ValueError, match="unknown executor"):
+        Engine(executor="solve-process")
 
 
 # -- differential: process-backed responses match thread-backed ones ---------------

@@ -152,18 +152,6 @@ def test_classify_unknown():
     assert classify_unknown("x") is VariableRole.OTHER
 
 
-def test_compiled_system_roundtrip():
-    system = QuadraticSystem()
-    system.add_equality(parse_polynomial("$s_a_1_0_0 * $t_c0_0_0 - 1"))
-    system.objective = parse_polynomial("$s_a_1_0_0 ** 2")
-    compiled = system.compile()
-    assignment = {"$s_a_1_0_0": 2.0, "$t_c0_0_0": 0.5}
-    vector = compiled.vector_from_assignment(assignment)
-    assert compiled.assignment_from_vector(vector) == assignment
-    assert compiled.constraints[0].value(vector) == pytest.approx(0.0)
-    assert compiled.objective.value(vector) == pytest.approx(4.0)
-
-
 def test_merge_systems():
     first = QuadraticSystem()
     first.add_nonnegative(parse_polynomial("$t_a_0_0"))

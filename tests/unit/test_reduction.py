@@ -7,10 +7,7 @@ from repro.api.errors import RequestValidationError
 from repro.api.request import SynthesisRequest
 from repro.api.response import SynthesisResponse
 from repro.errors import SynthesisError
-from repro.invariants.putinar import putinar_translate
-from repro.invariants.handelman import handelman_translate
 from repro.invariants.synthesis import SynthesisOptions, build_task
-from repro.invariants.translation import TranslationPool
 from repro.pipeline.cache import TaskCache
 from repro.pipeline.jobs import SynthesisJob
 from repro.reduction import AUTO_DEGREE, EscalationTrace, StageCache, compile_plan
@@ -172,61 +169,8 @@ def test_stage_cache_eviction_is_bounded_per_stage():
 
 
 # ---------------------------------------------------------------------------
-# Parallel translation
+# Translation sub-timings
 # ---------------------------------------------------------------------------
-
-
-def _constraint_snapshot(system):
-    return [(c.kind, c.origin, str(c.polynomial)) for c in system.constraints]
-
-
-def test_parallel_putinar_translation_matches_sequential():
-    task = build_task(SOURCE, PRE, options=SynthesisOptions(upsilon=1))
-    sequential = putinar_translate(task.pairs, upsilon=1)
-    with TranslationPool(workers=2, min_terms=0) as pool:
-        parallel = putinar_translate(task.pairs, upsilon=1, pool=pool)
-    assert _constraint_snapshot(parallel) == _constraint_snapshot(sequential)
-    assert parallel.translation_profile.mode == "vectorized-parallel"
-
-
-def test_parallel_handelman_translation_matches_sequential():
-    task = build_task(SOURCE, PRE, options=SynthesisOptions(upsilon=1))
-    sequential = handelman_translate(task.pairs)
-    with TranslationPool(workers=2, min_terms=0) as pool:
-        parallel = handelman_translate(task.pairs, pool=pool)
-    assert _constraint_snapshot(parallel) == _constraint_snapshot(sequential)
-
-
-def test_engine_with_translation_workers_reduces_identically():
-    request = SynthesisRequest(
-        program=SOURCE, mode="weak", precondition=PRE,
-        options=SynthesisOptions(upsilon=1), solver_options=QUICK_SOLVE,
-    )
-    with Engine() as sequential, Engine(translation_workers=2) as pooled:
-        a = sequential.synthesize(request)
-        b = pooled.synthesize(request)
-    assert a.ok and b.ok
-    assert a.system_size == b.system_size
-    assert a == b  # fingerprint equality
-
-
-def test_engine_auto_translation_workers_reduces_identically():
-    request = SynthesisRequest(
-        program=SOURCE, mode="weak", precondition=PRE,
-        options=SynthesisOptions(upsilon=1), solver_options=QUICK_SOLVE,
-    )
-    with Engine() as sequential, Engine(translation_workers="auto") as auto:
-        a = sequential.synthesize(request)
-        b = auto.synthesize(request)
-    assert a.ok and b.ok
-    assert a.system_size == b.system_size
-
-
-def test_engine_rejects_bad_translation_workers():
-    with pytest.raises(ValueError):
-        Engine(translation_workers=-1)
-    with pytest.raises(ValueError):
-        Engine(translation_workers="both")
 
 
 def test_translation_sub_timings_reach_response_and_stats():
@@ -246,35 +190,6 @@ def test_translation_sub_timings_reach_response_and_stats():
         for phase in ("compile", "fanout", "assemble")
     )
     assert split <= response.timings["stage_translation_seconds"] + 1e-6
-
-
-def test_merge_pair_systems_propagates_worker_failure():
-    from concurrent.futures import Future
-
-    from repro.invariants.quadratic_system import QuadraticSystem, merge_pair_systems
-    from repro.polynomial.polynomial import Polynomial
-
-    class InlineExecutor:
-        def submit(self, fn, *args):
-            future = Future()
-            try:
-                future.set_result(fn(*args))
-            except Exception as exc:  # noqa: BLE001 - mirror executor semantics
-                future.set_exception(exc)
-            return future
-
-    def worker(pair, index):
-        if index == 1:
-            raise RuntimeError("worker died")
-        part = QuadraticSystem()
-        part.add_nonnegative(Polynomial.variable("$t_ok"), origin=f"pair{index}")
-        return part
-
-    target = QuadraticSystem()
-    with pytest.raises(RuntimeError, match="worker died"):
-        merge_pair_systems(target, ["a", "b"], InlineExecutor(), worker)
-    # The original exception surfaces and no partial merge is left behind.
-    assert target.constraints == [] and target.provenance == []
 
 
 # ---------------------------------------------------------------------------
@@ -353,19 +268,6 @@ def test_escalation_respects_the_deadline():
     assert len(trace.attempts) <= 3
     if trace.exhausted_deadline:
         assert trace.attempts[-1].status == "deadline-skipped"
-
-
-def test_pipeline_survives_auto_degree_job_in_reduce_only_batch():
-    """An invalid per-job request becomes an error outcome, not a batch abort."""
-    from repro.pipeline import SynthesisPipeline
-
-    bad = job(degree="auto")
-    good = job(degree=1)
-    with SynthesisPipeline() as pipeline:
-        outcomes = pipeline.run([bad, good], solve=False)
-    assert len(outcomes) == 2
-    assert not outcomes[0].ok and "RequestValidationError" in (outcomes[0].error or "")
-    assert outcomes[1].ok and outcomes[1].task is not None
 
 
 def test_escalation_keeps_stage_timings_on_the_winning_rung():
