@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Any, Mapping
 
@@ -323,8 +324,13 @@ class SynthesisRequest:
             errors.append({"field": "solver_options", "reason": "expected SolverOptions or null"})
 
         if self.deadline is not None:
-            if not isinstance(self.deadline, (int, float)) or isinstance(self.deadline, bool) or self.deadline <= 0:
-                errors.append({"field": "deadline", "reason": "expected a positive number of seconds or null"})
+            if (
+                not isinstance(self.deadline, (int, float))
+                or isinstance(self.deadline, bool)
+                or not math.isfinite(self.deadline)
+                or self.deadline <= 0
+            ):
+                errors.append({"field": "deadline", "reason": "expected a positive finite number of seconds or null"})
         if self.request_id is not None and not isinstance(self.request_id, str):
             errors.append({"field": "request_id", "reason": "expected a string or null"})
         if not isinstance(self.reduce_only, bool):

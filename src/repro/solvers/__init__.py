@@ -1,8 +1,8 @@
 """Step-4 solvers: numeric back-ends for the quadratic systems of Step 3.
 
 The paper solves its systems with the commercial QCLP solver LOQO; this
-reproduction replaces it with SciPy-based solvers sharing one compiled
-problem IR:
+reproduction replaces it with NumPy batched descent solvers sharing one
+compiled problem IR:
 
 * :mod:`repro.solvers.problem` — :class:`CompiledProblem`, the IR every
   solver consumes: flat residual/Jacobian/penalty evaluation built once per
@@ -12,13 +12,13 @@ problem IR:
 * :mod:`repro.solvers.batched` — the batched multi-start descent engines
   (per-member Levenberg–Marquardt and L-BFGS over the batch
   kernels of the IR) that vectorise the restart axis of every multi-start
-  solver; ``SolverOptions.batch`` selects between them and the retired
-  per-restart SciPy loops.
+  solver; ``SolverOptions.batch`` chooses between the width-``k`` batch and
+  its one-restart-at-a-time replay.
 * :class:`~repro.solvers.qclp.PenaltyQCLPSolver` — the default: an
   exact-penalty / multi-restart nonlinear programming solver with analytic
   gradients and a Gauss-Newton polish.
 * :class:`~repro.solvers.qclp.GaussNewtonSolver` — the cheap
-  pure-feasibility sprint (sparse trust-region least squares on the
+  pure-feasibility sprint (Levenberg–Marquardt least squares on the
   residuals).
 * :class:`~repro.solvers.alternating.AlternatingSolver` — exploits the
   bilinear structure of the systems (template coefficients vs. certificate
@@ -59,7 +59,6 @@ from repro.solvers.problem import (
     CompiledProblem,
     Deadline,
     SolveControl,
-    SolverInterrupted,
     compile_problem,
 )
 from repro.solvers.qclp import GaussNewtonSolver, PenaltyQCLPSolver
@@ -81,7 +80,6 @@ __all__ = [
     "STRATEGIES",
     "SolveControl",
     "Solver",
-    "SolverInterrupted",
     "SolverOptions",
     "SolverResult",
     "batched_least_squares",

@@ -4,7 +4,7 @@ The Step-3 systems are *bilinear*: every quadratic term is either a product of
 a template coefficient (s-variable) with a multiplier coefficient
 (t-variable), or a product of two Cholesky entries (l-variables).  Fixing one
 block makes the merit function much better conditioned in the other, so this
-solver alternates L-BFGS sweeps over
+solver alternates batched L-BFGS sweeps over
 
 * the template block (s-variables), and
 * the certificate block (t-, l- and eps-variables),
@@ -20,7 +20,6 @@ portfolio deadlines/cancellation through
 from __future__ import annotations
 
 import numpy as np
-from scipy import optimize
 
 from repro.solvers.base import Solver, SolverResult
 from repro.solvers.batched import (
@@ -29,65 +28,18 @@ from repro.solvers.batched import (
     batched_penalty_descent,
     run_multistart,
 )
-from repro.solvers.problem import (
-    CompiledProblem,
-    Deadline,
-    SolveControl,
-    SolverInterrupted,
-    improves,
-)
+from repro.solvers.problem import CompiledProblem, Deadline, SolveControl
+
+#: The block sweeps' rho stages, lowest first.
+_PENALTY_SCHEDULE = (10.0, 100.0, 1_000.0, 10_000.0)
 
 
 class AlternatingSolver(Solver):
     """Alternate penalty minimisation over the template and certificate blocks."""
 
-    def __init__(
-        self,
-        options=None,
-        sweeps: int = 6,
-        penalty_schedule: tuple[float, ...] = (10.0, 100.0, 1_000.0, 10_000.0),
-        objective_weight: float = 1.0,
-    ):
+    def __init__(self, options=None, sweeps: int = 6):
         super().__init__(options)
         self.sweeps = sweeps
-        self.penalty_schedule = penalty_schedule
-        self.objective_weight = objective_weight
-
-    # -- helpers --------------------------------------------------------------------
-
-    def _minimise_block(
-        self,
-        problem: CompiledProblem,
-        point: np.ndarray,
-        mask: np.ndarray,
-        rho: float,
-        control: SolveControl,
-    ) -> tuple[np.ndarray, int, int]:
-        indices = np.flatnonzero(mask)
-        if indices.size == 0:
-            return point, 0, 0
-
-        def fun(sub: np.ndarray) -> float:
-            control.interrupt_if_stopped()
-            full = point.copy()
-            full[indices] = sub
-            return problem.penalty(full, rho, self.objective_weight)
-
-        def jac(sub: np.ndarray) -> np.ndarray:
-            full = point.copy()
-            full[indices] = sub
-            return problem.penalty_gradient(full, rho, self.objective_weight)[indices]
-
-        result = optimize.minimize(
-            fun=fun,
-            x0=point[indices],
-            jac=jac,
-            method="L-BFGS-B",
-            options={"maxiter": self.options.max_iterations, "ftol": 1e-12, "gtol": 1e-10},
-        )
-        updated = point.copy()
-        updated[indices] = result.x
-        return updated, int(result.nfev), int(getattr(result, "njev", 0) or 0)
 
     def _cold_scale(self, attempt: int) -> float:
         """Restart ``attempt``'s cold-start jitter scale.
@@ -100,8 +52,6 @@ class AlternatingSolver(Solver):
         """
         return 0.05 * attempt
 
-    # -- batched restart axis (batch="on"/"rows") ----------------------------------------
-
     def _descend(
         self,
         problem: CompiledProblem,
@@ -113,14 +63,14 @@ class AlternatingSolver(Solver):
 
         Every member alternates certificate-block and template-block descents
         under its own rho stage; a member leaves the schedule as soon as a
-        finished stage leaves it feasible (the sequential loop's in-schedule
-        break), and retired members' rows freeze while the rest sweep on.
+        finished stage leaves it feasible, and retired members' rows freeze
+        while the rest sweep on.
         """
         options = self.options
         tolerance = options.tolerance
         template_columns = problem.template_mask.astype(float)
         certificate_columns = 1.0 - template_columns
-        schedule = np.asarray(self.penalty_schedule, dtype=float)
+        schedule = np.asarray(_PENALTY_SCHEDULE, dtype=float)
 
         x = points.copy()
         members = x.shape[0]
@@ -141,7 +91,7 @@ class AlternatingSolver(Solver):
                         schedule[stage],
                         control=control,
                         counters=counters,
-                        objective_weight=self.objective_weight,
+                        objective_weight=1.0,
                         max_iterations=options.max_iterations,
                         active=active,
                         columns=columns,
@@ -168,91 +118,14 @@ class AlternatingSolver(Solver):
             )
         if problem.dimension == 0:
             return SolverResult(assignment={}, status="trivial", objective_value=0.0, max_violation=0.0)
-        if options.batch != "off":
-            return run_multistart(
-                problem,
-                control,
-                options,
-                self.label(),
-                cold_scale=self._cold_scale,
-                warm_scale=None,
-                descend=lambda points, counters: self._descend(problem, control, points, counters),
-                trigger=None,
-                size_details=False,
-            )
-        return self._solve_sequential(problem, control)
-
-    def _solve_sequential(
-        self, problem: CompiledProblem, control: SolveControl
-    ) -> SolverResult:
-        """The retired per-restart SciPy loop (``batch="off"``, the perf baseline)."""
-        options = self.options
-        template_mask = problem.template_mask
-        certificate_mask = ~template_mask
-        rng = np.random.default_rng(options.seed)
-
-        best_point: np.ndarray | None = None
-        best_violation = np.inf
-        best_objective = np.inf
-        iterations = 0
-        residual_evaluations = 0
-        jacobian_evaluations = 0
-        attempt = -1
-
-        for attempt in range(options.restarts):
-            if control.should_stop():
-                break
-            point = problem.initial_point(rng, self._cold_scale(attempt))
-            interrupted = False
-            for rho in self.penalty_schedule:
-                for _ in range(self.sweeps):
-                    try:
-                        point, nfev, njev = self._minimise_block(
-                            problem, point, certificate_mask, rho, control
-                        )
-                        residual_evaluations += nfev
-                        jacobian_evaluations += njev
-                        point, nfev, njev = self._minimise_block(
-                            problem, point, template_mask, rho, control
-                        )
-                        residual_evaluations += nfev
-                        jacobian_evaluations += njev
-                    except SolverInterrupted:
-                        interrupted = True
-                        break
-                    iterations += 1
-                if interrupted or problem.max_violation(point) <= options.tolerance:
-                    break
-            violation = problem.max_violation(point)
-            objective = problem.objective_value(point)
-            if improves(best_violation, best_objective, violation, objective, options.tolerance):
-                best_point, best_violation, best_objective = point.copy(), violation, objective
-            control.report(point, violation, objective, strategy=self.label())
-            if options.verbose:
-                print(f"[alt] restart {attempt}: violation={violation:.3g} objective={objective:.6g}")
-            if interrupted:
-                break
-
-        if best_point is None:
-            return SolverResult(
-                assignment=None,
-                status="no-progress",
-                iterations=iterations,
-                details={"timed_out": float(control.timed_out)},
-                strategy=self.label(),
-                residual_evaluations=residual_evaluations,
-                jacobian_evaluations=jacobian_evaluations,
-            )
-        feasible = best_violation <= options.tolerance
-        return SolverResult(
-            assignment=problem.assignment(best_point) if feasible else None,
-            status="optimal" if feasible else "infeasible-best-effort",
-            objective_value=best_objective,
-            max_violation=best_violation,
-            iterations=iterations,
-            restarts_used=min(options.restarts, attempt + 1),
-            details={"timed_out": float(control.timed_out)},
-            strategy=self.label(),
-            residual_evaluations=residual_evaluations,
-            jacobian_evaluations=jacobian_evaluations,
+        return run_multistart(
+            problem,
+            control,
+            options,
+            self.label(),
+            cold_scale=self._cold_scale,
+            warm_scale=None,
+            descend=lambda points, counters: self._descend(problem, control, points, counters),
+            trigger=None,
+            size_details=False,
         )

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Mapping
@@ -40,11 +41,11 @@ class SolverOptions:
     verbose:
         Whether to print progress information.
     time_limit:
-        Wall-clock limit in seconds.  Enforced *inside* each restart's
-        iteration loop — the evaluation closures check a
-        :class:`~repro.solvers.problem.Deadline` on every call — as well as
-        between restarts, so a solve never overshoots the budget by more than
-        one constraint evaluation.
+        Wall-clock limit in seconds (``None``: no limit).  The batched
+        engines check a :class:`~repro.solvers.problem.Deadline` once per
+        batched iteration, so a solve overshoots the budget by at most one
+        batched iteration: one Jacobian fill and its CG solve, or one
+        L-BFGS step with its line search.
     stop_at_objective:
         Stop restarting as soon as a feasible point with an objective value at
         or below this threshold has been found (the objectives used for weak
@@ -53,10 +54,8 @@ class SolverOptions:
         How the multi-start solvers walk the restart axis.  ``"on"`` (the
         default) iterates all restarts as one vectorised batch with survivor
         masks; ``"rows"`` runs the same batched engine one restart at a time
-        (the sequential loop — the differential-test oracle: same-seed
-        ``"on"``/``"rows"`` runs produce the same winning assignment
-        fingerprint); ``"off"`` selects the retired per-restart SciPy path
-        (the perf baseline of the ``--min-batch-speedup`` gate).
+        (the determinism oracle: same-seed ``"on"``/``"rows"`` runs produce
+        the same winning assignment fingerprint).
     """
 
     max_iterations: int = 400
@@ -70,10 +69,32 @@ class SolverOptions:
     batch: str = "on"
 
     def __post_init__(self) -> None:
-        if self.batch not in ("on", "rows", "off"):
+        # Validation only, never normalisation: ``repr`` feeds the store keys.
+        for name in ("max_iterations", "restarts", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+        if self.restarts < 1:
+            raise ValueError(f"restarts must be at least 1, got {self.restarts!r}")
+        if self.max_iterations < 0:
+            raise ValueError(f"max_iterations must be non-negative, got {self.max_iterations!r}")
+        if not _finite(self.tolerance) or self.tolerance <= 0:
+            raise ValueError(f"tolerance must be a positive finite number, got {self.tolerance!r}")
+        if not _finite(self.strict_margin) or self.strict_margin < 0:
             raise ValueError(
-                f"batch must be one of 'on', 'rows', 'off'; got {self.batch!r}"
+                f"strict_margin must be a non-negative finite number, got {self.strict_margin!r}"
             )
+        if self.time_limit is not None and (not _finite(self.time_limit) or self.time_limit <= 0):
+            raise ValueError(
+                f"time_limit must be a positive finite number of seconds or None, got {self.time_limit!r}"
+            )
+        if self.batch not in ("on", "rows"):
+            raise ValueError(f"batch must be one of 'on', 'rows'; got {self.batch!r}")
+
+
+def _finite(value) -> bool:
+    """Whether ``value`` is a finite real number (bools excluded)."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
 
 
 @dataclass
@@ -85,7 +106,8 @@ class SolverResult:
     counts ``k``), so they stay comparable across batch modes;
     ``batch_width`` is the most live restart members any one batched kernel
     call carried (1 in ``"rows"`` mode or when the leader wave wins alone, 0
-    on the legacy ``"off"`` path).
+    when no batched kernel ran: trivial systems and Gauss-Newton's
+    unconstrained shortcut).
     """
 
     assignment: Mapping[str, float] | None

@@ -12,14 +12,14 @@ member ``i`` uses only member ``i``'s row of the batched kernel outputs, and
 the batched kernels themselves are row-independent.  A member's trajectory
 is therefore bit-identical whether it iterates alone (``batch="rows"``) or
 inside a width-``k`` batch (``batch="on"``) — which is what lets
-:func:`winning_member` replay the retired sequential restart loop's
+:func:`winning_member` replay a sequential restart loop's
 first-feasible-wins semantics over batch results and produce the same
 winning assignment fingerprint.
 
 Deadline / cancellation checks (:meth:`SolveControl.should_stop`) happen
-once per batched iteration — the same overshoot bound as the per-evaluation
-closures of the legacy loops, since one batched iteration replaces ``k``
-scalar evaluations.
+once per batched iteration, so a solve overshoots its deadline by at most
+one batched iteration: one Jacobian fill and its CG solve, or one L-BFGS
+step with its line search.
 """
 
 from __future__ import annotations
@@ -46,8 +46,8 @@ class KernelCounters:
     """Kernel-evaluation accounting of one batched solve.
 
     Counts are in *member evaluations* — a width-``k`` batched kernel call on
-    ``k`` live members counts ``k``, so the numbers stay comparable with the
-    scalar loops they replace.  ``max_width`` is the most live members any
+    ``k`` live members counts ``k``, so the numbers stay comparable across
+    batch widths.  ``max_width`` is the most live members any
     one kernel call carried: the batch width actually iterated.
     """
 
@@ -87,8 +87,8 @@ def start_batch(
     a deterministic function of the seed, independent of batch width); when
     the portfolio's warm-start exchange holds a best-known point and
     ``warm_scale`` is given, the odd rows are re-seeded as perturbations of
-    it — the batched counterpart of the legacy loop's "exploit on odd
-    attempts" policy, resolved once at batch construction.
+    it — an "exploit on odd attempts" policy, resolved once at batch
+    construction.
     """
     scales = np.array([cold_scale(i) for i in range(restarts)], dtype=float)
     points = problem.initial_points(rng, scales)
@@ -113,7 +113,7 @@ def winning_member(
 
     Scans members in ascending index order with the shared :func:`improves`
     ordering, stopping as soon as the running best satisfies ``trigger`` —
-    exactly when the retired ``for attempt in range(restarts)`` loop broke.
+    exactly where the one-restart-at-a-time loop (``batch="rows"``) breaks.
     Returns ``(best_index, members_consumed)``; members past the stop point
     are ignored, which is what makes the batched winner identical to the
     sequential one.

@@ -135,7 +135,6 @@ class PortfolioSolver(Solver):
         options: SolverOptions | None = None,
         strategies: Sequence[str] = DEFAULT_PORTFOLIO,
         executor: str = "auto",
-        stop_on_feasible: bool = True,
     ):
         super().__init__(options)
         if not strategies:
@@ -154,7 +153,6 @@ class PortfolioSolver(Solver):
             raise SynthesisError(f"unknown executor {executor!r}; known executors: {', '.join(EXECUTORS)}")
         self.strategies = tuple(strategies)
         self.executor = executor
-        self.stop_on_feasible = stop_on_feasible
 
     # -- strategy construction -----------------------------------------------------
 
@@ -184,7 +182,7 @@ class PortfolioSolver(Solver):
             control = SolveControl(
                 deadline=Deadline.after(self.options.time_limit),
                 tolerance=self.options.tolerance,
-                stop_on_feasible=self.stop_on_feasible,
+                stop_on_feasible=True,
             )
         executor = self._resolved_executor()
         if executor == "thread":

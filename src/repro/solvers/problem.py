@@ -17,9 +17,10 @@ every solver consumes the compiled form:
 * the lowered objective and its gradient.
 
 The module also defines the solve-time control plane: :class:`Deadline` (a
-wall-clock budget checked *inside* iteration loops, not just between
-restarts) and :class:`SolveControl` (shared cancellation, best-known-point
-exchange and first-feasible-wins signalling for the solver portfolio).
+wall-clock budget the batched engines check once per batched iteration, not
+just between restarts) and :class:`SolveControl` (shared cancellation,
+best-known-point exchange and first-feasible-wins signalling for the solver
+portfolio).
 """
 
 from __future__ import annotations
@@ -42,16 +43,8 @@ from repro.polynomial.compiled import lower_quadratic
 from repro.polynomial.polynomial import Polynomial
 
 
-class SolverInterrupted(RuntimeError):
-    """Raised inside solver iteration loops when the solve must stop now.
-
-    Carries no payload: the raising closure records the last iterate it saw,
-    and the catching solver keeps the best point found so far.
-    """
-
-
 class Deadline:
-    """A wall-clock budget usable from the innermost evaluation closures.
+    """A wall-clock budget, cheap enough to check on every batched iteration.
 
     ``Deadline.after(None)`` never expires, so solvers can check
     unconditionally without branching on whether a limit was configured.
@@ -125,11 +118,6 @@ class SolveControl:
 
     def should_stop(self) -> bool:
         return self._stop.is_set() or self.deadline.expired()
-
-    def interrupt_if_stopped(self) -> None:
-        """Raise :class:`SolverInterrupted` when the solve must end (call from closures)."""
-        if self.should_stop():
-            raise SolverInterrupted()
 
     def stop(self) -> None:
         self._stop.set()
@@ -536,6 +524,13 @@ class CompiledProblem:
         return self.apply_role_floors_batch(jittered)
 
     def apply_role_floors_batch(self, points: np.ndarray) -> np.ndarray:
+        """Lift every row's witnesses and Cholesky diagonals off zero, in place.
+
+        Witness unknowns start comfortably above the strict margin and the
+        diagonal entries of the Cholesky factors start slightly positive,
+        which keeps the first penalty evaluations away from degenerate
+        stationary points.
+        """
         points[:, self.witness_mask] = np.maximum(
             points[:, self.witness_mask], 10 * self.strict_margin
         )
@@ -543,30 +538,6 @@ class CompiledProblem:
             np.abs(points[:, self.cholesky_diagonal_mask]) + 1e-3
         )
         return points
-
-    def initial_point(self, rng: np.random.Generator, scale: float) -> np.ndarray:
-        """A restart's starting point: optional Gaussian spread plus role floors.
-
-        Witness unknowns start comfortably above the strict margin and the
-        diagonal entries of the Cholesky factors start slightly positive, which
-        keeps the first penalty evaluations away from degenerate stationary
-        points.
-        """
-        if scale:
-            point = rng.normal(0.0, scale, size=self.dimension)
-        else:
-            point = np.zeros(self.dimension)
-        return self.apply_role_floors(point)
-
-    def perturbed(self, point: np.ndarray, rng: np.random.Generator, scale: float) -> np.ndarray:
-        """A warm-start restart: jitter an existing point and re-apply role floors."""
-        jittered = point + rng.normal(0.0, scale, size=self.dimension)
-        return self.apply_role_floors(jittered)
-
-    def apply_role_floors(self, point: np.ndarray) -> np.ndarray:
-        point[self.witness_mask] = np.maximum(point[self.witness_mask], 10 * self.strict_margin)
-        point[self.cholesky_diagonal_mask] = np.abs(point[self.cholesky_diagonal_mask]) + 1e-3
-        return point
 
     # -- conversions -----------------------------------------------------------------
 

@@ -10,17 +10,16 @@ over an increasing penalty schedule ``rho``, with analytic gradients from the
 shared :class:`~repro.solvers.problem.CompiledProblem` IR and several random
 restarts.  :class:`GaussNewtonSolver` is the cheap pure-feasibility strategy
 of the portfolio: it skips the penalty schedule entirely and drives the
-residuals to zero with sparse trust-region least squares.  Both enforce
-``SolverOptions.time_limit`` *inside* their iteration loops through
-:class:`~repro.solvers.problem.SolveControl` deadline checks, honour
-portfolio cancellation, and can seed restarts from the portfolio's
-best-known point.
+residuals to zero with batched Levenberg–Marquardt.  Both run on the batched
+engines of :mod:`repro.solvers.batched`, which check the
+:class:`~repro.solvers.problem.SolveControl` deadline and portfolio
+cancellation once per batched iteration, and both can seed restarts from the
+portfolio's best-known point.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy import optimize
 
 from repro.solvers.base import Solver, SolverResult
 from repro.solvers.batched import (
@@ -30,117 +29,22 @@ from repro.solvers.batched import (
     batched_penalty_descent,
     run_multistart,
 )
-from repro.solvers.problem import (
-    CompiledProblem,
-    Deadline,
-    SolveControl,
-    SolverInterrupted,
-    improves,
-)
+from repro.solvers.problem import CompiledProblem, Deadline, SolveControl
+
+#: The penalty solver's rho stages, lowest first.
+_PENALTY_SCHEDULE = (1.0, 10.0, 100.0, 1_000.0, 10_000.0)
 
 
 def _trivial_result() -> SolverResult:
     return SolverResult(assignment={}, status="trivial", objective_value=0.0, max_violation=0.0)
 
 
-class _BestTracker:
-    """Track the best point seen by one solver, mirroring reports to the control."""
-
-    def __init__(self, control: SolveControl, tolerance: float, strategy: str):
-        self.control = control
-        self.tolerance = tolerance
-        self.strategy = strategy
-        self.point: np.ndarray | None = None
-        self.violation = np.inf
-        self.objective = np.inf
-
-    def offer(self, point: np.ndarray, violation: float, objective: float) -> None:
-        if improves(self.violation, self.objective, violation, objective, self.tolerance):
-            self.point = point.copy()
-            self.violation = violation
-            self.objective = objective
-        self.control.report(point, violation, objective, strategy=self.strategy)
-
-    @property
-    def feasible(self) -> bool:
-        return self.violation <= self.tolerance
-
-
-def _restart_point(
-    problem: CompiledProblem,
-    control: SolveControl,
-    rng: np.random.Generator,
-    attempt: int,
-    cold_scale: float,
-    warm_scale: float,
-) -> np.ndarray:
-    """Start from the portfolio's best-known point on odd attempts, else cold-start.
-
-    Alternating keeps the exploration of independent random restarts while
-    still exploiting whatever the portfolio (or this solver's earlier
-    restarts) already found.  The jitter scale grows with ``attempt + 1`` so
-    the first warm restart is already perturbed — a zero scale would
-    duplicate the warm point exactly and waste the restart.
-    """
-    if attempt % 2 == 1:
-        warm = control.warm_start()
-        if warm is not None:
-            return problem.perturbed(warm, rng, warm_scale * (attempt + 1))
-    return problem.initial_point(rng, cold_scale)
-
-
 class PenaltyQCLPSolver(Solver):
     """Quadratic-penalty solver with random restarts (the default Step-4 back-end)."""
 
-    def __init__(
-        self,
-        options=None,
-        penalty_schedule: tuple[float, ...] = (1.0, 10.0, 100.0, 1_000.0, 10_000.0),
-        objective_weight: float = 1.0,
-        polish_iterations: int = 1000,
-    ):
+    def __init__(self, options=None, objective_weight: float = 1.0):
         super().__init__(options)
-        self.penalty_schedule = penalty_schedule
         self.objective_weight = objective_weight
-        self.polish_iterations = polish_iterations
-
-    def _polish(
-        self, problem: CompiledProblem, point: np.ndarray, control: SolveControl
-    ) -> tuple[np.ndarray, int, int]:
-        """Drive the residuals to zero with a sparse Gauss-Newton (least-squares) phase."""
-        latest = point
-
-        def residuals(x: np.ndarray) -> np.ndarray:
-            nonlocal latest
-            control.interrupt_if_stopped()
-            latest = x
-            return problem.residuals(x)
-
-        try:
-            result = optimize.least_squares(
-                fun=residuals,
-                x0=point,
-                jac=problem.residual_jacobian,
-                method="trf",
-                tr_solver="lsmr" if problem.dimension > 2 else None,
-                max_nfev=self.polish_iterations,
-                xtol=1e-14,
-                ftol=1e-14,
-                gtol=1e-14,
-            )
-        except SolverInterrupted:
-            candidate = np.asarray(latest, dtype=float)
-            if problem.max_violation(candidate) <= problem.max_violation(point):
-                return candidate, 0, 0
-            return point, 0, 0
-        except Exception:  # pragma: no cover - scipy edge cases on degenerate systems
-            return point, 0, 0
-        nfev, njev = int(result.nfev), int(getattr(result, "njev", 0) or 0)
-        if problem.max_violation(result.x) <= problem.max_violation(point):
-            return result.x, nfev, njev
-        return point, nfev, njev
-
-    # -- batched restart axis (batch="on"/"rows") --------------------------------------
 
     def _cold_scale(self, attempt: int) -> float:
         # The very first restart of the default seed starts from the origin (good
@@ -170,9 +74,8 @@ class PenaltyQCLPSolver(Solver):
         systems — the penalty schedule is not the tool for it).  Phase B
         minimises the penalty merit under the rho schedule with per-member
         stages: a member leaves the schedule as soon as a finished rho phase
-        leaves it feasible, exactly like the sequential loop's in-schedule
-        break.  Phase C re-runs the sprint on members the schedule left
-        infeasible (the legacy polish).
+        leaves it feasible.  Phase C re-runs the sprint on members the
+        schedule left infeasible (the polish).
         """
         options = self.options
         tolerance = options.tolerance
@@ -195,7 +98,7 @@ class PenaltyQCLPSolver(Solver):
             return BatchDescent(x, iterations, True)
 
         members = x.shape[0]
-        schedule = np.asarray(self.penalty_schedule, dtype=float)
+        schedule = np.asarray(_PENALTY_SCHEDULE, dtype=float)
         finished = np.zeros(members, dtype=bool)
         #: Members the sequential loop would never have started: once a lower
         #: member completes its pipeline satisfying the win trigger, the fold
@@ -280,121 +183,20 @@ class PenaltyQCLPSolver(Solver):
             )
         if problem.dimension == 0:
             return _trivial_result()
-        if options.batch != "off":
-            return run_multistart(
-                problem,
-                control,
-                options,
-                self.label(),
-                cold_scale=self._cold_scale,
-                warm_scale=lambda attempt: 0.05 * (attempt + 1),
-                descend=lambda points, counters: self._descend(problem, control, points, counters),
-                trigger=self._win_trigger(),
-            )
-        return self._solve_sequential(problem, control)
-
-    def _solve_sequential(
-        self, problem: CompiledProblem, control: SolveControl
-    ) -> SolverResult:
-        """The retired per-restart SciPy loop (``batch="off"``, the perf baseline)."""
-        options = self.options
-        rng = np.random.default_rng(options.seed)
-        best = _BestTracker(control, options.tolerance, self.label())
-        iterations = 0
-        restarts_used = 0
-        residual_evaluations = 0
-        jacobian_evaluations = 0
-        interrupted = False
-
-        for attempt in range(options.restarts):
-            if control.should_stop():
-                interrupted = True
-                break
-            restarts_used += 1
-            cold_scale = self._cold_scale(attempt)
-            point = _restart_point(problem, control, rng, attempt, cold_scale, warm_scale=0.05)
-
-            latest = point
-            for rho in self.penalty_schedule:
-                def fun(x: np.ndarray, rho: float = rho) -> float:
-                    nonlocal latest
-                    control.interrupt_if_stopped()
-                    latest = x
-                    return problem.penalty(x, rho, self.objective_weight)
-
-                def jac(x: np.ndarray, rho: float = rho) -> np.ndarray:
-                    return problem.penalty_gradient(x, rho, self.objective_weight)
-
-                try:
-                    result = optimize.minimize(
-                        fun=fun,
-                        x0=point,
-                        jac=jac,
-                        method="L-BFGS-B",
-                        options={"maxiter": options.max_iterations, "ftol": 1e-12, "gtol": 1e-10},
-                    )
-                except SolverInterrupted:
-                    point = np.asarray(latest, dtype=float)
-                    interrupted = True
-                    break
-                point = result.x
-                iterations += int(result.nit)
-                residual_evaluations += int(result.nfev)
-                jacobian_evaluations += int(getattr(result, "njev", 0))
-                if problem.max_violation(point) <= options.tolerance:
-                    break
-
-            if not interrupted and problem.max_violation(point) > options.tolerance:
-                point, polish_steps, polish_jacobians = self._polish(problem, point, control)
-                iterations += polish_steps
-                residual_evaluations += polish_steps
-                jacobian_evaluations += polish_jacobians
-
-            violation = problem.max_violation(point)
-            objective = problem.objective_value(point)
-            best.offer(point, violation, objective)
-            if options.verbose:
-                print(f"[qclp] restart {attempt}: violation={violation:.3g} objective={objective:.6g}")
-            if interrupted:
-                break
-            if best.feasible and (
-                self.objective_weight == 0.0 or best.objective <= options.stop_at_objective
-            ):
-                break
-
-        if best.point is None:
-            return SolverResult(
-                assignment=None,
-                status="no-progress",
-                iterations=iterations,
-                details={"timed_out": float(control.timed_out)},
-                strategy=self.label(),
-                residual_evaluations=residual_evaluations,
-                jacobian_evaluations=jacobian_evaluations,
-            )
-
-        feasible = best.feasible
-        status = "optimal" if feasible else "infeasible-best-effort"
-        return SolverResult(
-            assignment=problem.assignment(best.point) if feasible else None,
-            status=status,
-            objective_value=best.objective,
-            max_violation=best.violation,
-            iterations=iterations,
-            restarts_used=restarts_used,
-            details={
-                "dimension": float(problem.dimension),
-                "constraints": float(problem.row_count),
-                "timed_out": float(control.timed_out),
-            },
-            strategy=self.label(),
-            residual_evaluations=residual_evaluations,
-            jacobian_evaluations=jacobian_evaluations,
+        return run_multistart(
+            problem,
+            control,
+            options,
+            self.label(),
+            cold_scale=self._cold_scale,
+            warm_scale=lambda attempt: 0.05 * (attempt + 1),
+            descend=lambda points, counters: self._descend(problem, control, points, counters),
+            trigger=self._win_trigger(),
         )
 
 
 class GaussNewtonSolver(Solver):
-    """Pure-feasibility strategy: sparse trust-region least squares on the residuals.
+    """Pure-feasibility strategy: Levenberg–Marquardt least squares on the residuals.
 
     This is the cheapest certificate in the portfolio: no penalty schedule, no
     objective tracking — just drive all residuals to zero from a few starting
@@ -403,10 +205,6 @@ class GaussNewtonSolver(Solver):
     exactly what first-feasible-wins racing exploits.
     """
 
-    def __init__(self, options=None, max_nfev: int | None = None):
-        super().__init__(options)
-        self.max_nfev = max_nfev
-
     def _cold_scale(self, attempt: int) -> float:
         # Restart 0 deliberately starts at the deterministic role-floor
         # origin under every seed: the structured Step-3 systems often solve
@@ -414,9 +212,6 @@ class GaussNewtonSolver(Solver):
         # seed) counts on the structured solutions it yields.  Later restarts
         # jitter with strictly growing scales, so no two batch rows coincide.
         return 0.2 * attempt
-
-    def _budget(self) -> int:
-        return self.max_nfev if self.max_nfev is not None else max(self.options.max_iterations, 50)
 
     def _descend(
         self,
@@ -431,7 +226,7 @@ class GaussNewtonSolver(Solver):
             points,
             control=control,
             counters=counters,
-            max_iterations=self._budget(),
+            max_iterations=max(self.options.max_iterations, 50),
             target=max(tolerance * 1e-3, 1e-12),
             win_tolerance=tolerance,
         )
@@ -447,7 +242,7 @@ class GaussNewtonSolver(Solver):
         if problem.dimension == 0:
             return _trivial_result()
         if problem.row_count == 0:
-            point = problem.initial_point(np.random.default_rng(options.seed), 0.0)
+            point = problem.apply_role_floors_batch(np.zeros((1, problem.dimension)))[0]
             return SolverResult(
                 assignment=problem.assignment(point),
                 status="optimal",
@@ -455,100 +250,13 @@ class GaussNewtonSolver(Solver):
                 max_violation=0.0,
                 strategy=self.label(),
             )
-        if options.batch != "off":
-            return run_multistart(
-                problem,
-                control,
-                options,
-                self.label(),
-                cold_scale=self._cold_scale,
-                warm_scale=lambda attempt: 0.1 * (attempt + 1),
-                descend=lambda points, counters: self._descend(problem, control, points, counters),
-                trigger=lambda violation, objective: violation <= options.tolerance,
-            )
-        return self._solve_sequential(problem, control)
-
-    def _solve_sequential(
-        self, problem: CompiledProblem, control: SolveControl
-    ) -> SolverResult:
-        """The retired per-restart SciPy loop (``batch="off"``, the perf baseline)."""
-        options = self.options
-        rng = np.random.default_rng(options.seed)
-        best = _BestTracker(control, options.tolerance, self.label())
-        iterations = 0
-        restarts_used = 0
-        residual_evaluations = 0
-        jacobian_evaluations = 0
-        budget = self._budget()
-
-        for attempt in range(options.restarts):
-            if control.should_stop():
-                break
-            restarts_used += 1
-            cold_scale = self._cold_scale(attempt)
-            point = _restart_point(problem, control, rng, attempt, cold_scale, warm_scale=0.1)
-
-            latest = point
-
-            def residuals(x: np.ndarray) -> np.ndarray:
-                nonlocal latest
-                control.interrupt_if_stopped()
-                latest = x
-                return problem.residuals(x)
-
-            try:
-                result = optimize.least_squares(
-                    fun=residuals,
-                    x0=point,
-                    jac=problem.residual_jacobian,
-                    method="trf",
-                    tr_solver="lsmr" if problem.dimension > 2 else None,
-                    max_nfev=budget,
-                    xtol=1e-14,
-                    ftol=1e-14,
-                    gtol=1e-12,
-                )
-                point = result.x
-                iterations += int(result.nfev)
-                residual_evaluations += int(result.nfev)
-                jacobian_evaluations += int(getattr(result, "njev", 0) or 0)
-            except SolverInterrupted:
-                point = np.asarray(latest, dtype=float)
-            except Exception:  # pragma: no cover - scipy edge cases on degenerate systems
-                continue
-
-            violation = problem.max_violation(point)
-            objective = problem.objective_value(point)
-            best.offer(point, violation, objective)
-            if options.verbose:
-                print(f"[gn] restart {attempt}: violation={violation:.3g}")
-            if best.feasible or control.should_stop():
-                break
-
-        if best.point is None:
-            return SolverResult(
-                assignment=None,
-                status="no-progress",
-                iterations=iterations,
-                details={"timed_out": float(control.timed_out)},
-                strategy=self.label(),
-                residual_evaluations=residual_evaluations,
-                jacobian_evaluations=jacobian_evaluations,
-            )
-        feasible = best.feasible
-        return SolverResult(
-            assignment=problem.assignment(best.point) if feasible else None,
-            status="optimal" if feasible else "infeasible-best-effort",
-            objective_value=best.objective,
-            max_violation=best.violation,
-            iterations=iterations,
-            restarts_used=restarts_used,
-            details={
-                "dimension": float(problem.dimension),
-                "constraints": float(problem.row_count),
-                "timed_out": float(control.timed_out),
-            },
-            strategy=self.label(),
-            residual_evaluations=residual_evaluations,
-            jacobian_evaluations=jacobian_evaluations,
+        return run_multistart(
+            problem,
+            control,
+            options,
+            self.label(),
+            cold_scale=self._cold_scale,
+            warm_scale=lambda attempt: 0.1 * (attempt + 1),
+            descend=lambda points, counters: self._descend(problem, control, points, counters),
+            trigger=lambda violation, objective: violation <= options.tolerance,
         )

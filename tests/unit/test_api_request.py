@@ -126,6 +126,13 @@ def test_negative_deadline_is_rejected():
     assert any(entry["field"] == "deadline" for entry in info.value.errors)
 
 
+@pytest.mark.parametrize("deadline", [float("inf"), float("nan")])
+def test_non_finite_deadline_is_rejected(deadline):
+    with pytest.raises(RequestValidationError) as info:
+        SynthesisRequest(program=SUM.source, deadline=deadline)
+    assert any(entry["field"] == "deadline" for entry in info.value.errors)
+
+
 def test_multiple_violations_are_all_reported():
     with pytest.raises(RequestValidationError) as info:
         SynthesisRequest(program="", mode="nope", deadline=0)
@@ -148,6 +155,35 @@ def test_from_dict_rejects_unknown_option_fields(field):
     with pytest.raises(RequestValidationError) as info:
         SynthesisRequest.from_dict(payload)
     assert any(entry["field"] == "options" for entry in info.value.errors)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("restarts", "3"),
+        ("restarts", True),
+        ("restarts", -2),
+        ("restarts", 0),
+        ("max_iterations", 2.5),
+        ("max_iterations", -1),
+        ("seed", 1.5),
+        ("tolerance", -1.0),
+        ("tolerance", 0.0),
+        ("tolerance", float("nan")),
+        ("strict_margin", -1e-4),
+        ("strict_margin", float("inf")),
+        ("time_limit", -1),
+        ("time_limit", 0),
+        ("time_limit", float("inf")),
+        ("batch", "off"),
+    ],
+)
+def test_from_dict_rejects_invalid_solver_option_values(field, value):
+    payload = sum_request().to_dict()
+    payload["solver_options"][field] = value
+    with pytest.raises(RequestValidationError) as info:
+        SynthesisRequest.from_dict(payload)
+    assert [entry["field"] for entry in info.value.errors] == ["solver_options"]
 
 
 def test_from_json_rejects_invalid_json_and_non_objects():
