@@ -18,7 +18,6 @@ fan their solves out across the engine's process pool.
 from repro.bench.runner import (
     Measurement,
     bench_engine,
-    default_bench_solver,
     measure_benchmark,
     measure_many,
     measurement_from_response,
@@ -29,7 +28,6 @@ from repro.bench.tables import render_measurements, render_table1, table_rows
 __all__ = [
     "Measurement",
     "bench_engine",
-    "default_bench_solver",
     "measure_benchmark",
     "measure_many",
     "measurement_from_response",

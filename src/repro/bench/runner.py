@@ -21,7 +21,6 @@ from repro.invariants.synthesis import SynthesisOptions
 from repro.pipeline.jobs import job_from_benchmark
 from repro.reduction import EscalationTrace
 from repro.solvers.base import Solver, SolverOptions
-from repro.solvers.qclp import PenaltyQCLPSolver
 from repro.suite.base import Benchmark
 
 
@@ -65,11 +64,6 @@ class Measurement:
 def bench_solver_options() -> SolverOptions:
     """The short solve budget used when measuring with ``solve=True``."""
     return SolverOptions(restarts=1, max_iterations=200, time_limit=60.0)
-
-
-def default_bench_solver() -> Solver:
-    """The short-budget Step-4 solver used when measuring with ``solve=True``."""
-    return PenaltyQCLPSolver(bench_solver_options())
 
 
 def bench_engine(workers: int = 0, solver: Solver | None = None) -> Engine:
@@ -297,7 +291,6 @@ __all__ = [
     "Measurement",
     "bench_engine",
     "bench_solver_options",
-    "default_bench_solver",
     "job_from_benchmark",
     "measure_benchmark",
     "measure_many",

@@ -1,7 +1,7 @@
 """The sampling verification tier: the independent invariant checker.
 
 A synthesized invariant should never be trusted just because the solver said
-so.  This module re-validates a concrete invariant three ways:
+so.  This module re-validates a concrete invariant two ways:
 
 * **Simulation** — execute valid runs of the program and check the invariant
   at every visited stack element (Lemma 2.1 / 2.2 say an inductive invariant
@@ -11,9 +11,10 @@ so.  This module re-validates a concrete invariant three ways:
 * **Constraint-pair sampling** — rebuild the Step-2 constraint pairs with the
   *concrete* invariant substituted for the template and falsify the resulting
   implications on random valuations.
-* **Certificate search** (optional, slower) — look for an explicit Putinar/SOS
-  certificate of every concrete constraint pair via
-  :func:`repro.solvers.sdp.check_putinar_certificate`.
+
+Both can only refute.  Proof is the exact tier's job: it lifts the solver's
+multipliers to a rational Putinar/Handelman certificate and checks it by
+polynomial identity.
 
 All randomness flows from one explicit ``rng_seed`` through private
 :class:`random.Random` instances, so verification runs are reproducible.
@@ -87,14 +88,12 @@ class CheckReport:
     simulation_elements_checked: int = 0
     pair_samples: int = 0
     pairs_checked: int = 0
-    certificate_pairs_checked: int = 0
-    certificate_failures: list[str] = field(default_factory=list)
     violations: list[Violation] = field(default_factory=list)
 
     @property
     def passed(self) -> bool:
         """Whether no check produced a violation."""
-        return not self.violations and not self.certificate_failures
+        return not self.violations
 
     def summary(self) -> str:
         status = "PASS" if self.passed else "FAIL"
@@ -102,7 +101,6 @@ class CheckReport:
             f"{status}: {self.simulation_runs} runs "
             f"({self.simulation_elements_checked} states), "
             f"{self.pairs_checked} constraint pairs x {self.pair_samples} samples, "
-            f"{self.certificate_pairs_checked} certificates, "
             f"{len(self.violations)} violations"
         )
 
@@ -200,7 +198,7 @@ def derive_argument_sets(
 
 
 # ---------------------------------------------------------------------------
-# The three checking tiers
+# The two checks
 # ---------------------------------------------------------------------------
 
 
@@ -274,25 +272,6 @@ def _sample_pairs(
                 break
 
 
-def _check_certificates(
-    cfg: ProgramCFG,
-    precondition: Precondition,
-    invariant: Invariant,
-    report: CheckReport,
-    upsilon: int,
-    epsilon: float,
-) -> None:
-    from repro.solvers.sdp import check_putinar_certificate
-
-    adapter = _InvariantAsTemplates(invariant)
-    pairs = generate_constraint_pairs(cfg, precondition, adapter)  # type: ignore[arg-type]
-    for pair in pairs:
-        report.certificate_pairs_checked += 1
-        outcome = check_putinar_certificate(pair, upsilon=upsilon, epsilon=epsilon)
-        if not outcome.feasible:
-            report.certificate_failures.append(pair.name)
-
-
 def check_invariant(
     cfg: ProgramCFG,
     precondition: Precondition,
@@ -300,9 +279,6 @@ def check_invariant(
     argument_sets: Sequence[Mapping[str, Fraction | int | float]] = (),
     pair_samples: int = 50,
     sample_range: float = 25.0,
-    with_certificates: bool = False,
-    upsilon: int = 2,
-    epsilon: float = 1e-6,
     seed: int = 0,
     max_steps: int = 5000,
     rng_seed: int | None = None,
@@ -321,11 +297,8 @@ def check_invariant(
         is never silently skipped.
     pair_samples, sample_range:
         How many random valuations to throw at each concrete constraint pair,
-        and from what box.
-    with_certificates:
-        Also search for explicit SOS certificates (slow; use on small
-        programs or selected pairs).  For the exact, solver-free certificate
-        check see :func:`repro.certify.check_certificate`.
+        and from what box.  For the exact certificate check see
+        :func:`repro.certify.check_certificate`.
     rng_seed:
         Explicit seed of *all* randomness in this run (scheduler choices,
         derived arguments, pair-sample valuations); falls back to the legacy
@@ -348,6 +321,4 @@ def check_invariant(
         _sample_pairs(
             cfg, precondition, invariant, report, pair_samples, sample_range, effective_seed + 1
         )
-    if with_certificates:
-        _check_certificates(cfg, precondition, invariant, report, upsilon, epsilon)
     return report

@@ -65,10 +65,6 @@ class FunctionCFG:
         """All labels of a given class."""
         return [label for label in self.labels if label.kind is kind]
 
-    def statement_at(self, label: Label) -> Statement | None:
-        """The statement a label refers to (``None`` for the endpoint)."""
-        return self.statements.get(label)
-
     def __iter__(self) -> Iterator[Label]:
         return iter(self.labels)
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Iterator, Mapping
+from typing import Iterator, Mapping
 
 from repro.errors import SynthesisError
 from repro.invariants.template import UNKNOWN_PREFIX
@@ -194,10 +194,6 @@ class QuadraticSystem:
     def add_positive(self, polynomial: Polynomial, origin: str = "") -> None:
         """Add ``polynomial > 0``."""
         self.add(QuadraticConstraint(polynomial=polynomial, kind=ConstraintKind.POSITIVE, origin=origin))
-
-    def extend(self, constraints: Iterable[QuadraticConstraint]) -> None:
-        for constraint in constraints:
-            self.add(constraint)
 
     def merge(self, other: "QuadraticSystem") -> None:
         """Append all constraints (and pair provenance) of ``other`` to this system."""

@@ -17,16 +17,7 @@ Design notes
   the "equate coefficients of corresponding monomials" step of the paper.
 """
 
-from repro.polynomial.compiled import (
-    CompiledBlock,
-    CompiledPolynomial,
-    QuadraticTriplets,
-    coefficient_vector,
-    lower_block,
-    lower_coefficient_matrix,
-    lower_quadratic,
-    monomial_index,
-)
+from repro.polynomial.compiled import QuadraticTriplets, lower_quadratic
 from repro.polynomial.monomial import Monomial
 from repro.polynomial.ordering import (
     MonomialOrder,
@@ -39,33 +30,17 @@ from repro.polynomial.ordering import (
 )
 from repro.polynomial.parse import parse_polynomial
 from repro.polynomial.polynomial import Polynomial
-from repro.polynomial.sos import (
-    GramEncoding,
-    gram_matrix_encoding,
-    is_numerically_psd,
-    project_to_psd,
-    sos_basis,
-    sos_from_gram,
-)
+from repro.polynomial.sos import GramEncoding, gram_matrix_encoding, sos_basis
 
 __all__ = [
-    "CompiledBlock",
-    "CompiledPolynomial",
     "Monomial",
     "MonomialOrder",
     "Polynomial",
     "QuadraticTriplets",
-    "coefficient_vector",
-    "lower_block",
-    "lower_coefficient_matrix",
     "lower_quadratic",
-    "monomial_index",
     "GramEncoding",
     "gram_matrix_encoding",
     "sos_basis",
-    "sos_from_gram",
-    "is_numerically_psd",
-    "project_to_psd",
     "parse_polynomial",
     "lex_key",
     "grlex_key",

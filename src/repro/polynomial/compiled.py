@@ -2,20 +2,14 @@
 
 The exact :class:`~repro.polynomial.polynomial.Polynomial` representation is
 what Steps 1-3 need, but the Step-4 numeric solvers evaluate the same
-polynomials millions of times over float vectors.  This module lowers
-polynomials once into numpy arrays so that every subsequent evaluation is a
-handful of vectorised operations with no ``Fraction`` arithmetic at all:
+polynomials many times over float vectors, and Step 3 matches coefficients
+over thousands of terms.  This module lowers polynomials once into numpy
+arrays so that both loops run on integers and floats, never on ``Fraction``:
 
-* :class:`CompiledPolynomial` — one polynomial, dense exponent matrix; float
-  evaluation of single points and of batches of points.
-* :class:`CompiledBlock` — many polynomials sharing one variable order,
-  evaluated together with a single ``bincount`` reduction (this is what the
-  per-constraint loops of the solvers compile to).
 * :class:`QuadraticTriplets` / :func:`lower_quadratic` — the degree-<=2
-  special case used by the QCLP machinery: constants, linear triplets and
-  bilinear triplets, ready to be fed into sparse matrices.
-* :func:`lower_coefficient_matrix` — the dense coefficient-matching matrix of
-  the SOS feasibility solver, assembled in one pass.
+  Step-4 system split into constants, linear triplets and bilinear triplets,
+  from which :class:`~repro.solvers.problem.CompiledProblem` builds its
+  sparse residual, Jacobian and penalty kernels.
 * :class:`CoefficientPool` / :func:`lower_mixed` / :func:`lower_gram_triples` —
   the exact Step-3 lowering: mixed template polynomials become flat exponent
   matrices plus unknown-id and coefficient-pool-id columns, and the Gram/
@@ -54,8 +48,6 @@ def exponent_rows(
         rows.append(row)
     return np.asarray(rows, dtype=np.int64).reshape(len(rows), width)
 
-
-_exponent_rows = exponent_rows
 
 
 # Reserved slots shared by every pool: the coefficients that translation
@@ -195,112 +187,6 @@ def lower_gram_triples(dimension: int) -> tuple[np.ndarray, np.ndarray, np.ndarr
 
 
 @dataclass(frozen=True)
-class CompiledPolynomial:
-    """One polynomial lowered to ``coefficients @ prod(point**exponents)`` form."""
-
-    variables: tuple[str, ...]
-    coefficients: np.ndarray  # shape (terms,)
-    exponents: np.ndarray  # shape (terms, variables), int64
-
-    @staticmethod
-    def from_polynomial(
-        polynomial: Polynomial, variables: Sequence[str] | None = None
-    ) -> "CompiledPolynomial":
-        order = tuple(variables) if variables is not None else tuple(sorted(polynomial.variables()))
-        index = {name: position for position, name in enumerate(order)}
-        monomials = list(polynomial._terms)
-        coefficients = np.array(
-            [float(polynomial._terms[monomial]) for monomial in monomials], dtype=np.float64
-        )
-        exponents = _exponent_rows(monomials, index, len(order))
-        return CompiledPolynomial(variables=order, coefficients=coefficients, exponents=exponents)
-
-    @property
-    def term_count(self) -> int:
-        return int(self.coefficients.shape[0])
-
-    def evaluate(self, point: np.ndarray) -> float:
-        """Value at one point (a vector in this compilation's variable order)."""
-        if not self.term_count:
-            return 0.0
-        monomial_values = np.prod(np.asarray(point, dtype=np.float64) ** self.exponents, axis=1)
-        return float(self.coefficients @ monomial_values)
-
-    def evaluate_many(self, points: np.ndarray) -> np.ndarray:
-        """Values at a batch of points, shape ``(k, variables) -> (k,)``."""
-        points = np.asarray(points, dtype=np.float64)
-        if not self.term_count:
-            return np.zeros(points.shape[0])
-        powers = points[:, None, :] ** self.exponents[None, :, :]
-        return np.prod(powers, axis=2) @ self.coefficients
-
-    def evaluate_valuation(self, valuation: Mapping[str, float]) -> float:
-        """Value under a name-to-value mapping (missing names raise)."""
-        try:
-            point = np.array([float(valuation[name]) for name in self.variables])
-        except KeyError as exc:
-            raise PolynomialError(f"valuation is missing variable {exc.args[0]!r}") from exc
-        return self.evaluate(point)
-
-
-@dataclass(frozen=True)
-class CompiledBlock:
-    """Many polynomials over one shared variable order, evaluated together.
-
-    ``rows[t]`` is the polynomial a term belongs to; evaluation computes every
-    term's monomial value and reduces per row with ``bincount``.
-    """
-
-    variables: tuple[str, ...]
-    row_count: int
-    rows: np.ndarray  # shape (terms,), int64
-    coefficients: np.ndarray  # shape (terms,)
-    exponents: np.ndarray  # shape (terms, variables), int64
-
-    def evaluate_all(self, point: np.ndarray) -> np.ndarray:
-        """The value of every polynomial at ``point`` (shape ``(row_count,)``)."""
-        if not self.rows.size:
-            return np.zeros(self.row_count)
-        monomial_values = np.prod(np.asarray(point, dtype=np.float64) ** self.exponents, axis=1)
-        return np.bincount(
-            self.rows, weights=self.coefficients * monomial_values, minlength=self.row_count
-        )
-
-    def evaluate_assignment(self, assignment: Mapping[str, float]) -> np.ndarray:
-        """The value of every polynomial under a name-to-value mapping."""
-        point = np.array([float(assignment.get(name, 0.0)) for name in self.variables])
-        return self.evaluate_all(point)
-
-
-def lower_block(
-    polynomials: Sequence[Polynomial], variables: Sequence[str] | None = None
-) -> CompiledBlock:
-    """Compile many polynomials into one :class:`CompiledBlock`."""
-    if variables is None:
-        names: set[str] = set()
-        for polynomial in polynomials:
-            names.update(polynomial.variables())
-        variables = sorted(names)
-    order = tuple(variables)
-    index = {name: position for position, name in enumerate(order)}
-    rows: list[int] = []
-    coefficients: list[float] = []
-    monomials: list[Monomial] = []
-    for row, polynomial in enumerate(polynomials):
-        for monomial, coefficient in polynomial.items():
-            rows.append(row)
-            coefficients.append(float(coefficient))
-            monomials.append(monomial)
-    return CompiledBlock(
-        variables=order,
-        row_count=len(polynomials),
-        rows=np.asarray(rows, dtype=np.int64),
-        coefficients=np.asarray(coefficients, dtype=np.float64),
-        exponents=_exponent_rows(monomials, index, len(order)),
-    )
-
-
-@dataclass(frozen=True)
 class QuadraticTriplets:
     """Degree-<=2 polynomials split into constant, linear and bilinear parts.
 
@@ -369,41 +255,3 @@ def lower_quadratic(
         quad_right=np.asarray(quad_right, dtype=np.int64),
         quad_values=np.asarray(quad_values, dtype=np.float64),
     )
-
-
-def monomial_index(polynomials: Iterable[Polynomial]) -> dict[Monomial, int]:
-    """A deterministic index of every monomial occurring in ``polynomials``.
-
-    Iteration order of the inputs decides the index (first occurrence wins),
-    matching the historical behaviour of the SOS coefficient-matching setup.
-    """
-    index: dict[Monomial, int] = {}
-    for polynomial in polynomials:
-        for monomial in polynomial._terms:
-            if monomial not in index:
-                index[monomial] = len(index)
-    return index
-
-
-def lower_coefficient_matrix(
-    polynomials: Sequence[Polynomial], index: Mapping[Monomial, int]
-) -> np.ndarray:
-    """Dense ``(monomials, polynomials)`` coefficient matrix over ``index``.
-
-    Column ``j`` holds the coefficients of ``polynomials[j]`` with respect to
-    the monomial basis fixed by ``index`` — the linear coefficient-matching
-    system ``A x = b`` of the SOS feasibility solver.
-    """
-    matrix = np.zeros((len(index), len(polynomials)))
-    for column, polynomial in enumerate(polynomials):
-        for monomial, coefficient in polynomial.items():
-            matrix[index[monomial], column] += float(coefficient)
-    return matrix
-
-
-def coefficient_vector(polynomial: Polynomial, index: Mapping[Monomial, int]) -> np.ndarray:
-    """Dense coefficient vector of one polynomial over a monomial index."""
-    vector = np.zeros(len(index))
-    for monomial, coefficient in polynomial.items():
-        vector[index[monomial]] = float(coefficient)
-    return vector

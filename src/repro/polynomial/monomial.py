@@ -157,10 +157,6 @@ class Monomial:
         """Whether this is the constant monomial ``1``."""
         return not self._items
 
-    def is_univariate(self) -> bool:
-        """Whether at most one variable occurs."""
-        return len(self._items) <= 1
-
     def sort_key(self) -> tuple:
         """Graded-lexicographic key: first by total degree, then lexicographically."""
         return self._key

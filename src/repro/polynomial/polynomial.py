@@ -200,14 +200,6 @@ class Polynomial:
         """The coefficient of the constant monomial."""
         return self.coefficient(Monomial.one())
 
-    def is_linear(self) -> bool:
-        """Whether the total degree is at most 1."""
-        return self.degree() <= 1
-
-    def is_quadratic(self) -> bool:
-        """Whether the total degree is at most 2."""
-        return self.degree() <= 2
-
     def leading_term(
         self, variables: Sequence[str] | None = None, order: MonomialOrder = MonomialOrder.GRLEX
     ) -> tuple[Monomial, Fraction]:

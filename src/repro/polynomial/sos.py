@@ -4,18 +4,15 @@ The paper (Section 3.1, Theorems 3.4 and 3.5) reduces "``h`` is a sum of
 squares" to the existence of a symmetric positive-semidefinite Gram matrix
 ``Q`` with ``h = y^T Q y``, and then to the existence of a lower-triangular
 ``L`` with non-negative diagonal such that ``Q = L L^T``.  This module builds
-that encoding symbolically (with fresh *l-variables*) and provides the inverse
-direction: reconstructing an explicit SOS decomposition from a numeric Gram
-matrix, which the certificate checker uses.
+that encoding symbolically (with fresh *l-variables*) over the monomial basis
+``y`` of :func:`sos_basis`.  The inverse direction, from solved l-values back
+to a Gram matrix, is exact and lives in :mod:`repro.certify.lift`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
-from typing import Mapping, Sequence
-
-import numpy as np
+from typing import Sequence
 
 from repro.errors import PolynomialError
 from repro.polynomial.monomial import Monomial
@@ -114,81 +111,3 @@ def gram_matrix_encoding(
         diagonal_names=diagonal,
         polynomial=expansion,
     )
-
-
-def gram_polynomial(basis: Sequence[Monomial], gram: np.ndarray) -> Polynomial:
-    """The polynomial ``y^T Q y`` for a numeric symmetric matrix ``Q``."""
-    dimension = len(basis)
-    if gram.shape != (dimension, dimension):
-        raise PolynomialError(
-            f"Gram matrix shape {gram.shape} does not match basis of size {dimension}"
-        )
-    result = Polynomial.zero()
-    for i in range(dimension):
-        for j in range(dimension):
-            value = Fraction(float(gram[i, j])).limit_denominator(10**9)
-            if value:
-                result = result + Polynomial.from_monomial(basis[i] * basis[j], value)
-    return result
-
-
-def is_numerically_psd(matrix: np.ndarray, tolerance: float = 1e-8) -> bool:
-    """Whether a symmetric matrix is positive semidefinite up to ``tolerance``."""
-    if matrix.size == 0:
-        return True
-    symmetric = (matrix + matrix.T) / 2.0
-    eigenvalues = np.linalg.eigvalsh(symmetric)
-    return bool(eigenvalues.min() >= -tolerance)
-
-
-def project_to_psd(matrix: np.ndarray) -> np.ndarray:
-    """The nearest (Frobenius) positive-semidefinite matrix to ``matrix``."""
-    symmetric = (matrix + matrix.T) / 2.0
-    eigenvalues, eigenvectors = np.linalg.eigh(symmetric)
-    clipped = np.clip(eigenvalues, 0.0, None)
-    return (eigenvectors * clipped) @ eigenvectors.T
-
-
-def sos_from_gram(
-    basis: Sequence[Monomial], gram: np.ndarray, tolerance: float = 1e-8
-) -> list[Polynomial]:
-    """Extract an explicit SOS decomposition from a numeric Gram matrix.
-
-    Returns polynomials ``f_1 .. f_k`` (with float-derived rational
-    coefficients) such that ``sum f_j**2`` approximately equals
-    ``y^T Q y``.  Raises :class:`PolynomialError` when the matrix is not PSD
-    within ``tolerance``.
-    """
-    symmetric = (gram + gram.T) / 2.0
-    if symmetric.size == 0:
-        return []
-    eigenvalues, eigenvectors = np.linalg.eigh(symmetric)
-    if eigenvalues.min() < -tolerance:
-        raise PolynomialError(
-            f"Gram matrix is not positive semidefinite (min eigenvalue {eigenvalues.min():.3e})"
-        )
-    squares: list[Polynomial] = []
-    for value, vector in zip(eigenvalues, eigenvectors.T):
-        if value <= tolerance:
-            continue
-        scale = float(np.sqrt(value))
-        combination = Polynomial.zero()
-        for coefficient, monomial in zip(vector, basis):
-            weight = Fraction(scale * float(coefficient)).limit_denominator(10**9)
-            if weight:
-                combination = combination + Polynomial.from_monomial(monomial, weight)
-        if not combination.is_zero():
-            squares.append(combination)
-    return squares
-
-
-def evaluate_encoding(
-    encoding: GramEncoding, l_values: Mapping[str, float]
-) -> np.ndarray:
-    """Build the numeric Gram matrix ``L L^T`` from values of the l-variables."""
-    dimension = encoding.dimension
-    lower = np.zeros((dimension, dimension))
-    for row in range(dimension):
-        for col in range(row + 1):
-            lower[row, col] = float(l_values.get(encoding.l_variable_names[row][col], 0.0))
-    return lower @ lower.T

@@ -108,6 +108,13 @@ class SynthesisOptions:
             )
         if isinstance(self.max_degree, bool) or not isinstance(self.max_degree, int) or self.max_degree < 1:
             raise SynthesisError(f"max_degree must be a positive integer, got {self.max_degree!r}")
+        for name, least in (("conjuncts", 1), ("upsilon", 0), ("bound", 1)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int) or value < least:
+                raise SynthesisError(f"{name} must be an integer >= {least}, got {value!r}")
+        for name in ("add_entry_assumptions", "bounded", "with_witness", "encode_sos"):
+            if not isinstance(getattr(self, name), bool):
+                raise SynthesisError(f"{name} must be a boolean, got {getattr(self, name)!r}")
         if self.translation not in ("putinar", "handelman"):
             raise SynthesisError(f"unknown translation {self.translation!r}")
         object.__setattr__(self, "portfolio", tuple(self.portfolio))

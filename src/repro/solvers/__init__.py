@@ -26,14 +26,15 @@ compiled problem IR:
 * :class:`~repro.solvers.portfolio.PortfolioSolver` — races a configurable
   strategy list on one compiled problem with a shared deadline,
   first-feasible-wins cancellation and warm-start exchange.
-* :mod:`repro.solvers.sdp` — sum-of-squares feasibility for *fixed* template
-  coefficients via alternating projections onto the PSD cone; used by the
-  certificate checker.
 * :class:`~repro.solvers.strong.RepresentativeEnumerator` — the practical
   substitute for the Grigor'ev–Vorobjov procedure of Strong synthesis:
   multi-start search plus solution clustering.
 * :mod:`repro.solvers.farkas` — the linear baseline in the spirit of
   [Colón et al. 2003] used for comparison experiments.
+
+The solvers only propose: a numeric assignment counts as an invariant once
+:mod:`repro.certify` lifts its multipliers to an exact rational Putinar (or
+Handelman) certificate and checks that identity without floats.
 """
 
 from repro.solvers.alternating import AlternatingSolver
@@ -62,7 +63,6 @@ from repro.solvers.problem import (
     compile_problem,
 )
 from repro.solvers.qclp import GaussNewtonSolver, PenaltyQCLPSolver
-from repro.solvers.sdp import SOSFeasibilityResult, check_putinar_certificate, solve_sos_feasibility
 from repro.solvers.strong import RepresentativeEnumerator
 
 __all__ = [
@@ -76,7 +76,6 @@ __all__ = [
     "PenaltyQCLPSolver",
     "PortfolioSolver",
     "RepresentativeEnumerator",
-    "SOSFeasibilityResult",
     "STRATEGIES",
     "SolveControl",
     "Solver",
@@ -84,13 +83,11 @@ __all__ = [
     "SolverResult",
     "batched_least_squares",
     "batched_penalty_descent",
-    "check_putinar_certificate",
     "compile_problem",
     "farkas_translate",
     "linear_baseline_system",
     "make_solver",
     "run_multistart",
-    "solve_sos_feasibility",
     "start_batch",
     "strategy_names",
     "winning_member",

@@ -2,8 +2,9 @@
 
 Covers the certificate-carrying response contract: the running example and
 two recursive suite programs produce certificates that survive the JSON round
-trip and re-validate independently, and a deliberately crippled first solve
-demonstrably goes through a repair round to a verified result.
+trip and re-validate independently, under the Putinar and the Handelman
+encoding, and a deliberately crippled first solve demonstrably goes through a
+repair round to a verified result.
 """
 
 import dataclasses
@@ -36,12 +37,18 @@ def _exact_request(benchmark, **option_overrides) -> SynthesisRequest:
 
 
 @pytest.mark.parametrize(
-    "name", ["sum", "recursive-sum", "recursive-square-sum"]
+    "name, translation",
+    [
+        pytest.param("sum", "putinar", id="sum"),
+        pytest.param("recursive-sum", "putinar", id="recursive-sum"),
+        pytest.param("recursive-square-sum", "putinar", id="recursive-square-sum"),
+        pytest.param("sum", "handelman", id="sum-handelman"),
+    ],
 )
-def test_exact_verification_round_trip(name):
+def test_exact_verification_round_trip(name, translation):
     benchmark = RUNNING_EXAMPLE if name == "sum" else get_benchmark(name)
     with Engine() as engine:
-        response = engine.synthesize(_exact_request(benchmark))
+        response = engine.synthesize(_exact_request(benchmark, translation=translation))
     assert response.status == "ok", response.error
     assert response.verification is not None
     assert response.verification["verified"] is True
@@ -51,6 +58,7 @@ def test_exact_verification_round_trip(name):
     # and re-validates from scratch, bound to the task's proof obligations.
     wire = SynthesisResponse.from_json(response.to_json())
     certificate = Certificate.from_dict(wire.certificate)
+    assert certificate.scheme == translation
     check = check_certificate(certificate, task=response.task)
     assert check.ok, check.summary()
     assert check.pairs_checked == len(response.task.pairs)

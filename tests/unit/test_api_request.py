@@ -186,6 +186,32 @@ def test_from_dict_rejects_invalid_solver_option_values(field, value):
     assert [entry["field"] for entry in info.value.errors] == ["solver_options"]
 
 
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        {"upsilon": "2"},
+        {"upsilon": 1.5},
+        {"upsilon": True},
+        {"upsilon": -1},
+        {"conjuncts": "1"},
+        {"conjuncts": 1.0},
+        {"conjuncts": 0},
+        {"bound": "x", "bounded": True},
+        {"bound": -5, "bounded": True},
+        {"bounded": 1},
+        {"with_witness": "no"},
+        {"add_entry_assumptions": "false"},
+        {"encode_sos": 0},
+    ],
+)
+def test_from_dict_rejects_invalid_synthesis_option_values(overrides):
+    payload = sum_request().to_dict()
+    payload["options"].update(overrides)
+    with pytest.raises(RequestValidationError) as info:
+        SynthesisRequest.from_dict(payload)
+    assert [entry["field"] for entry in info.value.errors] == ["options"]
+
+
 def test_from_json_rejects_invalid_json_and_non_objects():
     with pytest.raises(RequestValidationError):
         SynthesisRequest.from_json("{not json")

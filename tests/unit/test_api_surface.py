@@ -8,7 +8,9 @@ CI instead of shipping silently.
 import repro
 import repro.api
 import repro.certify
+import repro.polynomial
 import repro.reduction
+import repro.solvers
 
 EXPECTED_REPRO_ALL = [
     "AUTO_DEGREE",
@@ -148,6 +150,54 @@ EXPECTED_REDUCTION_ALL = [
 ]
 
 
+EXPECTED_SOLVERS_ALL = [
+    "AlternatingSolver",
+    "BatchDescent",
+    "CompiledProblem",
+    "DEFAULT_PORTFOLIO",
+    "Deadline",
+    "GaussNewtonSolver",
+    "KernelCounters",
+    "PenaltyQCLPSolver",
+    "PortfolioSolver",
+    "RepresentativeEnumerator",
+    "STRATEGIES",
+    "SolveControl",
+    "Solver",
+    "SolverOptions",
+    "SolverResult",
+    "batched_least_squares",
+    "batched_penalty_descent",
+    "compile_problem",
+    "farkas_translate",
+    "linear_baseline_system",
+    "make_solver",
+    "run_multistart",
+    "start_batch",
+    "strategy_names",
+    "winning_member",
+]
+
+
+EXPECTED_POLYNOMIAL_ALL = [
+    "GramEncoding",
+    "Monomial",
+    "MonomialOrder",
+    "Polynomial",
+    "QuadraticTriplets",
+    "count_monomials_up_to_degree",
+    "gram_matrix_encoding",
+    "grevlex_key",
+    "grlex_key",
+    "lex_key",
+    "lower_quadratic",
+    "monomials_of_degree",
+    "monomials_up_to_degree",
+    "parse_polynomial",
+    "sos_basis",
+]
+
+
 def test_repro_all_matches_snapshot():
     assert sorted(repro.__all__) == sorted(EXPECTED_REPRO_ALL)
 
@@ -164,6 +214,14 @@ def test_repro_certify_all_matches_snapshot():
     assert sorted(repro.certify.__all__) == sorted(EXPECTED_CERTIFY_ALL)
 
 
+def test_repro_solvers_all_matches_snapshot():
+    assert sorted(repro.solvers.__all__) == sorted(EXPECTED_SOLVERS_ALL)
+
+
+def test_repro_polynomial_all_matches_snapshot():
+    assert sorted(repro.polynomial.__all__) == sorted(EXPECTED_POLYNOMIAL_ALL)
+
+
 def test_every_exported_name_resolves():
     for name in repro.__all__:
         assert getattr(repro, name, None) is not None, name
@@ -173,6 +231,10 @@ def test_every_exported_name_resolves():
         assert getattr(repro.reduction, name, None) is not None, name
     for name in repro.certify.__all__:
         assert getattr(repro.certify, name, None) is not None, name
+    for name in repro.solvers.__all__:
+        assert getattr(repro.solvers, name, None) is not None, name
+    for name in repro.polynomial.__all__:
+        assert getattr(repro.polynomial, name, None) is not None, name
 
 
 def test_paper_entry_points_route_through_the_engine():

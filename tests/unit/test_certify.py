@@ -2,6 +2,7 @@
 
 import math
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -13,9 +14,11 @@ from repro.certify import (
     check_certificate,
     derive_argument_sets,
     exact_violations,
+    harvest_trace_cuts,
     ldl_decompose,
     lift_solution,
     rationalize,
+    repair_solution,
     solve_linear,
 )
 from repro.certify.lift import DENOMINATOR_LADDER, snap
@@ -351,8 +354,6 @@ def test_tampered_witness_is_rejected(certified_sum):
     task, lift = certified_sum
     pair = lift.certificate.pairs[0]
     assert pair.witness is not None
-    from dataclasses import replace
-
     tampered_pair = replace(pair, witness=pair.witness + 1)
     tampered = Certificate(
         scheme=lift.certificate.scheme,
@@ -363,3 +364,48 @@ def test_tampered_witness_is_rejected(certified_sum):
     check = check_certificate(tampered)
     assert not check.ok
     assert "identity" in check.failures[0][1]
+
+
+# ---------------------------------------------------------------------------
+# Repair round 2: trace cuts (Lemma 2.1)
+# ---------------------------------------------------------------------------
+
+
+def test_repair_round_two_injects_sound_trace_cuts():
+    benchmark = RUNNING_EXAMPLE
+    job = job_from_benchmark(benchmark, quick=True)
+    options = replace(job.options, strategy="gauss-newton", verify="exact")
+    task = build_task(benchmark.source, benchmark.precondition, benchmark.objective(), options)
+    solver_options = SolverOptions(restarts=1, max_iterations=200, time_limit=60.0)
+    result = make_solver("gauss-newton", options=solver_options).solve(task.system)
+    verified = lift_solution(task, result.assignment)
+    assert verified.ok, verified.reason
+
+    # sum's variables stay non-negative, so an all-negative template fails at
+    # every reachable state: each cut is a violation cut, and by Lemma 2.1 any
+    # inductive invariant (the verified one) satisfies it.
+    candidate = {name: -1.0 for name in task.templates.coefficient_names()}
+    cuts = harvest_trace_cuts(task, candidate)
+    assert cuts
+    for origin, cut in cuts:
+        assert origin.startswith("violation@"), origin
+        assert cut.substitute(verified.exact_assignment).constant_value() >= 0, origin
+
+    # Round 1 re-races without cuts; rejecting its answer forces round 2 to
+    # harvest cuts from it and re-solve the cut system.
+    validations = []
+
+    def validate(assignment):
+        validations.append(assignment)
+        if len(validations) == 1:
+            return False, None
+        lift = lift_solution(task, assignment)
+        return lift.ok and check_certificate(lift.certificate, task=task).ok, lift
+
+    outcome = repair_solution(
+        task, candidate, validate, solver_options=solver_options, strategy="gauss-newton"
+    )
+    assert outcome.ok
+    first, second = outcome.rounds
+    assert first.feasible and not first.validated and first.cuts_added == 0
+    assert second.cuts_added > 0 and second.validated

@@ -79,33 +79,6 @@ def test_trivial_invariant_passes_everything(sum_cfg, sum_precondition):
     assert "PASS" in report.summary()
 
 
-def test_certificate_check_on_tiny_program():
-    from repro.cfg.builder import build_cfg
-    from repro.lang.parser import parse_program
-
-    cfg = build_cfg(parse_program("f(x) { y := x + 1; return y }"))
-    precondition = Precondition.from_spec(cfg, {"f": {1: "x >= 0"}})
-    function = cfg.function("f")
-    assertions = {label: ConjunctiveAssertion.true() for label in function.labels}
-    # The margins shrink along the execution (0.5 then 0.25) so that every consecution
-    # conclusion has a positivity witness over the relaxed assumptions, as the paper's
-    # encoding requires.
-    assertions[function.exit] = parse_assertion("ret_f - 0.25 > 0")
-    assertions[function.label_by_index(2)] = parse_assertion("y - 0.5 > 0")
-    invariant = Invariant(assertions=assertions)
-    report = check_invariant(
-        cfg,
-        precondition,
-        invariant,
-        argument_sets=[{"x": 2}],
-        pair_samples=30,
-        with_certificates=True,
-        epsilon=1e-3,
-    )
-    assert report.certificate_pairs_checked > 0
-    assert report.passed, report.certificate_failures
-
-
 def test_recursive_invariant_simulation(recursive_sum_cfg):
     precondition = Precondition.from_spec(recursive_sum_cfg, {"recursive_sum": {1: "n >= 0"}})
     function = recursive_sum_cfg.function("recursive_sum")

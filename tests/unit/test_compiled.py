@@ -4,81 +4,8 @@ import numpy as np
 import pytest
 
 from repro.errors import PolynomialError
-from repro.polynomial.compiled import (
-    CompiledPolynomial,
-    coefficient_vector,
-    lower_block,
-    lower_coefficient_matrix,
-    lower_quadratic,
-    monomial_index,
-)
+from repro.polynomial.compiled import lower_quadratic
 from repro.polynomial.parse import parse_polynomial
-
-
-POINTS = [
-    {"x": 0.0, "y": 0.0, "z": 0.0},
-    {"x": 1.0, "y": -2.0, "z": 3.0},
-    {"x": 0.5, "y": 4.0, "z": -1.25},
-]
-
-
-def test_compiled_polynomial_matches_evaluate_float():
-    polynomial = parse_polynomial("2*x^2*y - 3*y*z + z^3 - 1/2")
-    compiled = CompiledPolynomial.from_polynomial(polynomial, ["x", "y", "z"])
-    for valuation in POINTS:
-        point = np.array([valuation["x"], valuation["y"], valuation["z"]])
-        assert compiled.evaluate(point) == pytest.approx(polynomial.evaluate_float(valuation))
-        assert compiled.evaluate_valuation(valuation) == pytest.approx(
-            polynomial.evaluate_float(valuation)
-        )
-
-
-def test_compiled_polynomial_batch_evaluation():
-    polynomial = parse_polynomial("x*y + 2*x - 7")
-    compiled = CompiledPolynomial.from_polynomial(polynomial, ["x", "y"])
-    points = np.array([[0.0, 0.0], [1.0, 2.0], [-3.0, 0.5]])
-    values = compiled.evaluate_many(points)
-    expected = [polynomial.evaluate_float({"x": p[0], "y": p[1]}) for p in points]
-    assert values == pytest.approx(expected)
-
-
-def test_compiled_zero_polynomial():
-    compiled = CompiledPolynomial.from_polynomial(parse_polynomial("0"), ["x"])
-    assert compiled.evaluate(np.array([5.0])) == 0.0
-    assert compiled.evaluate_many(np.zeros((3, 1))) == pytest.approx([0.0, 0.0, 0.0])
-
-
-def test_compiled_polynomial_rejects_unknown_variable():
-    with pytest.raises(PolynomialError):
-        CompiledPolynomial.from_polynomial(parse_polynomial("x + y"), ["x"])
-
-
-def test_compiled_valuation_missing_variable():
-    compiled = CompiledPolynomial.from_polynomial(parse_polynomial("x + y"), ["x", "y"])
-    with pytest.raises(PolynomialError):
-        compiled.evaluate_valuation({"x": 1.0})
-
-
-def test_lower_block_matches_per_polynomial_evaluation():
-    polynomials = [
-        parse_polynomial("x^2 - y"),
-        parse_polynomial("3"),
-        parse_polynomial("0"),
-        parse_polynomial("x*y*z - z"),
-    ]
-    block = lower_block(polynomials, ["x", "y", "z"])
-    assert block.row_count == 4
-    for valuation in POINTS:
-        point = np.array([valuation["x"], valuation["y"], valuation["z"]])
-        values = block.evaluate_all(point)
-        expected = [p.evaluate_float(valuation) for p in polynomials]
-        assert values == pytest.approx(expected)
-        assert block.evaluate_assignment(valuation) == pytest.approx(expected)
-
-
-def test_lower_block_infers_variable_order():
-    block = lower_block([parse_polynomial("b + a"), parse_polynomial("c^2")])
-    assert block.variables == ("a", "b", "c")
 
 
 def test_lower_quadratic_reconstructs_values():
@@ -104,21 +31,3 @@ def test_lower_quadratic_reconstructs_values():
 def test_lower_quadratic_rejects_cubic_terms():
     with pytest.raises(PolynomialError):
         lower_quadratic([parse_polynomial("x^3")], {"x": 0})
-
-
-def test_coefficient_matrix_round_trip():
-    polynomials = [parse_polynomial("x^2 + 2*y"), parse_polynomial("y - 3")]
-    index = monomial_index(polynomials)
-    matrix = lower_coefficient_matrix(polynomials, index)
-    assert matrix.shape == (len(index), 2)
-    for column, polynomial in enumerate(polynomials):
-        vector = coefficient_vector(polynomial, index)
-        assert matrix[:, column] == pytest.approx(vector)
-
-
-def test_monomial_index_is_deterministic():
-    polynomials = [parse_polynomial("x + y"), parse_polynomial("y + z^2")]
-    first = monomial_index(polynomials)
-    second = monomial_index(polynomials)
-    assert first == second
-    assert sorted(first.values()) == list(range(len(first)))
