@@ -63,7 +63,7 @@ class ResourceMonitor:
 
     A daemon thread samples this process's resident set every
     ``interval`` seconds; :meth:`snapshot` folds in ``getrusage`` for the
-    process *and its children* — under the process executor the workers do
+    process *and its children* — on a pooled engine the worker processes do
     the heavy lifting, so children CPU is where the real cost shows up.
     All fields degrade to ``None``/``0`` where the platform lacks the
     counters rather than failing a bench.

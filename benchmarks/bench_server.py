@@ -12,11 +12,11 @@ with concurrent stdlib clients, in three phases:
   process-lifetime memoisation.
 
 On a multi-core host a fourth section runs the **concurrency sweep**: a
-fresh store-less server per point at ``--workers`` 1/2/4 (process executor
-via ``executor="auto"``), all-cold traffic each time, reporting req/s and
-p50/p95 per point — the multi-core scaling curve of the engine.  The sweep
-is skipped entirely on single-vCPU hosts, where ``"auto"`` resolves to
-threads and the curve would only measure the GIL.
+fresh store-less server per point at ``--workers`` 1/2/4 (one in-process
+engine at 1, worker processes above), all-cold traffic each time, reporting
+req/s and p50/p95 per point — the multi-core scaling curve of the engine.
+The sweep is skipped entirely on single-vCPU hosts, where every worker
+process would share the one core.
 
 Reports to ``BENCH_server.json`` (shared ``bench_meta`` provenance block,
 resource monitor included) and appends one summary row per run to
@@ -50,9 +50,9 @@ SOLVE_BUDGET = SolverOptions(restarts=1, max_iterations=100, time_limit=10.0)
 
 #: The concurrency-sweep work-list: quick-preset programs whose cold cost sits
 #: in the same tens-to-hundreds-of-ms band.  A balanced set is what makes the
-#: workers=2-vs-1 ratio measure the *executor*: one dominant program (e.g.
-#: ``sum`` at ~10x the rest) would put a serial floor under every point and
-#: cap the apparent scaling at ~1.1x however many cores run.
+#: workers=2-vs-1 ratio measure the *worker processes*: one dominant program
+#: (e.g. ``sum`` at ~10x the rest) would put a serial floor under every point
+#: and cap the apparent scaling at ~1.1x however many cores run.
 SWEEP_PROGRAMS = (
     "euclidex2",
     "prod4br",
@@ -147,9 +147,8 @@ def workers_sweep(
 
     Every point pays full reduction + solve for every request (no store, a
     brand-new engine each time) over the balanced :data:`SWEEP_PROGRAMS`
-    work-list, so the curve isolates how the engine's executor scales with
-    worker processes — ``executor="auto"`` resolves to the process back-end
-    at every multi-worker point on these hosts.
+    work-list, so the curve isolates how the engine scales with worker
+    processes.
     """
     documents = documents if documents is not None else _sweep_documents()
     cpus = cpus if cpus is not None else (os.cpu_count() or 1)
@@ -157,10 +156,8 @@ def workers_sweep(
     for workers in _sweep_points(cpus):
         server = SynthesisServer(workers=workers)
         with serve_in_background(server) as handle:
-            executor_kind = server.engine.executor_kind
             point = _drive(handle.url, documents, clients, rounds=1)
         point["workers"] = workers
-        point["executor"] = executor_kind
         points[str(workers)] = point
     result: dict = {"skipped": not points, "cpus": cpus, "points": points}
     if "1" in points and "2" in points:
@@ -306,8 +303,8 @@ def main(argv: list[str] | None = None) -> int:
     else:
         for workers, point in sweep["points"].items():
             print(
-                f"workers={workers:<5} : {point['requests_per_second']:7.2f} req/s cold "
-                f"({point['executor']}), p50 {point['latency_p50_ms']:8.2f}ms, "
+                f"workers={workers:<5} : {point['requests_per_second']:7.2f} req/s cold, "
+                f"p50 {point['latency_p50_ms']:8.2f}ms, "
                 f"p95 {point['latency_p95_ms']:8.2f}ms"
             )
         if "scaling_2x" in sweep:

@@ -25,8 +25,6 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--full", action="store_true", help="run the paper's full parameter set")
     parser.add_argument("--solve", action="store_true", help="also run the Step-4 solver per benchmark")
-    parser.add_argument("--workers", type=int, default=0,
-                        help="worker threads for the requests (0 = sequential)")
     args = parser.parse_args()
     quick = not args.full
 
@@ -39,11 +37,11 @@ def main() -> None:
         table2 = quick_subset(table2)
         table3 = quick_subset(table3)
 
-    measurements2 = measure_many(table2, solve=args.solve, quick=quick, workers=args.workers)
+    measurements2 = measure_many(table2, solve=args.solve, quick=quick)
     print()
     print(render_measurements(measurements2, "Table 2 - non-recursive benchmarks"))
 
-    measurements3 = measure_many(table3, solve=args.solve, quick=quick, workers=args.workers)
+    measurements3 = measure_many(table3, solve=args.solve, quick=quick)
     print()
     print(render_measurements(measurements3, "Table 3 - recursive and RL benchmarks"))
 

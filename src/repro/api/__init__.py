@@ -10,6 +10,11 @@ HTTP front door in :mod:`repro.server` — goes through the same front door:
 ...     for response in engine.map([request, *more]):
 ...         print(response.submission_id, response.status)
 
+``Engine(workers=4)`` ships each request as a whole job to one of four
+worker processes, so its responses carry the JSON envelope only;
+``Engine()`` runs requests in the calling thread and also returns the
+in-process ``result``/``task``.
+
 Requests and responses round-trip through JSON (``to_json``/``from_json``);
 malformed documents raise a structured
 :class:`~repro.api.errors.RequestValidationError` naming each offending

@@ -1,8 +1,9 @@
 """The Engine: one service-grade front door for every synthesis caller.
 
 An :class:`Engine` is a long-lived session object that owns the Step 1-3
-:class:`~repro.pipeline.cache.TaskCache` and its request workers, and
-executes typed :class:`~repro.api.request.SynthesisRequest` values:
+:class:`~repro.pipeline.cache.TaskCache` (and, when pooled, its worker
+processes), and executes typed
+:class:`~repro.api.request.SynthesisRequest` values:
 
 * :meth:`Engine.synthesize` — one request, blocking, returns a
   :class:`~repro.api.response.SynthesisResponse` (never raises for
@@ -17,10 +18,10 @@ through the task cache, and solves through a per-``(reduction, strategy,
 solver options)`` result table — the second of two identical requests
 reports ``shared_solve=True`` and reuses the first's solver result.
 
-A pooled engine (``workers > 1``) runs requests either on its worker threads
-or, the production path, as whole jobs on one
-:class:`~repro.api.workers.ProcessWorkerPool`; that pool is the only process
-pool an engine ever owns.
+A pooled engine (``workers > 1``) hands every wire-clean request as a whole
+job to one :class:`~repro.api.workers.ProcessWorkerPool`, the only process
+pool an engine ever owns; the worker's envelope completes the request's
+handle, so no engine thread ever waits on a worker.
 
 The four paper-named functions in :mod:`repro.invariants.synthesis`, the
 ``repro.bench`` runner and the HTTP front door in :mod:`repro.server` are all
@@ -35,7 +36,7 @@ import json
 import os
 import threading
 import time
-from concurrent.futures import FIRST_COMPLETED, Future, ThreadPoolExecutor, wait
+from concurrent.futures import FIRST_COMPLETED, Future, wait
 from dataclasses import replace
 from typing import TYPE_CHECKING, Iterable, Iterator
 
@@ -63,17 +64,33 @@ from repro.solvers.strong import RepresentativeEnumerator
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.store import BlobStore, EngineStore
 
-#: Engine execution back-ends.  ``"process"`` is the multi-core production
-#: path: whole synthesize jobs ship to persistent worker processes over the
-#: JSON wire protocol (:mod:`repro.api.workers`).  ``"thread"`` runs them on
-#: the engine's worker threads and keeps the in-process ``result``/``task``
-#: extras a wire envelope cannot carry.  ``"auto"`` picks ``"process"`` when
-#: the engine is pooled (``workers > 1``) and the host has at least two
-#: cores, else ``"thread"``.
-EXECUTORS = ("auto", "thread", "process")
-
 #: Remaining-deadline floor below which another escalation rung is pointless.
 _ESCALATION_MIN_BUDGET = 0.01
+
+#: The engine's own :meth:`Engine.stats` counters, each starting at zero.
+_COUNTERS = (
+    "translation_compile_seconds",
+    "translation_fanout_seconds",
+    "translation_assemble_seconds",
+    "verify_requested",
+    "verify_passed",
+    "verify_failed",
+    "repair_rounds",
+    "repair_successes",
+    "certificates_issued",
+    "solver_residual_evaluations",
+    "solver_jacobian_evaluations",
+    "solver_batch_width_max",
+    "store_response_hits",
+    "store_response_misses",
+    "store_response_writes",
+    "store_solve_hits",
+    "store_solve_writes",
+    "store_certificates_stored",
+    "process_jobs",
+    "process_jobs_shared",
+    "process_jobs_failed",
+)
 
 
 def _solve_system(solver: Solver, system) -> tuple[SolverResult, float]:
@@ -114,41 +131,33 @@ class SynthesisHandle:
 
 
 class Engine:
-    """A synthesis session: persistent task cache plus a request worker pool.
+    """A synthesis session: persistent task cache plus, when pooled, worker processes.
 
     Parameters
     ----------
     workers:
         ``0`` or ``1`` executes requests synchronously in the submitting
-        thread; ``n > 1`` runs up to ``n`` requests concurrently.
+        thread.  ``n > 1`` — the production path — ships wire-clean
+        requests as whole synthesize jobs (reduce, solve, verify) to ``n``
+        persistent worker processes over the strict JSON wire protocol
+        (:mod:`repro.api.workers`): each worker holds a warm sequential
+        engine with its own stage caches, store writes happen in the
+        workers, identical in-flight requests are deduplicated parent-side
+        (the rider's envelope reports ``shared_solve=True``), and a worker
+        crash mid-job becomes a structured ``status="error"`` envelope while
+        the pool rebuilds.  Such responses carry the JSON envelope only (no
+        in-process ``result``/``task`` extras), exactly as over the wire.
+        Requests that need live objects — the ``solver``/``task``/
+        ``enumerator`` escape hatches and ``reduce_only`` — execute in the
+        submitting thread, as on a sequential engine.
     cache:
         The Step 1-3 task cache; pass a shared instance to reuse reductions
         across engines (e.g. between a service and its warm-up script).
-    solver:
-        An explicit Step-4 solver applied to every weak-mode request.  When
-        ``None`` (the default) each request's solver is resolved from its
-        options' ``strategy``/``portfolio`` knobs.
     solver_options:
-        Default Step-4 solver knobs for resolved solvers; a request's own
-        ``solver_options``/``deadline`` override/tighten these.
-    executor:
-        ``"thread"`` executes requests on the engine's worker threads — fine
-        for warm traffic (cache hits, store hits) but CPU-bound cold work
-        serialises on the GIL.  ``"process"`` — the production path — ships
-        whole synthesize jobs (reduce, solve, verify) to a pool of
-        ``workers`` persistent worker processes over the strict JSON wire
-        protocol (:mod:`repro.api.workers`): each worker holds a warm
-        sequential engine with its own stage caches, store writes happen
-        in the workers, identical in-flight requests are deduplicated
-        parent-side (the rider's envelope reports ``shared_solve=True``), and
-        a worker crash mid-job becomes a structured ``status="error"``
-        envelope while the pool rebuilds.  Responses carry the JSON envelope
-        only (no in-process ``result``/``task`` extras), exactly as over the
-        wire; requests that need live objects — escape-hatch submissions, an
-        engine-level ``solver``, ``reduce_only`` — transparently fall back to
-        the thread path.  ``"auto"`` (default) picks ``"process"`` when
-        ``workers > 1`` and the host has at least two cores, else
-        ``"thread"``.
+        Default Step-4 solver knobs; a request's own
+        ``solver_options``/``deadline`` override/tighten these.  Each
+        request's solver is resolved from its options'
+        ``strategy``/``portfolio`` knobs.
     max_cached_solves:
         Size bound of the solve-dedup result table (oldest entries evicted
         first), so a long-lived engine's memory stays bounded.  ``None``
@@ -175,78 +184,39 @@ class Engine:
         self,
         workers: int = 0,
         cache: TaskCache | None = None,
-        solver: Solver | None = None,
         solver_options: SolverOptions | None = None,
-        executor: str = "auto",
         max_cached_solves: int | None = 512,
         store: "EngineStore | BlobStore | str | None" = None,
     ) -> None:
         if workers < 0:
             raise ValueError(f"workers must be non-negative, got {workers}")
-        if executor not in EXECUTORS:
-            raise ValueError(f"unknown executor {executor!r}; known executors: {', '.join(EXECUTORS)}")
         self.workers = workers
         self.cache = cache if cache is not None else TaskCache()
         self.max_cached_solves = max_cached_solves
-        self.solver = solver
         self.solver_options = solver_options
-        self.executor = executor
-        self._executor_kind = self._resolve_executor(executor, workers)
-        self._threads: ThreadPoolExecutor | None = None
         self._jobs: ProcessWorkerPool | None = None
         self._inflight: dict[str, Future] = {}
-        self._inflight_lock = threading.Lock()
-        self._process_stats = {
-            "process_jobs": 0,
-            "process_jobs_shared": 0,
-            "process_jobs_failed": 0,
-        }
-        self._pool_lock = threading.Lock()
+        # Re-entrant: ``_dispatch`` hands jobs to the pool under it, and an
+        # older queued job the pool starts there may, in principle, finish
+        # before its callback is chained; ``_retire`` then runs in this thread.
+        self._inflight_lock = threading.RLock()
         self._solves: dict[tuple, Future] = {}
         self._solve_lock = threading.Lock()
         self._submit_lock = threading.Lock()
         self._next_id = 0
         self._closed = False
-        self._translation_lock = threading.Lock()
-        self._translation_stats = {
-            "translation_compile_seconds": 0.0,
-            "translation_fanout_seconds": 0.0,
-            "translation_assemble_seconds": 0.0,
-        }
-        self._verify_lock = threading.Lock()
-        self._verify_stats = {
-            "verify_requested": 0,
-            "verify_passed": 0,
-            "verify_failed": 0,
-            "repair_rounds": 0,
-            "repair_successes": 0,
-            "certificates_issued": 0,
-        }
+        self._counter_lock = threading.Lock()
+        self._counters = dict.fromkeys(_COUNTERS, 0.0)
         self.store: "EngineStore | None" = None
         if store is not None:
             from repro.store import open_store
 
             self.store = open_store(store)
-        self._store_lock = threading.Lock()
-        self._store_stats = {
-            "store_response_hits": 0,
-            "store_response_misses": 0,
-            "store_response_writes": 0,
-            "store_solve_hits": 0,
-            "store_solve_writes": 0,
-            "store_certificates_stored": 0,
-        }
-        self._solver_stats_lock = threading.Lock()
-        self._solver_stats = {
-            "solver_residual_evaluations": 0,
-            "solver_jacobian_evaluations": 0,
-            "solver_batch_width_max": 0,
-        }
-        if self._executor_kind == "process" and self.workers > 1:
-            # Fork the job workers now, from the constructing thread — before
-            # the engine's own worker threads exist — so the pool is warm for
-            # the first request.  A construction failure tears the partial
-            # pool down: a half-built engine must leave no child processes.
+        if self.workers > 1:
+            # Fork the job workers now, from the constructing thread, so the
+            # pool is warm for the first request.  A construction failure
+            # tears the partial pool down: a half-built engine must leave no
+            # child processes.
             pool = ProcessWorkerPool(self.workers, self._worker_config())
             try:
                 pool.warm()
@@ -254,29 +224,6 @@ class Engine:
                 pool.close(wait=False)
                 raise
             self._jobs = pool
-
-    @staticmethod
-    def _resolve_executor(executor: str, workers: int, cpus: int | None = None) -> str:
-        """The effective executor of one engine (the ``"auto"`` decision table).
-
-        ========== ============ =========== =================
-        executor   workers      host cores  resolved
-        ========== ============ =========== =================
-        auto       <= 1         any         thread
-        auto       > 1          1           thread
-        auto       > 1          >= 2        process
-        anything else                       itself (explicit)
-        ========== ============ =========== =================
-        """
-        if executor != "auto":
-            return executor
-        cpus = cpus if cpus is not None else (os.cpu_count() or 1)
-        return "process" if workers > 1 and cpus >= 2 else "thread"
-
-    @property
-    def executor_kind(self) -> str:
-        """The resolved executor back-end this engine runs requests on."""
-        return self._executor_kind
 
     def _worker_config(self) -> WorkerConfig:
         """The JSON-able config the job workers build their engines from."""
@@ -304,13 +251,10 @@ class Engine:
         self.close()
 
     def close(self, wait_for_pending: bool = True) -> None:
-        """Shut the worker pools down; further submissions raise :class:`EngineClosedError`."""
-        self._closed = True
-        with self._pool_lock:
-            threads, self._threads = self._threads, None
+        """Shut the worker processes down; further submissions raise :class:`EngineClosedError`."""
+        with self._inflight_lock:  # exclusive with _dispatch's hand-off to the pool
+            self._closed = True
             jobs, self._jobs = self._jobs, None
-        if threads is not None:
-            threads.shutdown(wait=wait_for_pending)
         if jobs is not None:
             jobs.close(wait=wait_for_pending)
 
@@ -325,24 +269,19 @@ class Engine:
         with self._solve_lock:
             stats["solves_cached"] = float(len(self._solves))
         stats["submissions"] = float(self._next_id)
-        with self._translation_lock:
-            stats.update(self._translation_stats)
-        with self._verify_lock:
-            stats.update({key: float(value) for key, value in self._verify_stats.items()})
-        with self._solver_stats_lock:
-            stats.update({key: float(value) for key, value in self._solver_stats.items()})
-        with self._store_lock:
-            stats.update({key: float(value) for key, value in self._store_stats.items()})
+        with self._counter_lock:
+            stats.update(self._counters)
         with self._inflight_lock:
-            stats.update({key: float(value) for key, value in self._process_stats.items()})
             stats["process_inflight"] = float(len(self._inflight))
         if self.store is not None:
             stats.update(self.store.stats())
         return stats
 
-    def _bump_store(self, key: str) -> None:
-        with self._store_lock:
-            self._store_stats[key] += 1
+    def _count(self, **deltas: float) -> None:
+        """Add to the :meth:`stats` counters."""
+        with self._counter_lock:
+            for key, delta in deltas.items():
+                self._counters[key] += delta
 
     def _record_translation(self, report) -> None:
         """Accumulate a reduction's translation sub-phase split into :meth:`stats`.
@@ -351,23 +290,22 @@ class Engine:
         (``ReductionReport.extra_timings``); cached stages contribute nothing.
         """
         extra = dict(report.extra_timings)
-        if not extra:
-            return
-        with self._translation_lock:
-            for phase in ("compile", "fanout", "assemble"):
-                self._translation_stats[f"translation_{phase}_seconds"] += extra.get(
-                    f"stage_translation_{phase}_seconds", 0.0
-                )
+        self._count(
+            **{
+                f"translation_{phase}_seconds": extra.get(f"stage_translation_{phase}_seconds", 0.0)
+                for phase in ("compile", "fanout", "assemble")
+            }
+        )
 
     def _record_verification(self, outcome) -> None:
-        with self._verify_lock:
-            self._verify_stats["verify_requested"] += 1
-            self._verify_stats["verify_passed" if outcome.verified else "verify_failed"] += 1
-            self._verify_stats["repair_rounds"] += outcome.repair_rounds
-            if outcome.repaired:
-                self._verify_stats["repair_successes"] += 1
-            if outcome.certificate is not None:
-                self._verify_stats["certificates_issued"] += 1
+        self._count(
+            verify_requested=1,
+            verify_passed=float(outcome.verified),
+            verify_failed=float(not outcome.verified),
+            repair_rounds=outcome.repair_rounds,
+            repair_successes=float(outcome.repaired),
+            certificates_issued=float(outcome.certificate is not None),
+        )
 
     # -- submission --------------------------------------------------------------
 
@@ -407,7 +345,12 @@ class Engine:
         enumerator: RepresentativeEnumerator | None = None,
         deadline_epoch: float | None = None,
     ) -> SynthesisHandle:
-        """Schedule one request; returns a handle whose ``result()`` is the response."""
+        """Schedule one request; returns a handle whose ``result()`` is the response.
+
+        On a pooled engine a wire-clean request returns at once, its handle
+        completed later by a worker's envelope; every other request executes
+        here, in the calling thread, before its handle is returned.
+        """
         if self._closed:
             raise EngineClosedError("engine is closed")
         if not isinstance(request, SynthesisRequest):
@@ -419,23 +362,36 @@ class Engine:
         with self._submit_lock:
             submission_id = self._next_id
             self._next_id += 1
-        if self.workers > 1:
-            pool = self._thread_pool()
-            future = pool.submit(
-                self._execute,
-                request,
-                submission_id,
-                solver,
-                task,
-                enumerator,
-                deadline_epoch=deadline_epoch,
-            )
+        # A request is wire-clean when everything it needs round-trips the
+        # JSON codec: no live solver/task/enumerator escape hatches, and the
+        # caller does not want the in-process ``task`` back (``reduce_only``).
+        # Only wire-clean requests are captured by their content key, so only
+        # they can hit the store or ship to a worker process.
+        wire_clean = (
+            solver is None and task is None and enumerator is None and not request.reduce_only
+        )
+        # The persistent store short-circuits the whole request: an identical
+        # request completed by any process against this root — including a
+        # previous life of this one — is re-served from disk.  Store keys are
+        # always computed from the *original* request (never a
+        # deadline-clamped derivation), so warm hits are stable across queue
+        # delays and restarts.
+        key = served = None
+        if self.store is not None and wire_clean:
+            key, served = self._from_store(request, submission_id)
+        future: Future = Future()
+        # Running from the start, like a job a thread has picked up: a
+        # caller's cancel() (an HTTP client gone mid-stream) then detaches
+        # instead of leaving the worker's envelope nothing to complete.
+        future.set_running_or_notify_cancel()
+        if served is not None:
+            future.set_result(served)
+        elif self.workers > 1 and wire_clean:
+            key = key if key is not None else self._response_key(request)
+            self._dispatch(future, key, request, submission_id, deadline_epoch)
         else:
-            future: Future = Future()
             future.set_result(
-                self._execute(
-                    request, submission_id, solver, task, enumerator, deadline_epoch=deadline_epoch
-                )
+                self._execute(request, submission_id, solver, task, enumerator, deadline_epoch, key)
             )
         return SynthesisHandle(submission_id, request, future)
 
@@ -471,16 +427,6 @@ class Engine:
 
     # -- execution ---------------------------------------------------------------
 
-    def _thread_pool(self) -> ThreadPoolExecutor:
-        with self._pool_lock:
-            if self._closed:
-                raise EngineClosedError("engine is closed")
-            if self._threads is None:
-                self._threads = ThreadPoolExecutor(
-                    max_workers=self.workers, thread_name_prefix="repro-engine"
-                )
-            return self._threads
-
     def _effective_solver_options(self, request: SynthesisRequest) -> SolverOptions | None:
         """Request solver options over engine defaults, tightened by the deadline."""
         options = request.solver_options if request.solver_options is not None else self.solver_options
@@ -501,43 +447,10 @@ class Engine:
         solver: Solver | None,
         task: SynthesisTask | None,
         enumerator: RepresentativeEnumerator | None,
-        deadline_epoch: float | None = None,
+        deadline_epoch: float | None,
+        store_key: str | None,
     ) -> SynthesisResponse:
-        # A request is wire-clean when everything it needs round-trips the
-        # JSON codec: no live solver/task/enumerator escape hatches, no
-        # engine-level solver object, and the caller does not want the
-        # in-process ``task`` back (``reduce_only``).  Only wire-clean
-        # requests can hit the store or ship to a worker process.
-        wire_clean = (
-            solver is None
-            and task is None
-            and enumerator is None
-            and self.solver is None
-            and not request.reduce_only
-        )
-        # The persistent store short-circuits the whole request: an identical
-        # request completed by any process against this root — including a
-        # previous life of this one — is re-served from disk.  Store keys are
-        # always computed from the *original* request (never a
-        # deadline-clamped derivation), so warm hits are stable across queue
-        # delays and restarts.
-        store_key: str | None = None
-        if self.store is not None and wire_clean:
-            lookup_start = time.perf_counter()
-            store_key = self.store.responses.key_for(request, repr(self.solver_options))
-            served = self.store.responses.load(store_key)
-            if served is not None:
-                self._bump_store("store_response_hits")
-                return self._serve_from_store(
-                    served, request, submission_id, time.perf_counter() - lookup_start
-                )
-            self._bump_store("store_response_misses")
-        if self._executor_kind == "process" and self.workers > 1 and wire_clean:
-            # The production path: the whole job — reduce, solve, verify,
-            # store writes — runs in a worker process.  The parent
-            # does not write the store (the worker owns the write); it only
-            # deduplicates identical in-flight requests.
-            return self._execute_process_job(request, submission_id, deadline_epoch)
+        """Execute one request in the calling thread; a ``store_key`` files its response."""
         exec_request = self._clamp_deadline(request, deadline_epoch)
         if exec_request.options.is_auto_degree and task is None:
             response = self._execute_escalation(exec_request, submission_id, solver, enumerator)
@@ -545,7 +458,7 @@ class Engine:
             response = self._execute_fixed(exec_request, submission_id, solver, task, enumerator)
         if store_key is not None and response.exception is None:
             if self.store.responses.store(store_key, response):
-                self._bump_store("store_response_writes")
+                self._count(store_response_writes=1)
         return response
 
     @staticmethod
@@ -567,134 +480,37 @@ class Engine:
             return request
         return dataclasses.replace(request, deadline=max(remaining, 0.001))
 
-    # -- the process-backed job path ---------------------------------------------
+    def _response_key(self, request: SynthesisRequest) -> str:
+        """The content key of a wire-clean request's response.
 
-    def _job_pool(self) -> ProcessWorkerPool:
-        with self._pool_lock:
-            if self._closed:
-                raise EngineClosedError("engine is closed")
-            if self._jobs is None:
-                self._jobs = ProcessWorkerPool(self.workers, self._worker_config())
-            return self._jobs
-
-    def _bump_process(self, key: str) -> None:
-        with self._inflight_lock:
-            self._process_stats[key] += 1
-
-    def _process_dedup_key(self, request: SynthesisRequest) -> str:
-        """In-flight dedup key: the same content hash the response store uses.
-
-        ``request_id`` is excluded, so two clients racing the same program
-        share one worker job; the engine's default solver options
-        participate because they shape the solve.  Works with or without a
-        persistent store.
+        The response store files envelopes under it, and a pooled engine
+        deduplicates in-flight jobs by it.  ``request_id`` is excluded, so
+        two clients racing the same program share one entry; the engine's
+        default solver options participate because they shape the solve.
         """
         from repro.store.views import ResponseStore
 
         return ResponseStore.key_for(request, repr(self.solver_options))
 
-    def _execute_process_job(
-        self, request: SynthesisRequest, submission_id: int, deadline_epoch: float | None
-    ) -> SynthesisResponse:
-        """Ship one synthesize job to a worker process (or ride a twin's).
+    def _from_store(
+        self, request: SynthesisRequest, submission_id: int
+    ) -> tuple[str, SynthesisResponse | None]:
+        """The request's response key, and its stored envelope (``None`` on a miss).
 
-        The first request for a given content key *owns* the worker job;
-        identical requests arriving while it is in flight become *riders* on
-        the owner's future and re-parse their own copy of the owner's wire
-        envelope (``shared_solve=True``, like a dedup hit).  A worker crash
-        mid-job becomes a structured ``status="error"`` envelope for the
-        owner and every rider — never an exception out of the engine.
-        """
-        key = self._process_dedup_key(request)
-        with self._inflight_lock:
-            future = self._inflight.get(key)
-            owner = future is None
-            if owner:
-                future = Future()
-                self._inflight[key] = future
-        if not owner:
-            self._bump_process("process_jobs_shared")
-            try:
-                wire = future.result()
-            except WorkerCrashError as exc:
-                return self._crash_envelope(request, submission_id, exc)
-            return self._envelope_from_wire(wire, request, submission_id, shared=True)
-        self._bump_process("process_jobs")
-        start = time.perf_counter()
-        try:
-            wire = self._job_pool().execute(request.to_dict(), deadline_epoch)
-        except WorkerCrashError as exc:
-            self._bump_process("process_jobs_failed")
-            with self._inflight_lock:
-                self._inflight.pop(key, None)
-            future.set_exception(exc)
-            return self._crash_envelope(request, submission_id, exc)
-        except BaseException as exc:
-            with self._inflight_lock:
-                self._inflight.pop(key, None)
-            future.set_exception(exc)
-            raise
-        with self._inflight_lock:
-            self._inflight.pop(key, None)
-        future.set_result(wire)
-        return self._envelope_from_wire(
-            wire,
-            request,
-            submission_id,
-            shared=False,
-            wall_seconds=time.perf_counter() - start,
-        )
-
-    def _envelope_from_wire(
-        self,
-        wire: str,
-        request: SynthesisRequest,
-        submission_id: int,
-        shared: bool,
-        wall_seconds: float | None = None,
-    ) -> SynthesisResponse:
-        """Parse a worker's envelope and stamp it for this submission.
-
-        Riders get their own parsed copy (responses are mutable), flagged
-        ``from_cache``/``shared_solve`` exactly like an in-memory dedup hit.
-        """
-        response = SynthesisResponse.from_dict(json.loads(wire))
-        response.request_id = request.request_id
-        response.submission_id = submission_id
-        if shared:
-            response.from_cache = True
-            response.shared_solve = True
-        if wall_seconds is not None:
-            timings = dict(response.timings)
-            timings["process_wall_seconds"] = wall_seconds
-            response.timings = timings
-        return response
-
-    def _crash_envelope(
-        self, request: SynthesisRequest, submission_id: int, exc: WorkerCrashError
-    ) -> SynthesisResponse:
-        return SynthesisResponse(
-            mode=request.mode,
-            status="error",
-            request_id=request.request_id,
-            submission_id=submission_id,
-            error=ErrorInfo(type="WorkerCrashed", message=str(exc)),
-        )
-
-    def _serve_from_store(
-        self,
-        served: SynthesisResponse,
-        request: SynthesisRequest,
-        submission_id: int,
-        seconds: float,
-    ) -> SynthesisResponse:
-        """Stamp a disk-served envelope for this submission (no recompute).
-
-        Volatile bookkeeping is rewritten to reflect what actually happened
-        *now*: zero reduction/solve work, every stage effectively cached, and
-        the store lookup as the total cost.  The semantic payload (status,
+        A hit is stamped for this submission with no recompute.  Volatile
+        bookkeeping is rewritten to reflect what actually happened *now*:
+        zero reduction/solve work, every stage effectively cached, and the
+        store lookup as the total cost.  The semantic payload (status,
         invariants, assignment, certificate, ...) is the stored one.
         """
+        start = time.perf_counter()
+        key = self._response_key(request)
+        served = self.store.responses.load(key)
+        if served is None:
+            self._count(store_response_misses=1)
+            return key, None
+        self._count(store_response_hits=1)
+        seconds = time.perf_counter() - start
         served.request_id = request.request_id
         served.submission_id = submission_id
         served.from_cache = True
@@ -707,7 +523,107 @@ class Engine:
             "store_seconds": seconds,
             "total_seconds": seconds,
         }
-        return served
+        return key, served
+
+    # -- the process-backed job path ---------------------------------------------
+
+    def _dispatch(
+        self,
+        future: Future,
+        key: str,
+        request: SynthesisRequest,
+        submission_id: int,
+        deadline_epoch: float | None,
+    ) -> None:
+        """Ship one synthesize job to a worker process (or ride a twin's).
+
+        Runs in the calling thread and never waits on a worker.  The first
+        request for a given content ``key`` *owns* a worker job — reduce,
+        solve, verify and store writes all run in the worker — and identical
+        requests arriving while it is in flight become *riders* on the
+        owner's wire future, each parsing its own copy of the envelope
+        (``shared_solve=True``, like a dedup hit).  The envelope completes
+        ``future``.
+        """
+        started = time.perf_counter()
+        with self._inflight_lock:
+            wire = self._inflight.get(key)
+            owner = wire is None or wire.done()
+            if owner:
+                jobs = self._jobs
+                if jobs is None:
+                    raise EngineClosedError("engine is closed")
+                wire = jobs.submit(request.to_dict(), deadline_epoch)
+                self._inflight[key] = wire
+            self._count(**{"process_jobs" if owner else "process_jobs_shared": 1})
+        if owner:
+            # Registered before the owner's own completion, so a caller
+            # holding every response also sees an empty in-flight table.
+            wire.add_done_callback(lambda done: self._retire(key, done))
+        wire.add_done_callback(
+            lambda done: self._settle(
+                future, done, request, submission_id, started if owner else None
+            )
+        )
+
+    def _retire(self, key: str, wire: Future) -> None:
+        with self._inflight_lock:
+            if self._inflight.get(key) is wire:
+                del self._inflight[key]
+
+    def _settle(
+        self,
+        future: Future,
+        wire: Future,
+        request: SynthesisRequest,
+        submission_id: int,
+        started: float | None,
+    ) -> None:
+        """Complete one submission from its job's wire envelope (``started`` marks the owner).
+
+        Runs as a done-callback, so every failure must land on ``future``: a
+        callback that raised would leave the handle pending forever.  A
+        worker crash mid-job becomes a structured ``status="error"``
+        envelope for the owner and every rider — never an exception.
+        """
+        try:
+            response = self._envelope_from_wire(wire.result(), request, submission_id, started)
+        except WorkerCrashError as exc:
+            if started is not None:
+                self._count(process_jobs_failed=1)
+            response = SynthesisResponse(
+                mode=request.mode,
+                status="error",
+                request_id=request.request_id,
+                submission_id=submission_id,
+                error=ErrorInfo(type="WorkerCrashed", message=str(exc)),
+            )
+        except Exception as exc:
+            future.set_exception(exc)
+            return
+        future.set_result(response)
+
+    @staticmethod
+    def _envelope_from_wire(
+        wire: str, request: SynthesisRequest, submission_id: int, started: float | None
+    ) -> SynthesisResponse:
+        """Parse a worker's envelope and stamp it for this submission.
+
+        Riders get their own parsed copy (responses are mutable), flagged
+        ``from_cache``/``shared_solve`` exactly like an in-memory dedup hit;
+        the owner's records the job's wall-clock.
+        """
+        response = SynthesisResponse.from_dict(json.loads(wire))
+        response.request_id = request.request_id
+        response.submission_id = submission_id
+        if started is None:
+            response.from_cache = True
+            response.shared_solve = True
+        else:
+            timings = dict(response.timings)
+            timings["process_wall_seconds"] = time.perf_counter() - started
+            response.timings = timings
+        return response
 
     def _execute_escalation(
         self,
@@ -903,7 +819,7 @@ class Engine:
                         cert_sha, wrote = self.store.certificates.put(certificate)
                         verification["certificate_sha"] = cert_sha
                         if wrote:
-                            self._bump_store("store_certificates_stored")
+                            self._count(store_certificates_stored=1)
                     timings["verify_seconds"] = outcome.seconds
                 result = result_from_solution(
                     built,
@@ -952,8 +868,8 @@ class Engine:
     ) -> tuple[SolverResult, float, bool]:
         """Run (or share) the Step-4 solve; returns ``(result, seconds, shared)``."""
         options = self._effective_solver_options(request)
-        if solver_override is not None or self.solver is not None:
-            solver = solver_override if solver_override is not None else self.solver
+        if solver_override is not None:
+            solver = solver_override
             # An explicit solver keeps its own options, but the request's
             # deadline is a hard per-request bound: tighten the solver's
             # time_limit on a copy (never mutate a caller's solver).
@@ -979,12 +895,11 @@ class Engine:
             return result, seconds, False
 
         # The persistent solve store is the cross-process sibling of the
-        # in-memory dedup table; an engine-level live solver is not captured
-        # by content keys, so it opts the engine out.
+        # in-memory dedup table.
         store_key: str | None = None
-        if self.store is not None and self.solver is None:
+        if self.store is not None:
             store_key = self.store.solves.key_for(request, repr(options))
-        key = self._solve_dedup_key(request, job)
+        key = (job.solve_key(), repr(options))
         with self._solve_lock:
             future = self._solves.get(key)
             owner = future is None
@@ -1005,7 +920,7 @@ class Engine:
             if stored is not None:
                 # Another process (or a previous life of this one) already
                 # paid for this solve: publish it to waiters and skip Step 4.
-                self._bump_store("store_solve_hits")
+                self._count(store_solve_hits=1)
                 future.set_result(stored)
                 return stored[0], stored[1], True
         try:
@@ -1018,18 +933,8 @@ class Engine:
             raise
         future.set_result(pair)
         if store_key is not None and self.store.solves.store(store_key, pair[0], pair[1]):
-            self._bump_store("store_solve_writes")
+            self._count(store_solve_writes=1)
         return pair[0], pair[1], False
-
-    def _solve_dedup_key(self, request: SynthesisRequest, job) -> tuple:
-        """The solve-dedup table key of a (non-escape-hatch) request."""
-        options = self._effective_solver_options(request)
-        return (
-            job.solve_key(),
-            ("engine-solver", request.deadline)
-            if self.solver is not None
-            else ("resolved", repr(options)),
-        )
 
     def _replace_cached_solve(
         self, request: SynthesisRequest, job, result: SolverResult, seconds: float
@@ -1037,25 +942,25 @@ class Engine:
         """Overwrite a dedup entry with a repair-round result (already resolved)."""
         future: Future = Future()
         future.set_result((result, seconds))
-        key = self._solve_dedup_key(request, job)
+        options = self._effective_solver_options(request)
+        key = (job.solve_key(), repr(options))
         with self._solve_lock:
             if key in self._solves:
                 self._solves[key] = future
-        if self.store is not None and self.solver is None:
-            options = self._effective_solver_options(request)
+        if self.store is not None:
             store_key = self.store.solves.key_for(request, repr(options))
             if self.store.solves.store(store_key, result, seconds, overwrite=True):
-                self._bump_store("store_solve_writes")
+                self._count(store_solve_writes=1)
 
     def _run_solve(self, solver: Solver, system) -> tuple[SolverResult, float]:
         pair = _solve_system(solver, system)
         # Kernel-evaluation accounting of the batched Step-4 engines, surfaced
         # through :meth:`stats` next to the cache/dedup counters.
-        with self._solver_stats_lock:
-            self._solver_stats["solver_residual_evaluations"] += pair[0].residual_evaluations
-            self._solver_stats["solver_jacobian_evaluations"] += pair[0].jacobian_evaluations
-            self._solver_stats["solver_batch_width_max"] = max(
-                self._solver_stats["solver_batch_width_max"], pair[0].batch_width
+        with self._counter_lock:
+            self._counters["solver_residual_evaluations"] += pair[0].residual_evaluations
+            self._counters["solver_jacobian_evaluations"] += pair[0].jacobian_evaluations
+            self._counters["solver_batch_width_max"] = max(
+                self._counters["solver_batch_width_max"], pair[0].batch_width
             )
         return pair
 

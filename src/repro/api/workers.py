@@ -29,7 +29,10 @@ computes is immediately visible to the parent and to sibling workers.
 
 A worker that dies mid-job (OOM kill, native crash, ``os._exit``) surfaces as
 :class:`WorkerCrashError`; the pool discards the broken executor and rebuilds
-it lazily on the next job, so one crash costs one request — never the engine.
+it lazily on the next job.  A dying worker fails every job its executor
+holds, started or not, so jobs wait in a parent-side queue and the executor
+holds at most one per worker: a crash costs the jobs running beside it,
+never the queue behind them and never the engine.
 """
 
 from __future__ import annotations
@@ -39,7 +42,8 @@ import json
 import os
 import threading
 import time
-from concurrent.futures import ProcessPoolExecutor
+from collections import deque
+from concurrent.futures import Future, ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 
@@ -133,11 +137,10 @@ def run_job(payload: str) -> str:
 class ProcessWorkerPool:
     """A persistent pool of synthesis worker processes speaking JSON.
 
-    Thread-safe: the engine's worker threads submit jobs concurrently.  A
-    broken pool (worker killed mid-job) is discarded and rebuilt lazily on
-    the next job; the in-flight job that observed the crash raises
-    :class:`WorkerCrashError` for its caller to convert into a structured
-    ``status="error"`` envelope.
+    Thread-safe: any thread may submit jobs.  A broken pool (worker killed
+    mid-job) is discarded and rebuilt lazily for the next queued job; the
+    jobs that observed the crash fail with :class:`WorkerCrashError` for
+    their caller to convert into a structured ``status="error"`` envelope.
     """
 
     def __init__(self, workers: int, config: WorkerConfig) -> None:
@@ -145,8 +148,11 @@ class ProcessWorkerPool:
             raise ValueError(f"process pool needs at least one worker, got {workers}")
         self.workers = workers
         self.config = config
-        self._lock = threading.Lock()
+        self._lock = threading.Condition()  # re-entrant; guards every field below
         self._executor: ProcessPoolExecutor | None = None
+        self._queue: deque[tuple[str, Future]] = deque()
+        self._running = 0  # jobs in the executor, at most ``workers``
+        self._closed = False
 
     # -- lifecycle ---------------------------------------------------------------
 
@@ -164,15 +170,22 @@ class ProcessWorkerPool:
         """Fork (and engine-initialise) every worker now, from this thread.
 
         Called at engine construction so workers are spawned from the
-        constructing thread — before the engine's own worker threads exist —
-        rather than mid-request from a thread-pool thread.
+        constructing thread rather than mid-request from whichever thread
+        submits first.
         """
         executor = self._ensure()
         list(executor.map(_worker_warmup, range(self.workers)))
 
     def close(self, wait: bool = True) -> None:
+        """Stop the workers; ``wait`` runs every queued job first, else they are cancelled."""
         with self._lock:
+            self._closed = True
+            if wait:
+                self._lock.wait_for(lambda: not self._queue and not self._running)
+            queued, self._queue = self._queue, deque()
             executor, self._executor = self._executor, None
+        for _, envelope in queued:
+            envelope.cancel()
         if executor is not None:
             executor.shutdown(wait=wait, cancel_futures=not wait)
 
@@ -184,32 +197,68 @@ class ProcessWorkerPool:
 
     # -- jobs --------------------------------------------------------------------
 
-    def execute(self, request_document: dict, deadline_epoch: float | None = None) -> str:
-        """Run one job on a worker (blocking); returns the envelope JSON.
+    def submit(self, request_document: dict, deadline_epoch: float | None = None) -> Future:
+        """Queue one job for a worker; returns a future of its envelope JSON.
 
-        Raises :class:`WorkerCrashError` when the worker dies mid-job; any
-        other exception a worker raises travels back as itself (the worker
-        engine's contract makes that a programming error, not a request
-        failure — request failures arrive as ``status="error"`` envelopes).
+        The future fails with :class:`WorkerCrashError` when the worker dies
+        mid-job; any other exception a worker raises travels back as itself
+        (the worker engine's contract makes that a programming error, not a
+        request failure — request failures arrive as ``status="error"``
+        envelopes).  It completes on the pool's result thread, so callbacks
+        chained on it never block a caller.
         """
         payload = json.dumps(
             {"request": request_document, "deadline_epoch": deadline_epoch}, default=str
         )
-        executor = self._ensure()
-        try:
-            return executor.submit(run_job, payload).result()
-        except BrokenProcessPool as exc:
-            self._discard(executor)
-            raise WorkerCrashError(
-                "synthesis worker process died mid-job; the pool has been rebuilt"
-            ) from exc
-
-    def _discard(self, broken: ProcessPoolExecutor) -> None:
-        """Drop a broken executor so the next job gets a fresh pool."""
+        envelope: Future = Future()
         with self._lock:
-            if self._executor is broken:
-                self._executor = None
-        broken.shutdown(wait=False, cancel_futures=True)
+            if self._closed:
+                raise RuntimeError("the worker pool is closed")
+            self._queue.append((payload, envelope))
+        self._pump()
+        return envelope
+
+    def _pump(self) -> None:
+        """Move queued jobs into the executor while it holds fewer than one per worker."""
+        started = []
+        with self._lock:
+            while self._queue and self._running < self.workers:
+                executor = self._ensure()
+                try:
+                    job = executor.submit(run_job, self._queue[0][0])
+                except BrokenProcessPool:
+                    # It broke while idle, so no failing job discarded it;
+                    # this job never started and waits for a fresh pool.
+                    self._executor = None
+                    continue
+                self._running += 1
+                started.append((executor, self._queue.popleft()[1], job))
+        # Outside the lock: a job already done runs its callback right here.
+        for executor, envelope, job in started:
+            job.add_done_callback(lambda done, e=executor, f=envelope: self._settle(e, f, done))
+
+    def _settle(self, executor: ProcessPoolExecutor, envelope: Future, job: Future) -> None:
+        """Complete one job's envelope, free its executor slot and start the next job."""
+        try:
+            envelope.set_result(job.result())
+        except BrokenProcessPool as exc:
+            # The executor's own result thread terminates its workers, and
+            # this may run on that thread, so it is only forgotten here.
+            with self._lock:
+                if self._executor is executor:
+                    self._executor = None
+            crash = WorkerCrashError(
+                "synthesis worker process died mid-job; the pool has been rebuilt"
+            )
+            crash.__cause__ = exc
+            envelope.set_exception(crash)
+        except Exception as exc:  # the worker's own error, or a cancelled job
+            envelope.set_exception(exc)
+        finally:
+            with self._lock:
+                self._running -= 1
+                self._lock.notify_all()
+            self._pump()
 
     # -- introspection -----------------------------------------------------------
 

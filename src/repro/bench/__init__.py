@@ -7,12 +7,11 @@ Use the command line entry point::
     python -m repro.bench table1            # Table 1 (literature summary)
     python -m repro.bench ablation          # Putinar vs Handelman vs Farkas
     python -m repro.bench all --quick       # everything, small parameter preset
-    python -m repro.bench table2 --solve --workers 8   # parallel Step-4 solves
+    python -m repro.bench table2 --solve    # add the Step-4 solve per row
 
 or the programmatic API in :mod:`repro.bench.runner` and
 :mod:`repro.bench.tables`.  The runner is a thin measurement layer over
-:class:`repro.api.Engine`, so whole tables share Step 1-3 reductions and can
-fan their solves out across the engine's process pool.
+:class:`repro.api.Engine`, so whole tables share Step 1-3 reductions.
 """
 
 from repro.bench.runner import (

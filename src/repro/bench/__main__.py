@@ -160,20 +160,13 @@ def main(argv: list[str] | None = None) -> int:
             "certificate validated in pure Fraction arithmetic (repairing on rejection)"
         ),
     )
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=0,
-        help="run this many requests at once on worker threads (0 = sequential)",
-    )
     parser.add_argument("--no-progress", action="store_true", help="suppress per-benchmark progress lines")
     parser.add_argument("--output", help="write the rendered tables to this file as well")
     args = parser.parse_args(argv)
 
     sections: list[str] = []
-    # One engine for the whole invocation: every table command shares its task
-    # cache (and, with --workers, its worker threads).
-    with bench_engine(workers=args.workers) as engine:
+    # One engine for the whole invocation: every table command shares its cache.
+    with bench_engine() as engine:
         if args.command in ("table1", "all"):
             sections.append("## Table 1 - literature summary\n\n" + render_table1() + "\n")
         if args.command in ("table2", "all"):

@@ -2,10 +2,10 @@
 
 Since the service-API refactor this module is a thin measurement layer on top
 of :class:`repro.api.Engine`: benchmarks become typed
-:class:`~repro.api.request.SynthesisRequest` values, reductions are
-deduplicated through the engine's task cache, and with ``workers > 1`` the
-requests of a whole table run concurrently on the engine's worker threads
-while results stream back.
+:class:`~repro.api.request.SynthesisRequest` values and reductions are
+deduplicated through the engine's task cache.  Rows are read from each
+response's in-process ``task``/``result`` extras, which a worker process's
+wire envelope does not carry, so the runner uses a sequential engine.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from repro.api.response import SynthesisResponse
 from repro.invariants.synthesis import SynthesisOptions
 from repro.pipeline.jobs import job_from_benchmark
 from repro.reduction import EscalationTrace
-from repro.solvers.base import Solver, SolverOptions
+from repro.solvers.base import SolverOptions
 from repro.suite.base import Benchmark
 
 
@@ -66,21 +66,13 @@ def bench_solver_options() -> SolverOptions:
     return SolverOptions(restarts=1, max_iterations=200, time_limit=60.0)
 
 
-def bench_engine(workers: int = 0, solver: Solver | None = None) -> Engine:
-    """An engine configured like the benchmark runner uses it.
+def bench_engine() -> Engine:
+    """A sequential engine configured like the benchmark runner uses it.
 
     Pass the same engine to several :func:`measure_many` calls (or table
     commands) to share its task cache and solve-dedup table between them.
     """
-    return Engine(
-        workers=workers,
-        solver=solver,
-        solver_options=bench_solver_options(),
-        # Threads, not worker processes: the runner reads the in-process
-        # ``task``/``result`` extras, which the whole-job wire path
-        # (executor="process") does not carry.
-        executor="thread",
-    )
+    return Engine(solver_options=bench_solver_options())
 
 
 def request_from_benchmark(
@@ -192,7 +184,6 @@ def measure_benchmark(
     benchmark: Benchmark,
     options: SynthesisOptions | None = None,
     solve: bool = False,
-    solver: Solver | None = None,
 ) -> Measurement:
     """Run Steps 1-3 (and optionally Step 4) on one benchmark and record a row.
 
@@ -206,20 +197,15 @@ def measure_benchmark(
         Whether to also run the Step-4 solver (adds its wall-clock time and
         status to the row).  The reduction alone reproduces the structural
         columns n, d, |V| and |S|.
-    solver:
-        Solver to use when ``solve`` is true (default: a short-budget
-        :class:`~repro.solvers.qclp.PenaltyQCLPSolver`).
     """
-    return measure_many([benchmark], solve=solve, solver=solver, options=options, verbose=False)[0]
+    return measure_many([benchmark], solve=solve, options=options, verbose=False)[0]
 
 
 def measure_many(
     benchmarks: Iterable[Benchmark],
     solve: bool = False,
-    solver: Solver | None = None,
     quick: bool = False,
     verbose: bool = True,
-    workers: int = 0,
     options: SynthesisOptions | None = None,
     engine: Engine | None = None,
     option_overrides: dict | None = None,
@@ -229,15 +215,13 @@ def measure_many(
     The quick preset lowers the multiplier degree (Upsilon) to 1, which keeps
     every reduction under a few seconds; it is used by the default pytest
     benchmark run so that CI stays fast.  The full preset (``quick=False``)
-    reproduces the paper's parameters.  ``workers > 1`` runs that many
-    requests at once on the engine's worker threads; pass an ``engine`` (see
+    reproduces the paper's parameters.  Pass an ``engine`` (see
     :func:`bench_engine`) to share its task cache between calls.
 
     ``option_overrides`` patches individual synthesis options per benchmark
-    (e.g. ``{"translation": "handelman", "strategy": "portfolio"}``).  When no
-    explicit ``solver`` is given, each request's Step-4 back-end follows its
-    options' ``strategy``/``portfolio`` knobs under the short bench budget of
-    :func:`bench_solver_options`.
+    (e.g. ``{"translation": "handelman", "strategy": "portfolio"}``).  Each
+    request's Step-4 back-end follows its options' ``strategy``/``portfolio``
+    knobs under the short bench budget of :func:`bench_solver_options`.
     """
     benchmarks = list(benchmarks)
     requests = [
@@ -248,7 +232,7 @@ def measure_many(
     ]
     owns_engine = engine is None
     if engine is None:
-        engine = bench_engine(workers=workers, solver=solver)
+        engine = bench_engine()
 
     try:
         measurements: list[Measurement] = []

@@ -27,15 +27,7 @@ def main(argv: list[str] | None = None) -> int:
         "--workers",
         type=int,
         default=4,
-        help="engine concurrency: worker processes under the process executor, "
-        "threads otherwise (default: %(default)s)",
-    )
-    parser.add_argument(
-        "--executor",
-        default="auto",
-        choices=("auto", "thread", "process"),
-        help="engine executor back-end; auto picks processes on multi-core hosts "
-        "when --workers > 1 (default: %(default)s)",
+        help="engine worker processes; 1 runs one in-process engine (default: %(default)s)",
     )
     options = parser.parse_args(argv)
 
@@ -44,7 +36,6 @@ def main(argv: list[str] | None = None) -> int:
         port=options.port,
         store=options.store,
         workers=options.workers,
-        executor=options.executor,
     )
 
     async def run() -> None:
@@ -52,7 +43,7 @@ def main(argv: list[str] | None = None) -> int:
         store_note = f", store={server.engine.store.root}" if server.engine.store else ""
         print(
             f"repro.server listening on {server.url} "
-            f"(workers={server.engine.workers}, executor={server.engine.executor_kind}{store_note})"
+            f"(workers={server.engine.workers}{store_note})"
         )
         try:
             await server.serve_forever()

@@ -21,9 +21,9 @@ semantics: envelopes arrive in completion order, stamped with their
 ``submission_id``; documents rejected at validation time are streamed first
 as synthetic ``status="error"`` envelopes.
 
-Engine work runs on worker threads (``asyncio.to_thread`` /
-``wrap_future``), so the event loop only ever parses bytes and serialises
-JSON — slow solves never block the health probe.
+Engine submission runs off-loop (``asyncio.to_thread``) and responses are
+awaited through ``wrap_future``, so the event loop only ever parses bytes and
+serialises JSON — slow solves never block the health probe.
 """
 
 from __future__ import annotations
@@ -123,16 +123,12 @@ class SynthesisServer:
         solves and certificates all live there.  ``None`` (the default)
         persists nothing.
     workers:
-        Concurrency of an owned engine (default 2).  Under the process
-        executor this is the number of worker *processes* — the server's
-        cold-traffic throughput scales with it up to the host's cores.
-        ``workers=1`` serves strictly sequentially (useful as a scaling
-        baseline); the engine still executes off-loop, so the health probe
-        stays responsive either way.
-    executor:
-        Executor back-end of an owned engine (default ``"auto"``: worker
-        processes when ``workers > 1`` and the host is multi-core, else
-        threads).  See :class:`~repro.api.engine.Engine`.
+        Concurrency of an owned engine (default 2): the number of worker
+        *processes*, so the server's cold-traffic throughput scales with it
+        up to the host's cores.  ``workers=1`` runs one in-process engine
+        instead (useful as a scaling baseline): requests execute on the
+        event loop's ``to_thread`` workers, concurrently but under one
+        interpreter lock.  Either way the health probe stays responsive.
     solver_options:
         Default solver knobs of an owned engine.
     """
@@ -145,14 +141,12 @@ class SynthesisServer:
         port: int = 0,
         store=None,
         workers: int | None = None,
-        executor: str = "auto",
         solver_options=None,
     ) -> None:
         self._owns_engine = engine is None
         if engine is None:
             engine = Engine(
                 workers=max(1, workers) if workers is not None else 2,
-                executor=executor,
                 store=store,
                 solver_options=solver_options,
             )
@@ -316,10 +310,10 @@ class SynthesisServer:
 
     async def _synthesize(self, document) -> dict:
         request = self._parse_document(document)
-        # Submit off-loop (a sequential engine executes inside submit();
-        # a pooled one takes locks), then await the engine future directly —
-        # under the process executor many requests are then genuinely
-        # in flight at once, one per worker process, without pinning a
+        # Submit off-loop (a sequential engine executes inside submit(); a
+        # pooled one reads the store there), then await the engine future
+        # directly — on a pooled engine many requests are then genuinely in
+        # flight at once, one per worker process, without pinning a
         # to_thread slot each.
         handle = await asyncio.to_thread(self.engine.submit, request)
         response = await asyncio.wrap_future(handle._future)
@@ -339,8 +333,7 @@ class SynthesisServer:
             except RequestValidationError as exc:
                 job.rejected.append(_validation_envelope(entry, exc, position))
         # Submission happens off-loop: a sequential engine executes inside
-        # submit(), and even a pooled one takes locks worth keeping off the
-        # event loop.
+        # submit(), and even a pooled one reads the store there.
         job.handles = await asyncio.to_thread(
             lambda: [self.engine.submit(request) for request in accepted]
         )

@@ -16,13 +16,10 @@ a configurable list of strategies over it:
 * **warm-start exchange** — every strategy may seed its next restart from the
   portfolio's best-known point.
 
-Two executors are supported.  ``"thread"`` races all strategies
-concurrently (the numpy-heavy evaluation closures release the GIL for most of
-their work).  ``"sequential"`` runs the strategies cheapest-first and stops at
-the first feasible point — the optimistic "race cheap certificates before
-expensive ones" mode, and the right choice on single-core machines.  The
-default ``"auto"`` picks ``"thread"`` on multi-core machines and
-``"sequential"`` otherwise.
+On a multi-core host the strategies race concurrently on threads (the
+numpy-heavy evaluation closures release the GIL for most of their work).  On
+a single-core host they run cheapest-first and stop at the first feasible
+point — the optimistic "race cheap certificates before expensive ones" walk.
 """
 
 from __future__ import annotations
@@ -44,7 +41,7 @@ def _qclp_feasibility(options: SolverOptions) -> Solver:
     return PenaltyQCLPSolver(options, objective_weight=0.0)
 
 
-#: Registered Step-4 strategies, cheapest first (the sequential executor
+#: Registered Step-4 strategies, cheapest first (the sequential walk
 #: honours this ordering when the caller does not specify one).
 STRATEGIES: dict[str, Callable[[SolverOptions], Solver]] = {
     "gauss-newton": GaussNewtonSolver,
@@ -56,8 +53,6 @@ STRATEGIES: dict[str, Callable[[SolverOptions], Solver]] = {
 #: The default racing line-up: the cheap feasibility sprint, the default
 #: penalty solver, and the bilinear block-coordinate solver.
 DEFAULT_PORTFOLIO: tuple[str, ...] = ("gauss-newton", "qclp", "alternating")
-
-EXECUTORS = ("auto", "thread", "sequential")
 
 
 def strategy_names() -> tuple[str, ...]:
@@ -134,7 +129,6 @@ class PortfolioSolver(Solver):
         self,
         options: SolverOptions | None = None,
         strategies: Sequence[str] = DEFAULT_PORTFOLIO,
-        executor: str = "auto",
     ):
         super().__init__(options)
         if not strategies:
@@ -149,10 +143,7 @@ class PortfolioSolver(Solver):
                 f"duplicate portfolio strategies in {tuple(strategies)!r}; "
                 "outcomes and racing columns are keyed by strategy name"
             )
-        if executor not in EXECUTORS:
-            raise SynthesisError(f"unknown executor {executor!r}; known executors: {', '.join(EXECUTORS)}")
         self.strategies = tuple(strategies)
-        self.executor = executor
 
     # -- strategy construction -----------------------------------------------------
 
@@ -165,11 +156,6 @@ class PortfolioSolver(Solver):
             solver.strategy_label = name
             solvers.append((name, solver))
         return solvers
-
-    def _resolved_executor(self) -> str:
-        if self.executor != "auto":
-            return self.executor
-        return "thread" if (os.cpu_count() or 1) > 1 else "sequential"
 
     # -- main entry ------------------------------------------------------------------
 
@@ -184,14 +170,13 @@ class PortfolioSolver(Solver):
                 tolerance=self.options.tolerance,
                 stop_on_feasible=True,
             )
-        executor = self._resolved_executor()
-        if executor == "thread":
+        if (os.cpu_count() or 1) > 1:
             outcomes = self._race_threads(problem, control)
         else:
             outcomes = self._race_sequential(problem, control)
         return self._assemble(outcomes, control)
 
-    # -- executors ----------------------------------------------------------------------
+    # -- races ----------------------------------------------------------------------------
 
     def _race_sequential(
         self, problem: CompiledProblem, control: SolveControl

@@ -130,7 +130,11 @@ class BlobStore:
             os.makedirs(shard, exist_ok=True)
             fd, tmp_path = tempfile.mkstemp(dir=shard, prefix=".tmp-", suffix=".json")
             try:
-                os.write(fd, data)
+                # write(2) may write fewer bytes than asked (a filling disk)
+                # without an error; the next call then raises ENOSPC.
+                view = memoryview(data)
+                while view:
+                    view = view[os.write(fd, view) :]
                 os.fsync(fd)  # data durable before the rename publishes it
             finally:
                 os.close(fd)

@@ -42,7 +42,7 @@ def document_for(name: str, **overrides) -> dict:
 
 @pytest.fixture()
 def process_server():
-    engine = Engine(workers=2, solver_options=QUICK_SOLVE, executor="process")
+    engine = Engine(workers=2, solver_options=QUICK_SOLVE)
     server = SynthesisServer(engine)
     try:
         with serve_in_background(server) as handle:
@@ -92,7 +92,7 @@ def test_concurrent_cold_hammer_accounts_for_every_request(process_server):
 
 def test_worker_crash_over_http_is_structured_error(monkeypatch):
     monkeypatch.setenv(FAULT_MARKER_ENV, "crash-me")
-    engine = Engine(workers=2, solver_options=QUICK_SOLVE, executor="process")
+    engine = Engine(workers=2, solver_options=QUICK_SOLVE)
     server = SynthesisServer(engine)
     try:
         with serve_in_background(server) as handle:

@@ -233,9 +233,9 @@ def test_engine_rejects_negative_workers():
 
 
 def test_context_manager_closes_a_pooled_engine():
-    with Engine(workers=2, executor="thread", solver_options=QUICK_SOLVE) as engine:
+    with Engine(workers=2, solver_options=QUICK_SOLVE) as engine:
         assert engine.synthesize(request_for("sum")).ok
-    assert engine.closed and engine._threads is None
+    assert engine.closed and engine._jobs is None
 
 
 def test_closed_engine_rejects_submissions():

@@ -1,5 +1,6 @@
 """Tests of the Step-4 solver portfolio (repro.solvers.portfolio)."""
 
+import os
 import pickle
 
 import pytest
@@ -66,18 +67,15 @@ def test_portfolio_validates_configuration():
         PortfolioSolver(strategies=("qclp", "nope"))
     with pytest.raises(SynthesisError):
         PortfolioSolver(strategies=("qclp", "qclp"))  # outcomes are keyed by name
-    with pytest.raises(SynthesisError):
-        PortfolioSolver(executor="fibers")
-    with pytest.raises(SynthesisError):
-        PortfolioSolver(executor="process")
 
 
 # -- racing ------------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("executor", ["sequential", "thread"])
-def test_portfolio_solves_bilinear_system(executor):
-    solver = PortfolioSolver(SolverOptions(restarts=2, max_iterations=150), executor=executor)
+@pytest.mark.parametrize("cpus", [1, 2], ids=["sequential", "thread"])
+def test_portfolio_solves_bilinear_system(cpus, monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    solver = PortfolioSolver(SolverOptions(restarts=2, max_iterations=150))
     result = solver.solve(bilinear_system())
     assert result.feasible
     assert result.strategy in STRATEGIES
@@ -89,11 +87,10 @@ def test_portfolio_solves_bilinear_system(executor):
         assert f"portfolio_{name}_feasible" in result.details
 
 
-def test_portfolio_first_feasible_wins_skips_later_sequential_strategies():
+def test_portfolio_first_feasible_wins_skips_later_sequential_strategies(monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 1)  # the sequential walk
     solver = PortfolioSolver(
-        SolverOptions(restarts=2, max_iterations=150),
-        strategies=("qclp", "alternating"),
-        executor="sequential",
+        SolverOptions(restarts=2, max_iterations=150), strategies=("qclp", "alternating")
     )
     result = solver.solve(bilinear_system())
     assert result.feasible
@@ -125,9 +122,10 @@ def test_portfolio_shares_one_compilation():
     assert compile_problem(system) is problem  # memo entry untouched by the race
 
 
-def test_portfolio_respects_shared_deadline():
+def test_portfolio_respects_shared_deadline(monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 1)  # the sequential walk
     control = SolveControl(deadline=Deadline.after(0.0), tolerance=1e-5)
-    solver = PortfolioSolver(SolverOptions(restarts=3, max_iterations=5000), executor="sequential")
+    solver = PortfolioSolver(SolverOptions(restarts=3, max_iterations=5000))
     result = solver.solve_compiled(compile_problem(bilinear_system()), control)
     assert result.details.get("timed_out") == 1.0 or result.status == "no-progress"
 

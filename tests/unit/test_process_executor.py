@@ -3,8 +3,10 @@
 import json
 import multiprocessing
 import os
+import sys
+import threading
 import time
-from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures import Future
 
 import pytest
 
@@ -42,37 +44,14 @@ def shm_entries() -> set:
         return set()
 
 
-# -- the auto decision table -------------------------------------------------------
-
-
-def test_auto_executor_decision_table():
-    resolve = Engine._resolve_executor
-    assert resolve("auto", 0, cpus=8) == "thread"
-    assert resolve("auto", 1, cpus=8) == "thread"
-    assert resolve("auto", 4, cpus=1) == "thread"
-    assert resolve("auto", 2, cpus=2) == "process"
-    assert resolve("auto", 4, cpus=16) == "process"
-    # Explicit choices always win, whatever the host looks like.
-    assert resolve("thread", 8, cpus=16) == "thread"
-    assert resolve("process", 8, cpus=1) == "process"
-
-
-def test_unknown_executor_rejected():
-    with pytest.raises(ValueError, match="unknown executor"):
-        Engine(executor="fork-bomb")
-    with pytest.raises(ValueError, match="unknown executor"):
-        Engine(executor="solve-process")
-
-
-# -- differential: process-backed responses match thread-backed ones ---------------
+# -- differential: process-backed responses match sequential ones ------------------
 
 
 def test_process_engine_matches_sequential_fingerprints():
     names = ["sum", "freire1", "cohendiv"]
     with Engine(solver_options=QUICK_SOLVE) as sequential:
         baseline = {name: sequential.synthesize(request_for(name)) for name in names}
-    with Engine(workers=2, solver_options=QUICK_SOLVE, executor="process") as engine:
-        assert engine.executor_kind == "process"
+    with Engine(workers=2, solver_options=QUICK_SOLVE) as engine:
         for name in names:
             response = engine.synthesize(request_for(name))
             assert response.status == baseline[name].status
@@ -90,9 +69,9 @@ def test_process_engine_matches_sequential_fingerprints():
 
 def test_inflight_rider_shares_owner_envelope():
     """A request identical to one already in flight rides the owner's job."""
-    with Engine(workers=2, solver_options=QUICK_SOLVE, executor="process") as engine:
+    with Engine(workers=2, solver_options=QUICK_SOLVE) as engine:
         request = request_for("sum", request_id="rider")
-        key = engine._process_dedup_key(request)
+        key = engine._response_key(request)
         owner_future: Future = Future()
         with engine._inflight_lock:
             engine._inflight[key] = owner_future
@@ -104,12 +83,12 @@ def test_inflight_rider_shares_owner_envelope():
             owned = sequential.synthesize(request_for("sum", request_id="rider"))
         wire = json.dumps(owned.to_dict(), default=str)
 
-        with ThreadPoolExecutor(max_workers=1) as pool:
-            rider = pool.submit(engine.synthesize, request)
-            time.sleep(0.05)
-            assert not rider.done()  # genuinely waiting on the in-flight owner
-            owner_future.set_result(wire)
-            response = rider.result(timeout=30)
+        rider = engine.submit(request)  # returns at once: nothing waits on a worker
+        time.sleep(0.05)
+        assert not rider.done()  # genuinely waiting on the in-flight owner
+        assert not rider._future.cancel()  # a caller's cancel() only detaches
+        owner_future.set_result(wire)
+        response = rider.result(timeout=30)
         assert response.status == owned.status
         assert response.request_id == "rider"
         assert response.from_cache and response.shared_solve
@@ -124,7 +103,7 @@ def test_inflight_rider_shares_owner_envelope():
 def test_process_stats_account_for_every_request():
     """Concurrent identical requests: owners + riders sum to the request count."""
     total = 6
-    with Engine(workers=2, solver_options=QUICK_SOLVE, executor="process") as engine:
+    with Engine(workers=2, solver_options=QUICK_SOLVE) as engine:
         requests = [request_for("sum", request_id=f"client-{i}") for i in range(total)]
         responses = list(engine.map(requests))
         assert all(response.status == "ok" for response in responses)
@@ -140,12 +119,58 @@ def test_process_stats_account_for_every_request():
         assert stats["process_inflight"] == 0.0
 
 
+def test_unparseable_owner_envelope_fails_every_rider():
+    """A wire envelope that does not parse resolves every rider with that error."""
+    with Engine(workers=2, solver_options=QUICK_SOLVE) as engine:
+        request = request_for("sum", request_id="garbled")
+        key = engine._response_key(request)
+        owner_future: Future = Future()
+        with engine._inflight_lock:
+            engine._inflight[key] = owner_future
+        riders = [engine.submit(request) for _ in range(2)]
+        assert not any(rider.done() for rider in riders)
+        owner_future.set_result("{not json")
+        for rider in riders:
+            with pytest.raises(json.JSONDecodeError):
+                rider.result(timeout=30)
+        with engine._inflight_lock:
+            engine._inflight.pop(key, None)
+
+
+# -- the pooled-engine contract ----------------------------------------------------
+
+
+def test_pooled_engine_starts_no_request_threads():
+    with Engine(workers=2, solver_options=QUICK_SOLVE) as engine:
+        responses = list(engine.map([request_for("sum"), request_for("freire1")]))
+        assert sorted(response.status for response in responses) == ["ok", "ok"]
+        names = [thread.name for thread in threading.enumerate()]
+        assert not [name for name in names if name.startswith("repro-engine")]
+
+
+def test_reduce_only_on_pooled_engine_runs_in_calling_thread(monkeypatch):
+    with Engine(workers=2, solver_options=QUICK_SOLVE) as engine:
+        builders = []
+        build = engine.cache.get_or_build_with_report
+
+        def recording_build(job):
+            builders.append(threading.current_thread())
+            return build(job)
+
+        monkeypatch.setattr(engine.cache, "get_or_build_with_report", recording_build)
+        response = engine.synthesize(request_for("sum", reduce_only=True))
+    assert response.status == "reduced"
+    assert response.task is not None
+    assert response.system_size == response.task.system.size
+    assert builders == [threading.current_thread()]
+
+
 # -- crash handling ----------------------------------------------------------------
 
 
 def test_worker_crash_becomes_structured_error(monkeypatch):
     monkeypatch.setenv(FAULT_MARKER_ENV, "crash-me")
-    with Engine(workers=2, solver_options=QUICK_SOLVE, executor="process") as engine:
+    with Engine(workers=2, solver_options=QUICK_SOLVE) as engine:
         crashed = engine.synthesize(request_for("sum", request_id="crash-me"))
         assert crashed.status == "error"
         assert crashed.error is not None and crashed.error.type == "WorkerCrashed"
@@ -155,6 +180,44 @@ def test_worker_crash_becomes_structured_error(monkeypatch):
         stats = engine.stats()
         assert stats["process_jobs_failed"] == 1.0
         assert stats["process_jobs"] == 2.0
+
+
+def test_worker_crash_spares_the_queued_backlog(monkeypatch):
+    """A crash fails the jobs in the executor, at most one per worker, not the queue."""
+    monkeypatch.setenv(FAULT_MARKER_ENV, "crash-me")
+    requests = [
+        request_for(
+            "sum",
+            request_id="crash-me" if seed == 0 else f"queued-{seed}",
+            solver_options=SolverOptions(restarts=1, max_iterations=60, seed=seed),
+        )
+        for seed in range(7)
+    ]
+    with Engine(workers=2, solver_options=QUICK_SOLVE) as engine:
+        handles = [engine.submit(request) for request in requests]
+        responses = {handle.request.request_id: handle.result(timeout=120) for handle in handles}
+        crashed = sorted(
+            request_id
+            for request_id, response in responses.items()
+            if response.error is not None and response.error.type == "WorkerCrashed"
+        )
+        assert "crash-me" in crashed and len(crashed) <= engine.workers
+        survivors = [r for r in responses.values() if r.request_id not in crashed]
+        assert len(survivors) >= len(requests) - engine.workers
+        assert all(response.status == "ok" for response in survivors)
+        assert engine.stats()["process_jobs_failed"] == float(len(crashed))
+
+
+def test_close_runs_queued_jobs_first():
+    engine = Engine(workers=2, solver_options=QUICK_SOLVE)
+    handles = [
+        engine.submit(
+            request_for("sum", solver_options=SolverOptions(restarts=1, max_iterations=60, seed=seed))
+        )
+        for seed in range(5)
+    ]
+    engine.close()
+    assert [handle.result(timeout=0).status for handle in handles] == ["ok"] * 5
 
 
 # -- leak audit --------------------------------------------------------------------
@@ -176,7 +239,7 @@ def test_failed_engine_construction_leaves_no_children(monkeypatch):
 
     monkeypatch.setattr(ProcessWorkerPool, "warm", exploding_warm)
     with pytest.raises(RuntimeError, match="boom"):
-        Engine(workers=2, solver_options=QUICK_SOLVE, executor="process")
+        Engine(workers=2, solver_options=QUICK_SOLVE)
     deadline = time.time() + 10
     while time.time() < deadline:
         leaked = {
@@ -190,7 +253,7 @@ def test_failed_engine_construction_leaves_no_children(monkeypatch):
 
 
 def test_close_shuts_down_job_workers():
-    engine = Engine(workers=2, solver_options=QUICK_SOLVE, executor="process")
+    engine = Engine(workers=2, solver_options=QUICK_SOLVE)
     assert engine.synthesize(request_for("sum")).status == "ok"
     pids = engine._jobs.worker_pids()
     assert pids
@@ -226,7 +289,7 @@ def test_deadline_epoch_clamps_only_downward():
 
 
 def test_expired_deadline_yields_deadline_error_not_hang():
-    with Engine(workers=2, solver_options=QUICK_SOLVE, executor="process") as engine:
+    with Engine(workers=2, solver_options=QUICK_SOLVE) as engine:
         response = engine.synthesize(
             request_for("sum", request_id="expired", deadline=5.0),
             deadline_epoch=time.time() - 1.0,  # budget already gone on arrival
@@ -244,12 +307,58 @@ def test_worker_pool_round_trips_json_envelope():
         1, WorkerConfig(solver_options={"restarts": 1, "max_iterations": 60})
     )
     try:
-        wire = pool.execute(request_for("sum").to_dict(), None)
+        wire = pool.submit(request_for("sum").to_dict(), None).result(timeout=120)
         envelope = json.loads(wire)
         assert envelope["status"] == "ok"
         assert envelope["request_id"] == "sum"
     finally:
         pool.close()
+
+
+def test_worker_pool_queue_under_concurrent_submitters(monkeypatch):
+    """Racing submitters: every job completes and the executor never holds more than one per worker."""
+    pool = ProcessWorkerPool(2, WorkerConfig())
+    document = request_for("sum", reduce_only=True).to_dict()
+    held = []
+    settle = pool._settle
+
+    def recording_settle(executor, envelope, job):
+        held.append(pool._running)
+        settle(executor, envelope, job)
+
+    monkeypatch.setattr(pool, "_settle", recording_settle)
+    envelopes, lock = [], threading.Lock()
+
+    def submitter():
+        for _ in range(10):
+            envelope = pool.submit(document, None)
+            with lock:
+                envelopes.append(envelope)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=submitter) for _ in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+        assert not any(thread.is_alive() for thread in threads)
+        statuses = [json.loads(envelope.result(timeout=120))["status"] for envelope in envelopes]
+    finally:
+        sys.setswitchinterval(interval)
+        pool.close()
+    assert statuses == ["reduced"] * 40
+    assert len(held) == 40 and max(held) <= pool.workers
+    assert pool._running == 0 and not pool._queue
+
+
+def test_closed_worker_pool_refuses_jobs_and_forks_nothing():
+    pool = ProcessWorkerPool(1, WorkerConfig())
+    pool.close()
+    with pytest.raises(RuntimeError, match="closed"):
+        pool.submit(request_for("sum").to_dict(), None)
+    assert pool._executor is None and pool.worker_pids() == []
 
 
 def test_worker_pool_rejects_zero_workers():

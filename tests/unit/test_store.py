@@ -1,5 +1,6 @@
 """Tests of the persistent content-addressed store (repro.store)."""
 
+import errno
 import json
 import multiprocessing
 import os
@@ -147,6 +148,41 @@ def test_truncated_blob_degrades_to_miss_and_is_repaired(tmp_path):
     # The slot accepts a rewrite afterwards.
     assert blobs.put("responses", key, {"v": 1, "payload": "fresh"})
     assert blobs.get("responses", key) == {"v": 1, "payload": "fresh"}
+
+
+def test_short_writes_never_publish_a_truncated_blob(tmp_path, monkeypatch):
+    # write(2) may write part of its buffer and report no error, as on a
+    # filling disk; the next call then fails with ENOSPC.
+    real_write = os.write
+    blobs = BlobStore(tmp_path)
+    payload = {"v": 1, "payload": "x" * 1000}
+
+    def half_write(fd, data):
+        return real_write(fd, bytes(data[: max(1, len(data) // 2)]))
+
+    with monkeypatch.context() as patch:
+        patch.setattr(os, "write", half_write)
+        assert blobs.put("responses", content_key("short"), payload)
+    assert blobs.get("responses", content_key("short")) == payload
+
+    wrote = []
+
+    def filling_disk(fd, data):
+        if wrote:
+            raise OSError(errno.ENOSPC, "No space left on device")
+        wrote.append(len(data))
+        return real_write(fd, bytes(data[: len(data) // 2]))
+
+    key = content_key("full-disk")
+    with monkeypatch.context() as patch:
+        patch.setattr(os, "write", filling_disk)
+        assert not blobs.put("responses", key, payload)
+    stats = blobs.stats()
+    assert stats["store_blob_write_failures"] == 1
+    assert stats["store_blob_writes"] == 1  # the first put only
+    assert blobs.get("responses", key) is None
+    shard = os.path.dirname(blobs.path_for("responses", key))
+    assert not [name for name in os.listdir(shard) if name.startswith(".tmp-")]
 
 
 def test_non_object_blob_degrades_to_miss(tmp_path):

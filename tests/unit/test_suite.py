@@ -107,19 +107,18 @@ def test_measure_benchmark_records_row():
     assert measurement.total_seconds == pytest.approx(measurement.reduction_seconds)
 
 
-def test_measure_many_survives_solver_failure():
+def test_measure_many_survives_solver_failure(monkeypatch):
+    from repro.api import engine as engine_module
     from repro.bench.runner import measure_many
-    from repro.solvers.base import Solver
 
-    class ExplodingSolver(Solver):
-        def solve_compiled(self, problem, control=None):
-            raise RuntimeError("boom")
+    def exploding_solve(solver, system):
+        raise RuntimeError("boom")
 
+    monkeypatch.setattr(engine_module, "_solve_system", exploding_solve)
     benchmark = get_benchmark("freire1")
     measurements = measure_many(
         [benchmark],
         solve=True,
-        solver=ExplodingSolver(),
         quick=True,
         verbose=True,  # regression: the progress line must cope with solve_seconds=None
     )
