@@ -5,7 +5,8 @@ reproduction replaces it with NumPy batched descent solvers sharing one
 compiled problem IR:
 
 * :mod:`repro.solvers.problem` — :class:`CompiledProblem`, the IR every
-  solver consumes: flat residual/Jacobian/penalty evaluation built once per
+  solver consumes: an exact presolve that fixes the unknowns the equalities
+  force to zero, flat residual/Jacobian/penalty evaluation built once per
   system (memoised through :func:`compile_problem`), strict-margin
   rewriting, variable ordering and role masks, plus the solve-time control
   plane (:class:`Deadline`, :class:`SolveControl`).

@@ -28,7 +28,7 @@ from repro.solvers.batched import (
     batched_penalty_descent,
     run_multistart,
 )
-from repro.solvers.problem import CompiledProblem, Deadline, SolveControl
+from repro.solvers.problem import CompiledProblem, Deadline, SolveControl, presolve_verdict
 
 #: The block sweeps' rho stages, lowest first.
 _PENALTY_SCHEDULE = (10.0, 100.0, 1_000.0, 10_000.0)
@@ -116,8 +116,9 @@ class AlternatingSolver(Solver):
             control = SolveControl(
                 deadline=Deadline.after(options.time_limit), tolerance=options.tolerance
             )
-        if problem.dimension == 0:
-            return SolverResult(assignment={}, status="trivial", objective_value=0.0, max_violation=0.0)
+        verdict = presolve_verdict(problem)
+        if verdict is not None:
+            return verdict
         return run_multistart(
             problem,
             control,

@@ -108,6 +108,14 @@ class SolverResult:
     call carried (1 in ``"rows"`` mode or when the leader wave wins alone, 0
     when no batched kernel ran: trivial systems and Gauss-Newton's
     unconstrained shortcut).
+
+    ``details`` carries solver diagnostics.  Its ``dimension`` and
+    ``constraints`` count the presolved problem the solver descended on
+    (free unknowns and kept rows), not the system; ``fixed_unknowns`` and
+    ``dropped_rows`` count the unknowns the presolve fixed at 0 and the
+    rows it dropped (:meth:`~repro.solvers.problem.CompiledProblem.size_details`).
+    ``status`` is ``"infeasible"`` when the presolve proved the system
+    has no solution, which it does before any descent.
     """
 
     assignment: Mapping[str, float] | None

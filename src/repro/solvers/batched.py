@@ -39,6 +39,10 @@ _MIN_STEP = 1e-14
 _MAX_STEP = 1e8
 #: Curvature pairs kept by the batched L-BFGS penalty descent.
 _LBFGS_HISTORY = 8
+#: CG steps per Levenberg–Marquardt iteration (CG also stops at ``rtol``).
+#: A constant, not a share of the dimension: a budget that shrinks with the
+#: presolved dimension left restarts stalled short of the tolerance.
+_CG_ITERATIONS = 100
 
 
 @dataclass
@@ -197,7 +201,6 @@ def batched_least_squares(
     target: float,
     active: np.ndarray | None = None,
     gtol: float = 1e-12,
-    cg_iterations: int | None = None,
     win_tolerance: float | None = None,
 ) -> BatchDescent:
     """Per-member Levenberg–Marquardt on the residuals (the feasibility sprint).
@@ -220,11 +223,9 @@ def batched_least_squares(
     would have stopped there — so the remaining members are cancelled (see
     :func:`cancel_overtaken`; the fold ignores them either way).
     """
-    k, dimension = points.shape
+    k = points.shape[0]
     x = points.copy()
     live = np.ones(k, dtype=bool) if active is None else active.copy()
-    if cg_iterations is None:
-        cg_iterations = min(100, max(20, dimension // 8))
     damping = np.full(k, 1e-3)
 
     r = problem.residuals_batch(x)
@@ -256,7 +257,7 @@ def batched_least_squares(
         def normal_matvec(v: np.ndarray) -> np.ndarray:
             return jacobian.rmatvec(jacobian.matvec(v)) + lam[:, None] * v
 
-        step = _batched_cg(normal_matvec, -gradient, live, cg_iterations)
+        step = _batched_cg(normal_matvec, -gradient, live, _CG_ITERATIONS)
         trial = np.where(live[:, None], x + step, x)
         r_trial = problem.residuals_batch(trial)
         counters.count_residuals(int(live.sum()))
@@ -544,8 +545,7 @@ def run_multistart(
     # A cancellation or the deadline left the winner wherever it stood.
     details["interrupted"] = float(winner >= cut)
     if size_details:
-        details["dimension"] = float(problem.dimension)
-        details["constraints"] = float(problem.row_count)
+        details.update(problem.size_details())
     return SolverResult(
         assignment=problem.assignment(finals[winner]) if feasible else None,
         status="optimal" if feasible else "infeasible-best-effort",

@@ -33,7 +33,7 @@ from typing import Callable, Sequence
 from repro.errors import SynthesisError
 from repro.solvers.alternating import AlternatingSolver
 from repro.solvers.base import Solver, SolverOptions, SolverResult
-from repro.solvers.problem import CompiledProblem, Deadline, SolveControl, improves
+from repro.solvers.problem import CompiledProblem, Deadline, SolveControl, improves, presolve_verdict
 from repro.solvers.qclp import GaussNewtonSolver, PenaltyQCLPSolver
 
 
@@ -162,8 +162,9 @@ class PortfolioSolver(Solver):
     def solve_compiled(
         self, problem: CompiledProblem, control: SolveControl | None = None
     ) -> SolverResult:
-        if problem.dimension == 0:
-            return SolverResult(assignment={}, status="trivial", objective_value=0.0, max_violation=0.0)
+        verdict = presolve_verdict(problem)
+        if verdict is not None:
+            return verdict
         if control is None:
             control = SolveControl(
                 deadline=Deadline.after(self.options.time_limit),

@@ -7,6 +7,9 @@ first iteration.  :class:`CompiledProblem` performs that lowering **once** per
 system — through :func:`compile_problem`, which memoises on the system — and
 every solver consumes the compiled form:
 
+* an exact presolve: unknowns that an equality forces to zero are fixed and
+  the rows they empty are dropped, so the descent runs over the free
+  unknowns only (:meth:`CompiledProblem.presolved`);
 * flat residual / constraint-value / penalty closures built from the triplet
   arrays of :mod:`repro.polynomial.compiled` (no ``Fraction`` arithmetic in
   any inner loop);
@@ -27,7 +30,7 @@ from __future__ import annotations
 
 import threading
 import time
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 from scipy import sparse
@@ -38,9 +41,8 @@ from repro.invariants.quadratic_system import (
     VariableRole,
     classify_unknown,
 )
-from repro.solvers.base import DEFAULT_STRICT_MARGIN, DEFAULT_TOLERANCE
-from repro.polynomial.compiled import lower_quadratic
-from repro.polynomial.polynomial import Polynomial
+from repro.solvers.base import DEFAULT_STRICT_MARGIN, DEFAULT_TOLERANCE, SolverResult
+from repro.polynomial.compiled import QuadraticTriplets, lower_quadratic
 
 
 class Deadline:
@@ -246,13 +248,23 @@ class _QuadraticTerms:
         return gradient
 
 
-def _compile_rows(
-    polynomials: Sequence[Polynomial], index: Mapping[str, int], dimension: int
+def _lower(
+    system: QuadraticSystem,
+) -> tuple[list[str], QuadraticTriplets, np.ndarray, QuadraticTriplets]:
+    """The system's unknowns, constraint triplets, constraint kinds and objective triplets."""
+    variables = system.variables()
+    index = {name: i for i, name in enumerate(variables)}
+    rows = lower_quadratic([constraint.polynomial for constraint in system.constraints], index)
+    kinds = np.array([constraint.kind.value for constraint in system.constraints], dtype="<U2")
+    return variables, rows, kinds, lower_quadratic([system.objective], index)
+
+
+def _rows_of(
+    triplets: QuadraticTriplets, dimension: int
 ) -> tuple[np.ndarray, sparse.csr_matrix, _QuadraticTerms]:
-    triplets = lower_quadratic(polynomials, index)
     linear = sparse.csr_matrix(
         (triplets.linear_values, (triplets.linear_rows, triplets.linear_cols)),
-        shape=(len(polynomials), dimension),
+        shape=(triplets.row_count, dimension),
     )
     quadratic = _QuadraticTerms(
         rows=triplets.quad_rows,
@@ -263,33 +275,166 @@ def _compile_rows(
     return triplets.constants, linear, quadratic
 
 
+def _restrict(triplets: QuadraticTriplets, rows: np.ndarray, columns: np.ndarray) -> QuadraticTriplets:
+    """The terms of the kept ``rows`` over the kept ``columns`` (both boolean masks), renumbered.
+
+    A term on a dropped column is left out, which is exact when every
+    dropped column is fixed at 0.
+    """
+    row_of = np.cumsum(rows) - 1
+    column_of = np.cumsum(columns) - 1
+    linear = rows[triplets.linear_rows] & columns[triplets.linear_cols]
+    quadratic = (
+        rows[triplets.quad_rows] & columns[triplets.quad_left] & columns[triplets.quad_right]
+    )
+    return QuadraticTriplets(
+        row_count=int(rows.sum()),
+        constants=triplets.constants[rows],
+        linear_rows=row_of[triplets.linear_rows[linear]],
+        linear_cols=column_of[triplets.linear_cols[linear]],
+        linear_values=triplets.linear_values[linear],
+        quad_rows=row_of[triplets.quad_rows[quadratic]],
+        quad_left=column_of[triplets.quad_left[quadratic]],
+        quad_right=column_of[triplets.quad_right[quadratic]],
+        quad_values=triplets.quad_values[quadratic],
+    )
+
+
+def _propagate_zeros(
+    triplets: QuadraticTriplets, kinds: np.ndarray, dimension: int, strict_margin: float
+) -> tuple[np.ndarray, np.ndarray, bool]:
+    """Unit propagation of the equalities that force an unknown to zero.
+
+    An equality row whose only live term is ``a*x`` or ``a*x^2`` (``a != 0``)
+    and whose constant is 0 fixes ``x = 0`` in every exact solution; every
+    term with a fixed factor is then dead, which can leave further rows with
+    one live term.  Rounds run on the triplet arrays (per-row ``bincount``
+    of live terms) until no row fixes a new unknown.  Rows left with no live
+    term are constants: one whose residual is identically zero is dropped,
+    and one that breaks its kind (``c = 0`` with ``c != 0``, ``c >= 0`` with
+    ``c < 0``, ``c > 0`` with ``c <= 0``) proves the system infeasible.
+
+    Returns ``(free, kept, infeasible)``: boolean masks of the unknowns left
+    free and of the rows kept.
+    """
+    rows = triplets.row_count
+    constants = triplets.constants
+    equality = kinds == ConstraintKind.EQUALITY.value
+    nonneg = kinds == ConstraintKind.NONNEGATIVE.value
+    positive = kinds == ConstraintKind.POSITIVE.value
+    fixed = np.zeros(dimension, dtype=bool)
+    homogeneous = equality & (constants == 0.0)
+    square = triplets.quad_left == triplets.quad_right
+    linear_live = np.ones(triplets.linear_rows.size, dtype=bool)
+    quad_live = np.ones(triplets.quad_rows.size, dtype=bool)
+    while True:
+        live_terms = np.bincount(
+            triplets.linear_rows[linear_live], minlength=rows
+        ) + np.bincount(triplets.quad_rows[quad_live], minlength=rows)
+        unit = homogeneous & (live_terms == 1)
+        forced = np.concatenate(
+            [
+                triplets.linear_cols[linear_live & unit[triplets.linear_rows]],
+                triplets.quad_left[quad_live & square & unit[triplets.quad_rows]],
+            ]
+        )
+        if forced.size == 0:
+            break
+        fixed[forced] = True
+        linear_live &= ~fixed[triplets.linear_cols]
+        quad_live &= ~(fixed[triplets.quad_left] | fixed[triplets.quad_right])
+
+    empty = live_terms == 0
+    # Dropped: the row's residual (strict rows against the margin) is 0 at every point.
+    satisfied = homogeneous | (nonneg & (constants >= 0.0)) | (positive & (constants >= strict_margin))
+    broken = (equality & (constants != 0.0)) | (nonneg & (constants < 0.0)) | (positive & (constants <= 0.0))
+    return ~fixed, ~(empty & satisfied), bool((empty & broken).any())
+
+
 class CompiledProblem:
     """A :class:`QuadraticSystem` lowered once into solver-ready numeric form.
 
-    Build through :func:`compile_problem` (memoised) rather than directly, so
-    that a portfolio of solvers racing on the same system shares one IR.
+    ``CompiledProblem(system)`` is the faithful lowering: one coordinate per
+    unknown and one row per constraint.  The solvers receive the presolved
+    form of :meth:`presolved` instead, through :func:`compile_problem`
+    (memoised), so that a portfolio of solvers racing on the same system
+    shares one IR.
+
+    ``variables`` are the solver's coordinates (the free unknowns) and
+    ``system_variables`` every unknown of the system; :meth:`assignment`
+    maps a point back onto all of them.  ``kept_rows`` lists the system
+    constraints behind the rows, and ``infeasible`` records that the
+    presolve proved the system has no solution.
     """
 
     def __init__(self, system: QuadraticSystem, strict_margin: float | None = None):
+        variables, rows, kinds, objective = _lower(system)
+        self._build(
+            system, variables, rows, kinds, objective, strict_margin,
+            free_columns=np.arange(len(variables)),
+            kept_rows=np.arange(rows.row_count),
+            infeasible=False,
+        )
+
+    @classmethod
+    def presolved(
+        cls, system: QuadraticSystem, strict_margin: float | None = None
+    ) -> "CompiledProblem":
+        """The problem over the unknowns the presolve leaves free and the rows it keeps.
+
+        Every fixed unknown is 0 in every exact solution of ``system``
+        (:func:`_propagate_zeros`), so no solution is lost: the presolved
+        residuals at a point equal the faithful residuals at that point
+        with the fixed unknowns set to 0, and a dropped row's residual is 0
+        there.
+        """
+        margin = DEFAULT_STRICT_MARGIN if strict_margin is None else strict_margin
+        variables, rows, kinds, objective = _lower(system)
+        free, kept, infeasible = _propagate_zeros(rows, kinds, len(variables), margin)
+        problem = cls.__new__(cls)
+        problem._build(
+            system,
+            variables,
+            _restrict(rows, kept, free),
+            kinds[kept],
+            _restrict(objective, np.ones(1, dtype=bool), free),
+            margin,
+            free_columns=np.flatnonzero(free),
+            kept_rows=np.flatnonzero(kept),
+            infeasible=infeasible,
+        )
+        return problem
+
+    def _build(
+        self,
+        system: QuadraticSystem,
+        system_variables: list[str],
+        rows: QuadraticTriplets,
+        kinds: np.ndarray,
+        objective: QuadraticTriplets,
+        strict_margin: float | None,
+        *,
+        free_columns: np.ndarray,
+        kept_rows: np.ndarray,
+        infeasible: bool,
+    ) -> None:
         self.system = system
-        self.variables: list[str] = system.variables()
+        self.system_variables = system_variables
+        self.free_columns = free_columns
+        self.kept_rows = kept_rows
+        self.infeasible = infeasible
+        self.variables: list[str] = [system_variables[column] for column in free_columns]
         self.index: dict[str, int] = {name: i for i, name in enumerate(self.variables)}
         self.dimension = len(self.variables)
         self.strict_margin = DEFAULT_STRICT_MARGIN if strict_margin is None else strict_margin
 
-        polynomials = [constraint.polynomial for constraint in system.constraints]
-        self.constants, self.linear, self.quadratic = _compile_rows(
-            polynomials, self.index, self.dimension
-        )
-        kinds = [constraint.kind for constraint in system.constraints]
-        self.equality_mask = np.array([kind is ConstraintKind.EQUALITY for kind in kinds], dtype=bool)
-        self.nonneg_mask = np.array([kind is ConstraintKind.NONNEGATIVE for kind in kinds], dtype=bool)
-        self.positive_mask = np.array([kind is ConstraintKind.POSITIVE for kind in kinds], dtype=bool)
-        self.row_count = len(polynomials)
+        self.constants, self.linear, self.quadratic = _rows_of(rows, self.dimension)
+        self.equality_mask = kinds == ConstraintKind.EQUALITY.value
+        self.nonneg_mask = kinds == ConstraintKind.NONNEGATIVE.value
+        self.positive_mask = kinds == ConstraintKind.POSITIVE.value
+        self.row_count = rows.row_count
 
-        objective_constants, objective_linear, objective_quadratic = _compile_rows(
-            [system.objective], self.index, self.dimension
-        )
+        objective_constants, objective_linear, objective_quadratic = _rows_of(objective, self.dimension)
         self.objective_constant = float(objective_constants[0]) if objective_constants.size else 0.0
         self.objective_linear_dense = np.asarray(objective_linear.todense()).ravel().astype(float)
         self.objective_quadratic = objective_quadratic
@@ -304,6 +449,21 @@ class CompiledProblem:
             ],
             dtype=bool,
         )
+
+    def size_details(self) -> dict[str, float]:
+        """The sizes a :class:`SolverResult` reports in its ``details``.
+
+        ``dimension`` and ``constraints`` count the presolved problem the
+        solver descends on (free unknowns, kept rows); ``fixed_unknowns``
+        and ``dropped_rows`` count what the presolve removed from the
+        system, so each pair sums to the system's own count.
+        """
+        return {
+            "dimension": float(self.dimension),
+            "constraints": float(self.row_count),
+            "fixed_unknowns": float(len(self.system_variables) - self.dimension),
+            "dropped_rows": float(len(self.system.constraints) - self.row_count),
+        }
 
     # -- values ------------------------------------------------------------------
 
@@ -542,8 +702,13 @@ class CompiledProblem:
     # -- conversions -----------------------------------------------------------------
 
     def assignment(self, point: np.ndarray) -> dict[str, float]:
-        """Name-to-value view of a solution vector."""
-        return {name: float(value) for name, value in zip(self.variables, point)}
+        """Name-to-value view of a solution vector over every unknown of the system.
+
+        The unknowns the presolve fixed come back as exactly ``0.0``.
+        """
+        values = np.zeros(len(self.system_variables))
+        values[self.free_columns] = point
+        return {name: float(value) for name, value in zip(self.system_variables, values)}
 
     def vector(self, assignment: Mapping[str, float]) -> np.ndarray:
         """Vector view of a name-to-value assignment (missing names default to 0)."""
@@ -655,7 +820,13 @@ class BatchJacobian:
 
 
 def compile_problem(system: QuadraticSystem, strict_margin: float | None = None) -> CompiledProblem:
-    """The memoised :class:`CompiledProblem` of ``system``.
+    """The memoised, presolved :class:`CompiledProblem` of ``system``.
+
+    Every solver goes through here, so every solve runs on
+    :meth:`CompiledProblem.presolved`: the unknowns an equality forces to 0
+    are fixed, the rows that leaves identically satisfied are dropped, and
+    a system the presolve proves infeasible is answered without a descent
+    (:func:`presolve_verdict`).
 
     ``strict_margin`` defaults (via ``None``) to
     :data:`~repro.solvers.base.DEFAULT_STRICT_MARGIN`; solvers pass their own
@@ -678,11 +849,33 @@ def compile_problem(system: QuadraticSystem, strict_margin: float | None = None)
         try:
             system._compiled_problems = cache
         except AttributeError:  # pragma: no cover - systems with __slots__
-            return CompiledProblem(system, strict_margin=strict_margin)
+            return CompiledProblem.presolved(system, strict_margin=strict_margin)
     problem = cache.get(key)
     if problem is None:
-        problem = CompiledProblem(system, strict_margin=strict_margin)
+        problem = CompiledProblem.presolved(system, strict_margin=strict_margin)
         if len(cache) >= 4:  # systems are compiled under a handful of margins at most
             cache.clear()
         cache[key] = problem
     return problem
+
+
+def presolve_verdict(problem: CompiledProblem) -> SolverResult | None:
+    """The answer to a problem that needs no descent, or ``None``.
+
+    A system the presolve proved infeasible is ``"infeasible"`` after 0
+    iterations.  A problem with no free unknown left is ``"trivial"``; its
+    assignment holds every unknown of the system, each fixed at 0.
+    """
+    details = problem.size_details()
+    if problem.infeasible:
+        return SolverResult(assignment=None, status="infeasible", details=details)
+    if problem.dimension == 0:
+        point = np.zeros(0)
+        return SolverResult(
+            assignment=problem.assignment(point),
+            status="trivial",
+            objective_value=problem.objective_value(point),
+            max_violation=problem.max_violation(point),
+            details=details,
+        )
+    return None

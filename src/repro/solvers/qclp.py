@@ -29,14 +29,10 @@ from repro.solvers.batched import (
     batched_penalty_descent,
     run_multistart,
 )
-from repro.solvers.problem import CompiledProblem, Deadline, SolveControl
+from repro.solvers.problem import CompiledProblem, Deadline, SolveControl, presolve_verdict
 
 #: The penalty solver's rho stages, lowest first.
 _PENALTY_SCHEDULE = (1.0, 10.0, 100.0, 1_000.0, 10_000.0)
-
-
-def _trivial_result() -> SolverResult:
-    return SolverResult(assignment={}, status="trivial", objective_value=0.0, max_violation=0.0)
 
 
 class PenaltyQCLPSolver(Solver):
@@ -181,8 +177,9 @@ class PenaltyQCLPSolver(Solver):
             control = SolveControl(
                 deadline=Deadline.after(options.time_limit), tolerance=options.tolerance
             )
-        if problem.dimension == 0:
-            return _trivial_result()
+        verdict = presolve_verdict(problem)
+        if verdict is not None:
+            return verdict
         return run_multistart(
             problem,
             control,
@@ -239,8 +236,9 @@ class GaussNewtonSolver(Solver):
             control = SolveControl(
                 deadline=Deadline.after(options.time_limit), tolerance=options.tolerance
             )
-        if problem.dimension == 0:
-            return _trivial_result()
+        verdict = presolve_verdict(problem)
+        if verdict is not None:
+            return verdict
         if problem.row_count == 0:
             point = problem.apply_role_floors_batch(np.zeros((1, problem.dimension)))[0]
             return SolverResult(

@@ -139,3 +139,33 @@ def test_penalty_gradient_matches_finite_difference(system, assignment):
         backward[i] -= step
         numeric[i] = (problem.penalty(forward, 3.0) - problem.penalty(backward, 3.0)) / (2 * step)
     assert np.allclose(analytic, numeric, rtol=2e-3, atol=2e-3)
+
+
+@settings(max_examples=150, deadline=None)
+@given(systems, assignments)
+def test_presolved_residuals_equal_the_faithful_ones_at_the_expanded_point(system, assignment):
+    """The presolve loses nothing: dropped rows read 0, kept rows read the same.
+
+    ``assignment()`` expands a reduced point onto every unknown, with each
+    fixed unknown at 0; the faithful lowering evaluated there must agree
+    with the presolved problem row for row, and be exactly 0 on every row
+    the presolve dropped.
+    """
+    faithful = CompiledProblem(system)
+    presolved = CompiledProblem.presolved(system)
+    point = presolved.vector(assignment)
+    expanded = presolved.assignment(point)
+    assert list(expanded) == faithful.variables
+    fixed = set(faithful.variables) - set(presolved.variables)
+    assert all(expanded[name] == 0.0 for name in fixed)
+
+    residuals = faithful.residuals(faithful.vector(expanded))
+    assert np.array_equal(residuals[presolved.kept_rows], presolved.residuals(point))
+    dropped = np.setdiff1d(np.arange(faithful.row_count), presolved.kept_rows)
+    assert np.all(residuals[dropped] == 0.0)
+    assert np.isclose(
+        faithful.objective_value(faithful.vector(expanded)),
+        presolved.objective_value(point),
+        rtol=1e-12,
+        atol=1e-12,
+    )
