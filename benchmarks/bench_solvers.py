@@ -2,10 +2,10 @@
 
 For every suite program this script builds the Step 1-3 reduction once, then
 solves the resulting quadratic system with each configured Step-4 strategy
-(including the racing portfolio) under an identical budget, recording solve
-wall-clock and feasibility.  It emits machine-readable JSON
-(``BENCH_solvers.json`` by default) so the per-strategy performance trajectory
-is tracked across PRs::
+(including the portfolio, which walks its line-up) under an identical
+budget, recording solve wall-clock and feasibility.  It emits
+machine-readable JSON (``BENCH_solvers.json`` by default) so the
+per-strategy performance trajectory is tracked across PRs::
 
     python benchmarks/bench_solvers.py --quick             # CI preset
     python benchmarks/bench_solvers.py --output BENCH_solvers.json

@@ -44,7 +44,7 @@ def main(argv: list[str] | None = None) -> int:
                         help="Step-3 translation scheme (default: the paper's Putinar encoding)")
     parser.add_argument("--strategy",
                         help="Step-4 strategy: one of " + ", ".join(strategy_names())
-                        + ", 'portfolio', or a comma-separated list to race")
+                        + ", 'portfolio', or a comma-separated line-up to walk")
     args = parser.parse_args(argv)
 
     benchmarks = all_benchmarks()

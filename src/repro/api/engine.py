@@ -798,8 +798,8 @@ class Engine:
                         # Overwrite the dedup table with the repaired solve:
                         # identical future requests start from the verified
                         # solution instead of re-living the failing lift and
-                        # the repair re-race.  The cached duration charges
-                        # the repair race to the solve that produced the
+                        # the repair re-solve.  The cached duration charges
+                        # the repair to the solve that produced the
                         # result, not just the rejected first attempt.
                         # (Verification itself is deliberately *not*
                         # deduplicated: the solve-level table covers the

@@ -147,8 +147,8 @@ def main(argv: list[str] | None = None) -> int:
         help=(
             "Step-4 strategy: one of "
             + ", ".join(strategy_names())
-            + "; 'portfolio' for the default racing line-up, or a comma-separated "
-            "list of strategies to race"
+            + "; 'portfolio' for the default line-up, or a comma-separated "
+            "list of strategies to walk in order"
         ),
     )
     parser.add_argument(

@@ -126,8 +126,8 @@ def measurement_from_response(benchmark: Benchmark, response: SynthesisResponse)
     if response.result is not None:
         solver_status = response.result.solver_status
         strategy = response.result.strategy
-        # Per-strategy racing columns (portfolio solves record one wall-clock
-        # and one feasibility flag per raced strategy).
+        # Per-strategy portfolio columns (portfolio solves record one
+        # wall-clock and one feasibility flag per strategy in the line-up).
         extra.update(
             {
                 key: value

@@ -66,7 +66,7 @@ def strategy_summary_rows(measurements: Sequence[Measurement]) -> list[dict[str,
     """Per-strategy win/loss and wall-clock aggregates of portfolio measurements.
 
     A strategy *wins* a benchmark when the portfolio returned its result
-    (first feasible point); the per-strategy seconds come from the racing
+    (first feasible point); the per-strategy seconds come from the
     columns the portfolio records in ``Measurement.extra``.
     """
     names: list[str] = []

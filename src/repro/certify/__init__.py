@@ -14,7 +14,7 @@ closes the gap, end to end:
   identity and exact rational PSD checks — no solver, no sampling;
 * :mod:`repro.certify.repair` — a CEGIS-style :func:`repair_solution` loop
   harvesting violating valuations (exact residuals + semantics-trace
-  falsification) into sound template cuts and re-racing the portfolio;
+  falsification) into sound template cuts and re-running the portfolio;
 * :mod:`repro.certify.sampling` — the dynamic checking tier with
   pre-condition-derived simulation arguments and reproducible seeding;
 * :mod:`repro.certify.verify` — the engine-side orchestration behind

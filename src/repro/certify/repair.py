@@ -12,7 +12,7 @@ silently accepting the solver's word:
    the *sound* linear cut ``sum_j s_j * m_j(v) >= 0`` over the template
    unknowns — by Lemma 2.1 any inductive invariant must hold at ``v``, so the
    cut prunes the bad region without excluding any real solution.
-3. **Re-race**: the portfolio re-solves the cut system under the remaining
+3. **Re-solve**: the portfolio re-solves the cut system under the remaining
    deadline with a decorrelated seed and an escalated restart budget, warm
    biased away from the rejected point.
 
@@ -191,7 +191,7 @@ def _escalated_options(
 
     Tolerance tightens and the strict margin grows with each round: rejected
     solutions frequently owe their float feasibility to witnesses hiding
-    inside the solve tolerance (``eps ~ tolerance``), and re-racing with
+    inside the solve tolerance (``eps ~ tolerance``), and re-solving with
     ``tolerance << strict_margin`` forces genuine slack the exact lift can
     keep.
     """
@@ -221,7 +221,7 @@ def repair_solution(
     deadline_seconds: float | None = None,
     rng_seed: int = 0,
 ) -> RepairOutcome:
-    """Drive the harvest-cut-rerace loop until a solution validates.
+    """Drive the harvest-cut-re-solve loop until a solution validates.
 
     ``validate`` maps a numeric assignment to ``(ok, payload)`` — the exact
     tier passes a lift closure, the sampling tier a check closure — and the
@@ -239,7 +239,7 @@ def repair_solution(
             remaining = deadline_seconds - (time.perf_counter() - start)
             if remaining <= 0.05:
                 break
-        # Round 1 re-races the untouched system under tightened numerics —
+        # Round 1 re-solves the untouched system under tightened numerics —
         # the most common rejection cause is float slack hiding inside the
         # solve tolerance, and counterexample cuts only make that solve
         # harder.  Later rounds inject the harvested cuts.

@@ -189,7 +189,7 @@ def _repair(
     remaining: float | None = None
     if deadline_seconds is not None:
         remaining = max(0.0, deadline_seconds - (time.perf_counter() - start))
-    # Repair is an escalation mechanism: it always re-races the portfolio
+    # Repair is an escalation mechanism: it always re-runs the portfolio
     # (the request's own `portfolio` line-up when given), because the pinned
     # strategy already produced the rejected solution.
     return repair_solution(

@@ -80,7 +80,7 @@ class SynthesisResult:
         Free-form status string reported by the Step-4 solver.
     strategy:
         The Step-4 strategy that produced the result (the winning strategy of
-        a portfolio race, or the solver's own name).
+        a portfolio, or the solver's own name).
     """
 
     invariant: Invariant | None

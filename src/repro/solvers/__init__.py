@@ -24,9 +24,9 @@ compiled problem IR:
 * :class:`~repro.solvers.alternating.AlternatingSolver` — exploits the
   bilinear structure of the systems (template coefficients vs. certificate
   multipliers) with block-coordinate penalty sweeps.
-* :class:`~repro.solvers.portfolio.PortfolioSolver` — races a configurable
-  strategy list on one compiled problem with a shared deadline,
-  first-feasible-wins cancellation and warm-start exchange.
+* :class:`~repro.solvers.portfolio.PortfolioSolver` — walks a configurable
+  strategy line-up in order on one compiled problem with a shared deadline,
+  first-feasible-wins and warm-start exchange.
 * :class:`~repro.solvers.strong.RepresentativeEnumerator` — the practical
   substitute for the Grigor'ev–Vorobjov procedure of Strong synthesis:
   multi-start search plus solution clustering.

@@ -12,9 +12,8 @@ solver alternates batched L-BFGS sweeps over
 under an increasing penalty schedule.  It tends to track a target-invariant
 objective more faithfully than the joint penalty solver, at the cost of more
 iterations.  Like every Step-4 solver it consumes the shared
-:class:`~repro.solvers.problem.CompiledProblem` IR and cooperates with
-portfolio deadlines/cancellation through
-:class:`~repro.solvers.problem.SolveControl`.
+:class:`~repro.solvers.problem.CompiledProblem` IR and checks the
+deadline of its :class:`~repro.solvers.problem.SolveControl`.
 """
 
 from __future__ import annotations

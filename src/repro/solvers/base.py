@@ -192,9 +192,9 @@ class Solver(ABC):
     Solvers operate on the compiled problem IR
     (:class:`~repro.solvers.problem.CompiledProblem`); :meth:`solve` is a
     convenience wrapper that compiles (memoised) and delegates to
-    :meth:`solve_compiled`.  Racing callers compile once, build a shared
-    :class:`~repro.solvers.problem.SolveControl` and call
-    :meth:`solve_compiled` directly.
+    :meth:`solve_compiled`.  The portfolio compiles once, builds one
+    :class:`~repro.solvers.problem.SolveControl` and calls each strategy's
+    :meth:`solve_compiled` with it in turn.
     """
 
     def __init__(self, options: SolverOptions | None = None):

@@ -16,8 +16,8 @@ inside a width-``k`` batch (``batch="on"``) — which is what lets
 first-feasible-wins semantics over batch results and produce the same
 winning assignment fingerprint.
 
-Deadline / cancellation checks (:meth:`SolveControl.should_stop`) happen
-once per batched iteration, so a solve overshoots its deadline by at most
+Deadline / stop checks (:meth:`SolveControl.should_stop`) happen once per
+batched iteration, so a solve overshoots its deadline by at most
 one batched iteration: one Jacobian fill and its CG solve, or one L-BFGS
 step with its line search.
 """
@@ -439,8 +439,9 @@ def run_multistart(
     restart loop's winner selection with :func:`winning_member`.  Lockstep
     row independence of the engines makes the two modes produce identical
     member trajectories, hence identical winning assignments.
-    ``details["interrupted"]`` is 1.0 when the control (a rival's win or the
-    deadline) stopped the winning member's descent mid-flight.
+    ``details["interrupted"]`` is 1.0 when the deadline stopped the winning
+    member's descent mid-flight; a feasible winner cut that way reports
+    ``status="feasible-at-deadline"`` instead of ``"optimal"``.
     """
     rng = np.random.default_rng(options.seed)
     counters = KernelCounters()
@@ -468,7 +469,7 @@ def run_multistart(
             violations[member] = problem.max_violation_batch(outcome.points)[0]
             objectives[member] = problem.objective_value_batch(outcome.points)[0]
             computed = member + 1
-            control.report(finals[member], violations[member], objectives[member], strategy=label)
+            control.report(finals[member], violations[member], objectives[member])
             if options.verbose:
                 print(
                     f"[{label}] restart {member}: violation={violations[member]:.3g} "
@@ -530,9 +531,7 @@ def run_multistart(
     winner, used = winning_member(violations, objectives, computed, options.tolerance, trigger)
     if options.batch == "on":
         for member in range(used):
-            control.report(
-                finals[member], violations[member], objectives[member], strategy=label
-            )
+            control.report(finals[member], violations[member], objectives[member])
             if options.verbose:
                 print(
                     f"[{label}] restart {member}: violation={violations[member]:.3g} "
@@ -542,13 +541,18 @@ def run_multistart(
     violation = float(violations[winner])
     objective = float(objectives[winner])
     feasible = violation <= options.tolerance
-    # A cancellation or the deadline left the winner wherever it stood.
-    details["interrupted"] = float(winner >= cut)
+    # The deadline left the winner wherever it stood.
+    interrupted = winner >= cut
+    details["interrupted"] = float(interrupted)
+    if not feasible:
+        status = "infeasible-best-effort"
+    else:
+        status = "feasible-at-deadline" if interrupted else "optimal"
     if size_details:
         details.update(problem.size_details())
     return SolverResult(
         assignment=problem.assignment(finals[winner]) if feasible else None,
-        status="optimal" if feasible else "infeasible-best-effort",
+        status=status,
         objective_value=objective,
         max_violation=violation,
         iterations=iterations,

@@ -1,32 +1,30 @@
-"""A racing portfolio of Step-4 strategies over one compiled problem.
+"""A portfolio of Step-4 strategies over one compiled problem.
 
 The paper's Step 4 hands each quadratic system to a single solver; in
 practice different systems favour different back-ends (the pure-feasibility
 Gauss-Newton sprint cracks most structured systems in a fraction of the
 penalty solver's schedule, while objective-tracking instances need the full
 penalty machinery).  :class:`PortfolioSolver` compiles the system **once**
-into the shared :class:`~repro.solvers.problem.CompiledProblem` IR and races
-a configurable list of strategies over it:
+into the shared :class:`~repro.solvers.problem.CompiledProblem` IR and walks
+a configurable line-up of strategies over it, in order and in the calling
+thread:
 
 * a **shared deadline** (``SolverOptions.time_limit``) enforced inside every
   strategy's iteration loop;
-* **first-feasible-wins cancellation** — the first strategy to report a
-  feasible point stops the rest through the shared
-  :class:`~repro.solvers.problem.SolveControl`;
+* **first-feasible-wins** — the first strategy to report a feasible point
+  stops the walk through the shared
+  :class:`~repro.solvers.problem.SolveControl`, so later strategies never
+  start;
 * **warm-start exchange** — every strategy may seed its next restart from the
   portfolio's best-known point.
 
-On a multi-core host the strategies race concurrently on threads (the
-numpy-heavy evaluation closures release the GIL for most of their work).  On
-a single-core host they run cheapest-first and stop at the first feasible
-point — the optimistic "race cheap certificates before expensive ones" walk.
+Walking cheapest-first is the optimistic order: the expensive strategies
+run only when the cheap ones fail, and a fixed seed gives a fixed answer.
 """
 
 from __future__ import annotations
 
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
@@ -41,8 +39,7 @@ def _qclp_feasibility(options: SolverOptions) -> Solver:
     return PenaltyQCLPSolver(options, objective_weight=0.0)
 
 
-#: Registered Step-4 strategies, cheapest first (the sequential walk
-#: honours this ordering when the caller does not specify one).
+#: Registered Step-4 strategies, cheapest first.
 STRATEGIES: dict[str, Callable[[SolverOptions], Solver]] = {
     "gauss-newton": GaussNewtonSolver,
     "qclp": PenaltyQCLPSolver,
@@ -50,8 +47,8 @@ STRATEGIES: dict[str, Callable[[SolverOptions], Solver]] = {
     "alternating": AlternatingSolver,
 }
 
-#: The default racing line-up: the cheap feasibility sprint, the default
-#: penalty solver, and the bilinear block-coordinate solver.
+#: The default line-up, walked in order: the cheap feasibility sprint, the
+#: default penalty solver, and the bilinear block-coordinate solver.
 DEFAULT_PORTFOLIO: tuple[str, ...] = ("gauss-newton", "qclp", "alternating")
 
 
@@ -63,8 +60,8 @@ def strategy_names() -> tuple[str, ...]:
 def parse_strategy(value: str | None) -> dict:
     """Turn a ``--strategy`` CLI value into synthesis-option overrides.
 
-    A single registered name selects that back-end; ``"portfolio"`` races the
-    default line-up; a comma-separated list races exactly those strategies.
+    A single registered name selects that back-end; ``"portfolio"`` walks the
+    default line-up; a comma-separated list walks exactly those strategies.
     Returns a (possibly empty) dict of ``strategy``/``portfolio`` overrides
     for :class:`~repro.invariants.synthesis.SynthesisOptions`.
     """
@@ -86,7 +83,7 @@ def make_solver(
     """Instantiate the Step-4 solver named by ``strategy``.
 
     ``strategy`` is either a registered strategy name or ``"portfolio"``, in
-    which case ``portfolio`` lists the strategies to race (empty means
+    which case ``portfolio`` lists the strategies to walk (empty means
     :data:`DEFAULT_PORTFOLIO`).
     """
     if strategy == "portfolio":
@@ -102,13 +99,13 @@ def make_solver(
 
 @dataclass
 class StrategyOutcome:
-    """What one racing strategy produced (``result`` is None when it was skipped).
+    """What one portfolio strategy produced (``result`` is None when it was skipped).
 
     ``seconds`` is recorded for every strategy — winners, losers and
-    cancelled entries alike — so race reports show the full per-strategy
-    cost, not just the winning time.  ``cancelled`` marks a strategy that
-    never ran its solver: the race was already won (or the deadline gone)
-    when its turn came.
+    cancelled entries alike — so portfolio reports show the full
+    per-strategy cost, not just the winning time.  ``cancelled`` marks a
+    strategy that never ran its solver: an earlier strategy had already
+    won (or the deadline was gone) when its turn came.
     """
 
     name: str
@@ -123,7 +120,7 @@ class StrategyOutcome:
 
 
 class PortfolioSolver(Solver):
-    """Race several Step-4 strategies on one shared compiled problem."""
+    """Walk several Step-4 strategies, in order, over one shared compiled problem."""
 
     def __init__(
         self,
@@ -141,7 +138,7 @@ class PortfolioSolver(Solver):
         if len(set(strategies)) != len(strategies):
             raise SynthesisError(
                 f"duplicate portfolio strategies in {tuple(strategies)!r}; "
-                "outcomes and racing columns are keyed by strategy name"
+                "outcomes and portfolio columns are keyed by strategy name"
             )
         self.strategies = tuple(strategies)
 
@@ -171,18 +168,14 @@ class PortfolioSolver(Solver):
                 tolerance=self.options.tolerance,
                 stop_on_feasible=True,
             )
-        if (os.cpu_count() or 1) > 1:
-            outcomes = self._race_threads(problem, control)
-        else:
-            outcomes = self._race_sequential(problem, control)
-        return self._assemble(outcomes, control)
+        return self._assemble(self._walk(problem, control), control)
 
-    # -- races ----------------------------------------------------------------------------
+    def _walk(self, problem: CompiledProblem, control: SolveControl) -> list[StrategyOutcome]:
+        """Run the strategies in line-up order until the control says stop.
 
-    def _race_sequential(
-        self, problem: CompiledProblem, control: SolveControl
-    ) -> list[StrategyOutcome]:
-        """Cheapest-first racing with early exit: optimistic certificate order."""
+        The portfolio's own control stops at the first feasible report or
+        the deadline; the strategies left are recorded as cancelled.
+        """
         outcomes = []
         for name, solver in self._solvers():
             if control.should_stop():
@@ -197,21 +190,6 @@ class PortfolioSolver(Solver):
                     StrategyOutcome(name, None, time.perf_counter() - start, error=repr(error))
                 )
         return outcomes
-
-    def _race_threads(self, problem: CompiledProblem, control: SolveControl) -> list[StrategyOutcome]:
-        solvers = self._solvers()
-
-        def run(entry: tuple[str, Solver]) -> StrategyOutcome:
-            name, solver = entry
-            start = time.perf_counter()
-            try:
-                result = solver.solve_compiled(problem, control)
-                return StrategyOutcome(name, result, time.perf_counter() - start)
-            except Exception as error:  # pragma: no cover - defensive: bad strategy config
-                return StrategyOutcome(name, None, time.perf_counter() - start, error=repr(error))
-
-        with ThreadPoolExecutor(max_workers=len(solvers)) as pool:
-            return list(pool.map(run, solvers))
 
     # -- result assembly ------------------------------------------------------------------
 
@@ -244,10 +222,9 @@ class PortfolioSolver(Solver):
             batch_width = max(batch_width, result.batch_width)
             violation = result.max_violation if result.max_violation is not None else float("inf")
             objective = result.objective_value if result.objective_value is not None else float("inf")
-            # A strategy stopped mid-descent (a rival's win or the deadline)
-            # returns wherever it stood, often only barely feasible: it may
-            # win on violation, but never displace a completed feasible
-            # result on objective.
+            # A strategy the deadline stopped mid-descent returns wherever
+            # it stood, often only barely feasible: it may win on violation,
+            # but never displace a completed feasible result on objective.
             settled = violation <= tolerance and not result.details.get("interrupted")
             if (
                 best is None
@@ -285,9 +262,6 @@ class PortfolioSolver(Solver):
             residual_evaluations=residual_evaluations,
             jacobian_evaluations=jacobian_evaluations,
             batch_width=batch_width,
-            # The strategy whose result is actually returned; the first
-            # feasible *reporter* (control.winner) can differ when a slower
-            # strategy still finishes with a better point.
             strategy=best_name,
         )
 

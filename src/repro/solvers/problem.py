@@ -21,14 +21,13 @@ every solver consumes the compiled form:
 
 The module also defines the solve-time control plane: :class:`Deadline` (a
 wall-clock budget the batched engines check once per batched iteration, not
-just between restarts) and :class:`SolveControl` (shared cancellation,
-best-known-point exchange and first-feasible-wins signalling for the solver
-portfolio).
+just between restarts) and :class:`SolveControl` (the stop flag,
+best-known-point exchange and first-feasible-wins signalling the solver
+portfolio shares across its strategies).
 """
 
 from __future__ import annotations
 
-import threading
 import time
 from typing import Mapping
 
@@ -90,14 +89,15 @@ def improves(
 
 
 class SolveControl:
-    """Shared budget, cancellation and warm-start state of one Step-4 solve.
+    """Budget, stop flag and warm-start state of one Step-4 solve.
 
     A single solver uses it to enforce its deadline inside iteration loops; a
-    :class:`~repro.solvers.portfolio.PortfolioSolver` shares one instance
-    across all racing strategies, which gives first-feasible-wins cancellation
-    (the first strategy to report a feasible point sets the stop event) and
-    warm-start exchange (every strategy can seed a restart from the
-    portfolio's best-known point).
+    :class:`~repro.solvers.portfolio.PortfolioSolver` hands one instance to
+    each strategy it walks, which gives first-feasible-wins (the first
+    feasible report sets the stop flag, so later strategies never start)
+    and warm-start exchange (every strategy can seed a restart from the
+    portfolio's best-known point).  One solve runs in one thread, so the
+    state needs no lock.
     """
 
     def __init__(
@@ -109,20 +109,15 @@ class SolveControl:
         self.deadline = deadline if deadline is not None else Deadline.never()
         self.tolerance = DEFAULT_TOLERANCE if tolerance is None else tolerance
         self.stop_on_feasible = stop_on_feasible
-        self._stop = threading.Event()
-        self._lock = threading.Lock()
+        self._stopped = False
         self._best_point: np.ndarray | None = None
         self._best_violation = np.inf
         self._best_objective = np.inf
-        self._winner: str | None = None
 
-    # -- cancellation -----------------------------------------------------------
+    # -- stopping ---------------------------------------------------------------
 
     def should_stop(self) -> bool:
-        return self._stop.is_set() or self.deadline.expired()
-
-    def stop(self) -> None:
-        self._stop.set()
+        return self._stopped or self.deadline.expired()
 
     @property
     def timed_out(self) -> bool:
@@ -130,37 +125,24 @@ class SolveControl:
 
     # -- best-known-point exchange -----------------------------------------------
 
-    def report(
-        self, point: np.ndarray, violation: float, objective: float, strategy: str | None = None
-    ) -> None:
+    def report(self, point: np.ndarray, violation: float, objective: float) -> None:
         """Record a candidate; feasible reports may trigger first-feasible-wins."""
-        with self._lock:
-            if improves(self._best_violation, self._best_objective, violation, objective, self.tolerance):
-                self._best_point = np.array(point, dtype=float, copy=True)
-                self._best_violation = violation
-                self._best_objective = objective
-                if violation <= self.tolerance and self._winner is None:
-                    self._winner = strategy
+        if improves(self._best_violation, self._best_objective, violation, objective, self.tolerance):
+            self._best_point = np.array(point, dtype=float, copy=True)
+            self._best_violation = violation
+            self._best_objective = objective
         if self.stop_on_feasible and violation <= self.tolerance:
-            self._stop.set()
+            self._stopped = True
 
     def warm_start(self) -> np.ndarray | None:
         """A copy of the best-known point so far (``None`` before any report)."""
-        with self._lock:
-            if self._best_point is None:
-                return None
-            return self._best_point.copy()
+        if self._best_point is None:
+            return None
+        return self._best_point.copy()
 
     @property
     def best_violation(self) -> float:
-        with self._lock:
-            return self._best_violation
-
-    @property
-    def winner(self) -> str | None:
-        """The strategy that first reported a feasible point (portfolio runs)."""
-        with self._lock:
-            return self._winner
+        return self._best_violation
 
 
 class _QuadraticTerms:
@@ -357,8 +339,8 @@ class CompiledProblem:
     ``CompiledProblem(system)`` is the faithful lowering: one coordinate per
     unknown and one row per constraint.  The solvers receive the presolved
     form of :meth:`presolved` instead, through :func:`compile_problem`
-    (memoised), so that a portfolio of solvers racing on the same system
-    shares one IR.
+    (memoised), so that the strategies a portfolio walks over the same
+    system share one IR.
 
     ``variables`` are the solver's coordinates (the free unknowns) and
     ``system_variables`` every unknown of the system; :meth:`assignment`
@@ -602,7 +584,9 @@ class CompiledProblem:
     def objective_value_batch(self, points: np.ndarray) -> np.ndarray:
         """Per-member objective value → ``(k,)``."""
         points = np.asarray(points, dtype=float)
-        values = self.objective_constant + points @ self.objective_linear_dense
+        # einsum, not ``points @ vector``: BLAS gemv can round a row
+        # differently with the batch's height, breaking the lockstep guarantee.
+        values = self.objective_constant + np.einsum("kd,d->k", points, self.objective_linear_dense)
         values += self.objective_quadratic.values_batch(points, 1)[:, 0]
         return values
 
@@ -836,7 +820,7 @@ def compile_problem(system: QuadraticSystem, strict_margin: float | None = None)
     The cache lives on the system object itself and is keyed by the strict
     margin plus the system's mutation counter (every API-level mutation —
     added constraints, objective assignment — bumps it), so stale entries can
-    never be served while racing solvers share one compilation.  The
+    never be served to the solvers that share one compilation.  The
     constraint count stays in the key as a belt-and-braces guard against
     direct ``system.constraints`` list mutation, which bypasses the counter.
     """

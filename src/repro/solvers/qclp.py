@@ -12,9 +12,8 @@ restarts.  :class:`GaussNewtonSolver` is the cheap pure-feasibility strategy
 of the portfolio: it skips the penalty schedule entirely and drives the
 residuals to zero with batched Levenberg–Marquardt.  Both run on the batched
 engines of :mod:`repro.solvers.batched`, which check the
-:class:`~repro.solvers.problem.SolveControl` deadline and portfolio
-cancellation once per batched iteration, and both can seed restarts from the
-portfolio's best-known point.
+:class:`~repro.solvers.problem.SolveControl` deadline once per batched
+iteration, and both can seed restarts from the portfolio's best-known point.
 """
 
 from __future__ import annotations
@@ -199,15 +198,16 @@ class GaussNewtonSolver(Solver):
     objective tracking — just drive all residuals to zero from a few starting
     points.  On the highly structured Step-3 systems it often finds a feasible
     point long before the penalty solver finishes its first schedule, which is
-    exactly what first-feasible-wins racing exploits.
+    why the portfolio walks it first.
     """
 
     def _cold_scale(self, attempt: int) -> float:
         # Restart 0 deliberately starts at the deterministic role-floor
         # origin under every seed: the structured Step-3 systems often solve
-        # right there, and the exact-certificate repair re-race (decorrelated
-        # seed) counts on the structured solutions it yields.  Later restarts
-        # jitter with strictly growing scales, so no two batch rows coincide.
+        # right there, and the exact-certificate repair's re-solve
+        # (decorrelated seed) counts on the structured solutions it yields.
+        # Later restarts jitter with strictly growing scales, so no two
+        # batch rows coincide.
         return 0.2 * attempt
 
     def _descend(

@@ -228,6 +228,28 @@ def test_lockstep_rows_are_bit_identical_to_wide_batches(system, batch, rho):
         )
 
 
+def test_objective_rows_are_bit_identical_to_wide_batches():
+    """The lockstep guarantee at non-integer points, where rounding order shows.
+
+    The property above draws integer points, whose sums are exact in any
+    order.  At points like these BLAS gemv (``points @ vector``) can round a
+    row of the linear objective differently with the batch's height, which
+    lets a solver's ``batch="on"`` and ``"rows"`` answers drift apart.
+    """
+    rng = np.random.default_rng(0)
+    names = [f"$s_a_0_0_{index}" for index in range(12)]
+    system = QuadraticSystem()
+    system.add_nonnegative(Polynomial({Monomial({names[0]: 1}): Fraction(1)}))
+    system.objective = Polynomial(
+        {Monomial({name: 1}): Fraction(int(rng.integers(-500, 500)), 97) for name in names}
+    )
+    problem = CompiledProblem(system)
+    points = rng.standard_normal((5, problem.dimension))
+    values = problem.objective_value_batch(points)
+    for i in range(points.shape[0]):
+        assert values[i] == problem.objective_value_batch(points[i : i + 1])[0]
+
+
 def _fingerprint(result):
     return (result.assignment, result.status, result.max_violation)
 

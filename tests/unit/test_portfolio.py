@@ -1,12 +1,14 @@
 """Tests of the Step-4 solver portfolio (repro.solvers.portfolio)."""
 
-import os
 import pickle
+import threading
 
+import numpy as np
 import pytest
 
 from repro.errors import SynthesisError
 from repro.invariants.quadratic_system import QuadraticSystem
+from repro.invariants.synthesis import build_task
 from repro.polynomial.parse import parse_polynomial
 from repro.solvers.alternating import AlternatingSolver
 from repro.solvers.base import SolverOptions, SolverResult
@@ -18,8 +20,9 @@ from repro.solvers.portfolio import (
     make_solver,
     strategy_names,
 )
-from repro.solvers.problem import Deadline, SolveControl, compile_problem
+from repro.solvers.problem import CompiledProblem, Deadline, SolveControl, compile_problem
 from repro.solvers.qclp import GaussNewtonSolver, PenaltyQCLPSolver
+from repro.suite.registry import get_benchmark
 
 
 def bilinear_system():
@@ -69,26 +72,33 @@ def test_portfolio_validates_configuration():
         PortfolioSolver(strategies=("qclp", "qclp"))  # outcomes are keyed by name
 
 
-# -- racing ------------------------------------------------------------------------------
+# -- the walk ----------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("cpus", [1, 2], ids=["sequential", "thread"])
-def test_portfolio_solves_bilinear_system(cpus, monkeypatch):
-    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+@pytest.mark.parametrize("in_thread", [False, True], ids=["sequential", "thread"])
+def test_portfolio_solves_bilinear_system(in_thread):
+    """The walk serves its caller's thread, whether that is the main one or not."""
     solver = PortfolioSolver(SolverOptions(restarts=2, max_iterations=150))
-    result = solver.solve(bilinear_system())
+    if in_thread:
+        results = []
+        caller = threading.Thread(target=lambda: results.append(solver.solve(bilinear_system())))
+        caller.start()
+        caller.join(timeout=60.0)
+        assert not caller.is_alive()
+        (result,) = results
+    else:
+        result = solver.solve(bilinear_system())
     assert result.feasible
     assert result.strategy in STRATEGIES
     product = result.assignment["$s_f_1_0_0"] * result.assignment["$t_c0_0_0"]
     assert product == pytest.approx(1.0, abs=1e-3)
-    # Every raced strategy left a wall-clock column.
+    # Every strategy of the line-up left a wall-clock column.
     for name in solver.strategies:
         assert f"portfolio_{name}_seconds" in result.details
         assert f"portfolio_{name}_feasible" in result.details
 
 
-def test_portfolio_first_feasible_wins_skips_later_sequential_strategies(monkeypatch):
-    monkeypatch.setattr(os, "cpu_count", lambda: 1)  # the sequential walk
+def test_portfolio_first_feasible_wins_skips_later_sequential_strategies():
     solver = PortfolioSolver(
         SolverOptions(restarts=2, max_iterations=150), strategies=("qclp", "alternating")
     )
@@ -97,6 +107,48 @@ def test_portfolio_first_feasible_wins_skips_later_sequential_strategies(monkeyp
     assert result.strategy == "qclp"
     # The remaining strategy was cancelled before it started.
     assert result.details["portfolio_alternating_feasible"] == -1.0
+
+
+def test_every_strategy_runs_in_the_callers_thread(monkeypatch):
+    """The portfolio walks its line-up in the calling thread: no strategy threads."""
+    threads = {}
+
+    def recording(name, factory):
+        def build(options):
+            solver = factory(options)
+            solve_compiled = solver.solve_compiled
+
+            def record(problem, control=None):
+                threads[name] = threading.get_ident()
+                return solve_compiled(problem, control)
+
+            solver.solve_compiled = record
+            return solver
+
+        return build
+
+    for name in DEFAULT_PORTFOLIO:
+        monkeypatch.setitem(STRATEGIES, name, recording(name, STRATEGIES[name]))
+    # No strategy solves this system, so every one of them gets its turn.
+    result = PortfolioSolver(SolverOptions(restarts=1, max_iterations=20)).solve(infeasible_system())
+    assert not result.feasible
+    assert threads == {name: threading.get_ident() for name in DEFAULT_PORTFOLIO}
+
+
+@pytest.fixture(scope="module")
+def quick_sum_system():
+    benchmark = get_benchmark("sum")
+    options = benchmark.options(upsilon=1)
+    return build_task(benchmark.source, benchmark.precondition, benchmark.objective(), options).system
+
+
+def test_same_seed_portfolio_solves_are_bit_identical(quick_sum_system):
+    options = SolverOptions(restarts=1, max_iterations=150, seed=5)
+    first = PortfolioSolver(options).solve(quick_sum_system)
+    second = PortfolioSolver(options).solve(quick_sum_system)
+    assert first.feasible
+    assert first.strategy == second.strategy
+    assert first.assignment == second.assignment
 
 
 def test_portfolio_reports_infeasible_best_effort():
@@ -119,11 +171,10 @@ def test_portfolio_shares_one_compilation():
     solver = PortfolioSolver(SolverOptions(restarts=1, max_iterations=100))
     result = solver.solve(system)
     assert result.feasible
-    assert compile_problem(system) is problem  # memo entry untouched by the race
+    assert compile_problem(system) is problem  # memo entry untouched by the walk
 
 
-def test_portfolio_respects_shared_deadline(monkeypatch):
-    monkeypatch.setattr(os, "cpu_count", lambda: 1)  # the sequential walk
+def test_portfolio_respects_shared_deadline():
     control = SolveControl(deadline=Deadline.after(0.0), tolerance=1e-5)
     solver = PortfolioSolver(SolverOptions(restarts=3, max_iterations=5000))
     result = solver.solve_compiled(compile_problem(bilinear_system()), control)
@@ -135,6 +186,42 @@ def test_portfolio_solver_is_picklable():
     clone = pickle.loads(pickle.dumps(solver))
     assert clone.strategies == solver.strategies
     assert clone.solve(bilinear_system()).feasible
+
+
+def test_a_deadline_cut_feasible_solve_reads_feasible_at_deadline(quick_sum_system, monkeypatch):
+    """A winner the deadline stopped mid-descent is not reported as "optimal".
+
+    The deadline strikes the moment a descent first evaluates a feasible
+    point, so the winner is feasible but its polish never finished.
+    """
+    problem = compile_problem(quick_sum_system)
+    solvers = {
+        "gauss-newton": GaussNewtonSolver(SolverOptions(restarts=1, max_iterations=150)),
+        "portfolio": PortfolioSolver(SolverOptions(restarts=1, max_iterations=150)),
+    }
+    for name, solver in solvers.items():
+        uncut = solver.solve_compiled(problem)
+        assert (uncut.status, uncut.details["interrupted"]) == ("optimal", 0.0), name
+
+    reached = {"feasible": False}
+    residuals_batch = CompiledProblem.residuals_batch
+
+    def watch(self, points):
+        residuals = residuals_batch(self, points)
+        if residuals.size and (np.abs(residuals).max(axis=1) <= 1e-5).any():
+            reached["feasible"] = True
+        return residuals
+
+    monkeypatch.setattr(CompiledProblem, "residuals_batch", watch)
+    monkeypatch.setattr(Deadline, "expired", lambda self: reached["feasible"])
+    for name, solver in solvers.items():
+        reached["feasible"] = False
+        cut = solver.solve_compiled(problem)
+        assert cut.feasible, name
+        assert cut.status == "feasible-at-deadline", name
+        assert cut.details["interrupted"] == 1.0 and cut.details["timed_out"] == 1.0, name
+    # The portfolio passed on the status of gauss-newton, the strategy it cut.
+    assert cut.strategy == "gauss-newton"
 
 
 # -- result assembly ----------------------------------------------------------------------
@@ -159,6 +246,7 @@ def outcome(name, violation, objective, interrupted):
         # Regression: a thread race could return qclp's cancelled point
         # (barely feasible, lower objective) over gauss-newton's completed
         # one, in either order, and the raw exact lift of that point fails.
+        # A deadline cut still leaves such points.
         ([("gauss-newton", 2e-10, 5.0, False), ("qclp", 3e-6, 1.0, True)], "gauss-newton"),
         ([("qclp", 3e-6, 1.0, True), ("gauss-newton", 2e-10, 5.0, False)], "gauss-newton"),
         # An interrupted point still wins on violation ...
@@ -181,14 +269,12 @@ def test_warm_start_exchange_through_control():
     control = SolveControl(tolerance=1e-5)
     assert control.warm_start() is None
     point = problem.vector({"$s_f_1_0_0": 2.0, "$t_c0_0_0": 0.5})
-    control.report(point, violation=0.0, objective=0.0, strategy="qclp")
+    control.report(point, violation=0.0, objective=0.0)
     warm = control.warm_start()
     assert warm is not None and warm is not point
-    assert control.winner == "qclp"
     # A worse report must not displace the best-known point.
-    control.report(problem.vector({}), violation=5.0, objective=0.0, strategy="alternating")
+    control.report(problem.vector({}), violation=5.0, objective=0.0)
     assert control.best_violation == 0.0
-    assert control.winner == "qclp"
 
 
 def test_first_feasible_sets_stop_event():
