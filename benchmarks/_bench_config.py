@@ -33,19 +33,31 @@ FULL_MODE = os.environ.get("REPRO_BENCH_FULL", "") == "1"
 BENCH_META_SCHEMA_VERSION = 1
 
 
-def _git_revision() -> str | None:
-    """The short revision the numbers were measured at (None outside git)."""
+def _git(directory: str, *args: str) -> str | None:
+    """The stripped stdout of one git command (None when it fails)."""
     try:
         out = subprocess.run(
-            ["git", "rev-parse", "--short", "HEAD"],
-            cwd=os.path.dirname(os.path.abspath(__file__)),
-            capture_output=True,
-            text=True,
-            timeout=5,
+            ["git", *args], cwd=directory, capture_output=True, text=True, timeout=5
         )
     except (OSError, subprocess.TimeoutExpired):
         return None
-    return out.stdout.strip() or None if out.returncode == 0 else None
+    return out.stdout.strip() if out.returncode == 0 else None
+
+
+def _git_revision(directory: str | None = None) -> str | None:
+    """The short revision the numbers were measured at (None outside git).
+
+    A tree whose tracked files differ from that revision is marked
+    ``<rev>-dirty``: a report regenerated before its change is committed
+    measures that change, not the parent revision.
+    """
+    directory = directory or os.path.dirname(os.path.abspath(__file__))
+    revision = _git(directory, "rev-parse", "--short", "HEAD")
+    if not revision:
+        return None
+    if _git(directory, "status", "--porcelain", "--untracked-files=no"):
+        return f"{revision}-dirty"
+    return revision
 
 
 def _rss_bytes() -> float | None:

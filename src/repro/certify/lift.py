@@ -31,10 +31,14 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import TYPE_CHECKING, Mapping, Sequence
 
+import numpy as np
+
 from repro.certify.certificate import Certificate, PairCertificate, SOSWitness
 from repro.certify.linalg import ldl_decompose, solve_linear
 from repro.invariants.constraints import ConstraintPair
 from repro.invariants.quadratic_system import (
+    KIND_CODES,
+    KINDS,
     ConstraintKind,
     PairProvenance,
     QuadraticSystem,
@@ -109,13 +113,31 @@ def exact_violations(
 
     Equalities must be exactly zero, ``>=`` exactly non-negative and ``>``
     exactly positive — no float tolerances enter the verdict.  Unmentioned
-    variables default to zero.
+    variables default to zero.  The rows are read from the system's exact
+    arrays: only terms whose unknowns are all non-zero are multiplied out,
+    and a row without such a term is worth exactly zero.
     """
-    valuation = {name: Fraction(assignment.get(name, _ZERO)) for name in system.variables()}
+    rows = system.rows
+    values = [Fraction(assignment.get(name, _ZERO)) for name in rows.names] + [Fraction(1)]
+    # The spare last slot stands for the factor 1 of constant and linear terms (id -1).
+    live_factor = np.array([value != 0 for value in values], dtype=bool)
+    live = np.flatnonzero(live_factor[rows.term_a] & live_factor[rows.term_b])
+    pool = rows.pool
+    sums: dict[int, Fraction] = {}
+    for row, a, b, coefficient in zip(
+        rows.term_row[live].tolist(),
+        rows.term_a[live].tolist(),
+        rows.term_b[live].tolist(),
+        rows.term_coeff[live].tolist(),
+    ):
+        sums[row] = sums.get(row, _ZERO) + pool[coefficient] * values[a] * values[b]
+    # A row worth zero fails only a strict inequality.
+    positive = rows.kinds == KIND_CODES[ConstraintKind.POSITIVE]
+    candidates = sorted(set(sums).union(np.flatnonzero(positive).tolist()))
     violations: list[ExactViolation] = []
-    for index, constraint in enumerate(system.constraints):
-        value = constraint.polynomial.evaluate(valuation)
-        kind = constraint.kind
+    for index in candidates:
+        value = sums.get(index, _ZERO)
+        kind = KINDS[rows.kinds[index]]
         failed = (
             value != 0
             if kind is ConstraintKind.EQUALITY
@@ -125,7 +147,7 @@ def exact_violations(
         )
         if failed:
             violations.append(
-                ExactViolation(index=index, origin=constraint.origin, kind=kind.value, value=value)
+                ExactViolation(index=index, origin=rows.origin(index), kind=kind.value, value=value)
             )
             if limit is not None and len(violations) >= limit:
                 break

@@ -173,12 +173,11 @@ def harvest_trace_cuts(
 
 
 def _cut_system(task: "SynthesisTask", cuts: list[tuple[str, Polynomial]]) -> QuadraticSystem:
-    """The task's system plus the harvested cuts (provenance preserved)."""
-    system = QuadraticSystem(
-        constraints=list(task.system.constraints),
-        objective=task.system.objective,
-        provenance=list(task.system.provenance),
-    )
+    """The task's system plus the harvested cuts (provenance preserved).
+
+    The cuts go to a copy, so the task's (cached) system is never mutated.
+    """
+    system = task.system.copy()
     for index, (origin, cut) in enumerate(cuts):
         system.add_nonnegative(cut, origin=f"repair:{origin}[{index}]")
     return system

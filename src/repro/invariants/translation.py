@@ -16,18 +16,24 @@ the graded-lexicographic basis:
    :func:`~repro.polynomial.ordering.grlex_ranks`, and batch-groups the terms
    of every coefficient-matching equality with one stable argsort.  The kernel
    touches integers only.
-3. **Assembly** materialises the symbolic :class:`QuadraticSystem` from the
-   grouped index arrays — one trusted ``Polynomial`` per equality, provenance
-   reconstructed from the pair metadata.  The ``coeff[...]`` origin labels
-   are unranked from the emitted groups' grlex ranks with
-   :func:`~repro.polynomial.ordering.grlex_labels`, so no basis monomial is
-   ever enumerated.
+3. **Emission** appends the grouped index arrays, pair by pair, to the
+   :class:`~repro.invariants.quadratic_system.RowArrays` of the system: one
+   row per equality group, each pair's local unknown and coefficient ids
+   mapped into one name table and one ``Fraction`` pool, plus the witness,
+   Cholesky-diagonal and lambda rows.  No ``Polynomial`` is built; Step 4
+   compiles the arrays directly.  The ``coeff[...]`` origin labels are
+   unranked from the emitted groups' grlex ranks with
+   :func:`~repro.polynomial.ordering.grlex_labels` when read
+   (:class:`GrlexOrigins`), so no basis monomial is ever enumerated.
 
 Why this is exact: every term a kernel emits carries a *distinct* unknown
 monomial within its equality group (the t/l/eps id layout is collision-free by
 construction), so grouping never has to add two ``Fraction`` coefficients and
 the pooled ids reproduce the symbolic result bit-for-bit.  The property tests
-in ``tests/property/test_translation_equivalence.py`` are the oracle.
+in ``tests/property/test_translation_equivalence.py`` compare the system's
+constraint view with the symbolic translators, and
+``tests/integration/test_row_arrays.py`` compares the compiled arrays with
+the per-polynomial lowering of that view.
 """
 
 from __future__ import annotations
@@ -36,7 +42,7 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -45,8 +51,8 @@ from repro.invariants.constraints import ConstraintPair
 from repro.invariants.quadratic_system import (
     ConstraintKind,
     PairProvenance,
-    QuadraticConstraint,
     QuadraticSystem,
+    RowBuilder,
 )
 from repro.invariants.template import UNKNOWN_PREFIX
 from repro.polynomial.compiled import (
@@ -57,7 +63,6 @@ from repro.polynomial.compiled import (
     lower_gram_triples,
     lower_mixed,
 )
-from repro.polynomial.monomial import Monomial
 from repro.polynomial.ordering import (
     count_monomials_up_to_degree,
     grlex_exponents,
@@ -211,8 +216,10 @@ class TranslationProfile:
     """Where one translation's wall-clock went (attached to the system).
 
     ``fanout_seconds`` times the in-process kernel (:func:`run_kernel` over
-    every pair); it keeps its name because clients read the
-    ``stage_translation_fanout_seconds`` timing key built from it.
+    every pair) and ``assemble_seconds`` the emission of the row arrays;
+    both keep their names because clients read the
+    ``stage_translation_fanout_seconds`` / ``..._assemble_seconds`` timing
+    keys built from them.
     """
 
     compile_seconds: float
@@ -225,13 +232,13 @@ class TranslationProfile:
 
 
 # ---------------------------------------------------------------------------
-# Putinar: compile and assemble
+# Putinar: compile and emit
 # ---------------------------------------------------------------------------
 
 
 @dataclass
 class _PairJob:
-    """The metadata needed to assemble one pair's kernel result."""
+    """The metadata needed to emit one pair's kernel result as rows."""
 
     provenance: PairProvenance
     pair_name: str
@@ -338,64 +345,101 @@ def _compile_putinar_pair(pair: ConstraintPair, pair_index: int, options) -> _Pa
     )
 
 
-_MONO_ONE = Monomial.one()
+class GrlexOrigins:
+    """The origin labels ``prefix[monomial]`` of grlex-ranked rows, built when read.
 
-
-def _append_groups(
-    constraints: list,
-    result: KernelResult,
-    monomials: list,
-    pool_values: Sequence[Fraction],
-    origins: Sequence[str],
-) -> None:
-    """Materialise one grouped kernel result as trusted equality constraints.
-
-    ``origins[g]`` labels equality ``g``; callers build it from the group
-    ranks ``result.eq_mu`` with :func:`grlex_labels`.
+    A translation emits one label per coefficient-matching row; building
+    them all costs more than the arrays they describe, and only printing and
+    a failed exact check read them.
     """
-    offsets = result.eq_offsets.tolist()
-    term_a = result.term_a.tolist()
-    term_b = result.term_b.tolist()
-    term_coeff = result.term_coeff.tolist()
-    for group in range(len(offsets) - 1):
-        start = offsets[group]
-        stop = offsets[group + 1]
-        terms: dict[Monomial, Fraction] = {}
-        for position in range(start, stop):
-            a = term_a[position]
-            if a < 0:
-                monomial = _MONO_ONE
-            else:
-                b = term_b[position]
-                monomial = monomials[a] if b < 0 else monomials[a] * monomials[b]
-            coefficient = pool_values[term_coeff[position]]
-            previous = terms.get(monomial)
-            if previous is None:
-                terms[monomial] = coefficient
-            else:
-                total = previous + coefficient
-                if total:
-                    terms[monomial] = total
-                else:
-                    del terms[monomial]
-        if not terms:
-            continue
-        origin_text = origins[group]
-        if len(terms) == 1 and next(iter(terms)).is_constant():
-            polynomial = Polynomial._from_validated(terms)
-            raise SynthesisError(
-                f"inconsistent constant equality from {origin_text!r}: {polynomial} = 0"
-            )
-        constraints.append(
-            QuadraticConstraint._trusted(
-                Polynomial._from_validated(terms), ConstraintKind.EQUALITY, origin_text
-            )
+
+    __slots__ = ("prefix", "ranks", "variables")
+
+    def __init__(self, prefix: str, ranks: np.ndarray, variables: Sequence[str]):
+        self.prefix = prefix
+        self.ranks = ranks
+        self.variables = variables
+
+    def __len__(self) -> int:
+        return int(self.ranks.size)
+
+    def __getitem__(self, index: int) -> str:
+        return self._labels(self.ranks[index : index + 1])[0]
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._labels(self.ranks))
+
+    def _labels(self, ranks: np.ndarray) -> list[str]:
+        prefix = self.prefix
+        return [f"{prefix}[{label}]" for label in grlex_labels(ranks, self.variables)]
+
+
+def _group_rows(result: KernelResult) -> np.ndarray:
+    """The group (row) of every term of a grouped kernel result."""
+    return np.repeat(np.arange(result.eq_mu.size, dtype=np.int64), np.diff(result.eq_offsets))
+
+
+def _check_constant_groups(
+    result: KernelResult, pool_values: Sequence[Fraction], origins: GrlexOrigins
+) -> None:
+    """Refuse a coefficient-matching equality that reduces to a non-zero constant.
+
+    Terms never cancel inside a group (see the module docstring), so such a
+    group is a single unknown-free term.
+    """
+    starts = result.eq_offsets[:-1]
+    lone = (np.diff(result.eq_offsets) == 1) & (result.term_a[starts] < 0)
+    if lone.any():
+        group = int(np.flatnonzero(lone)[0])
+        value = pool_values[int(result.term_coeff[starts[group]])]
+        raise SynthesisError(
+            f"inconsistent constant equality from {origins[group]!r}: "
+            f"{Polynomial.constant(value)} = 0"
         )
 
 
-def _assemble_putinar(
-    constraints: list, provenance: list, job: _PairJob, result: KernelResult
+def _emit_groups(
+    builder: RowBuilder,
+    result: KernelResult,
+    ids: np.ndarray,
+    pool: np.ndarray,
+    origins: GrlexOrigins,
 ) -> None:
+    """One equality row per group, its terms in kernel order over the global ids.
+
+    ``ids`` maps the pair's local unknown ids to the global name table and
+    ends with ``-1``, so the kernel's ``-1`` padding maps to itself.
+    """
+    builder.add_rows(
+        ConstraintKind.EQUALITY,
+        origins,
+        _group_rows(result),
+        ids[result.term_a],
+        ids[result.term_b],
+        pool[result.term_coeff],
+    )
+
+
+def _emit_unit_rows(
+    builder: RowBuilder,
+    kind: ConstraintKind,
+    origins: Sequence[str],
+    unknowns: np.ndarray,
+    pool: np.ndarray,
+) -> None:
+    """Rows ``x (kind) 0``, one per unknown id (the witness, diagonal and lambda rows)."""
+    count = len(unknowns)
+    builder.add_rows(
+        kind,
+        origins,
+        np.arange(count, dtype=np.int64),
+        unknowns,
+        np.full(count, _NO_UNKNOWN, dtype=np.int64),
+        np.full(count, pool[POOL_PLUS_ONE], dtype=np.int64),
+    )
+
+
+def _emit_putinar(builder: RowBuilder, job: _PairJob, result: KernelResult) -> None:
     tag = job.tag
     h_dim = job.h_dim
     sos_dim = job.sos_dim
@@ -415,69 +459,57 @@ def _assemble_putinar(
             for row in range(sos_dim):
                 for col in range(row + 1):
                     names.append(f"{UNKNOWN_PREFIX}l_{tag}_{which}_{row}_{col}")
-    monomials = [Monomial.of(name) for name in names]
-
-    provenance.append(job.provenance)
-    if job.with_witness:
-        constraints.append(
-            QuadraticConstraint._trusted(
-                Polynomial.variable(names[eps_id]),
-                ConstraintKind.POSITIVE,
-                f"{job.pair_name}:witness",
-            )
-        )
+    ids = np.append(builder.name_ids(names), _NO_UNKNOWN)
+    pool = builder.pool_ids(job.pool_values)
 
     pair_name = job.pair_name
-    _append_groups(
-        constraints,
-        result,
-        monomials,
-        job.pool_values,
-        [f"{pair_name}:coeff[{label}]" for label in grlex_labels(result.eq_mu, job.variables)],
-    )
+    if job.with_witness:
+        _emit_unit_rows(
+            builder, ConstraintKind.POSITIVE, (f"{pair_name}:witness",), ids[[eps_id]], pool
+        )
+    origins = GrlexOrigins(f"{pair_name}:coeff", result.eq_mu, job.variables)
+    _check_constant_groups(result, job.pool_values, origins)
+    _emit_groups(builder, result, ids, pool, origins)
 
     if not job.encode_sos:
         return
 
     template = _sos_template(len(job.variables), job.upsilon)
-    sos_labels = grlex_labels(template.eq_mu, job.variables)
     local_a = template.term_a
     local_b = template.term_b
+    diagonal = np.asarray([row * (row + 1) // 2 + row for row in range(sos_dim)], dtype=np.int64)
     for which in range(job.multiplier_count):
         t_offset = input_count + which * h_dim
         l_offset = cholesky_base + which * tri_count - h_dim
-        global_a = np.where(local_a < h_dim, local_a + t_offset, local_a + l_offset)
-        global_b = np.where(
-            local_b < 0, local_b, np.where(local_b < h_dim, local_b + t_offset, local_b + l_offset)
-        )
         shifted = KernelResult(
             eq_mu=template.eq_mu,
             eq_offsets=template.eq_offsets,
-            term_a=global_a,
-            term_b=global_b,
+            term_a=np.where(local_a < h_dim, local_a + t_offset, local_a + l_offset),
+            term_b=np.where(
+                local_b < 0,
+                local_b,
+                np.where(local_b < h_dim, local_b + t_offset, local_b + l_offset),
+            ),
             term_coeff=template.term_coeff,
         )
-        _append_groups(
-            constraints,
+        _emit_groups(
+            builder,
             shifted,
-            monomials,
-            job.pool_values,
-            [f"{pair_name}:sos{which}[{label}]" for label in sos_labels],
+            ids,
+            pool,
+            GrlexOrigins(f"{pair_name}:sos{which}", template.eq_mu, job.variables),
         )
-        diag_origin = f"{pair_name}:diag{which}"
-        for row in range(sos_dim):
-            diag_id = cholesky_base + which * tri_count + row * (row + 1) // 2 + row
-            constraints.append(
-                QuadraticConstraint._trusted(
-                    Polynomial.variable(names[diag_id]),
-                    ConstraintKind.NONNEGATIVE,
-                    diag_origin,
-                )
-            )
+        _emit_unit_rows(
+            builder,
+            ConstraintKind.NONNEGATIVE,
+            (f"{pair_name}:diag{which}",) * sos_dim,
+            ids[cholesky_base + which * tri_count + diagonal],
+            pool,
+        )
 
 
 # ---------------------------------------------------------------------------
-# Handelman: compile and assemble
+# Handelman: compile and emit
 # ---------------------------------------------------------------------------
 
 
@@ -552,43 +584,36 @@ def _compile_handelman_pair(
     )
 
 
-def _assemble_handelman(
-    constraints: list, provenance: list, job: _PairJob, result: KernelResult
-) -> None:
+def _emit_handelman(builder: RowBuilder, job: _PairJob, result: KernelResult) -> None:
     tag = job.tag
     names: list[str] = list(job.unknown_names)
     if job.with_witness:
         names.append(f"{UNKNOWN_PREFIX}eps_{tag}")
     for k in range(len(job.product_labels)):
         names.append(f"{UNKNOWN_PREFIX}t_{tag}_{k}_0")
-    monomials = [Monomial.of(name) for name in names]
+    ids = np.append(builder.name_ids(names), _NO_UNKNOWN)
+    pool = builder.pool_ids(job.pool_values)
     lambda_base = len(job.unknown_names) + (1 if job.with_witness else 0)
 
-    provenance.append(job.provenance)
-    if job.with_witness:
-        constraints.append(
-            QuadraticConstraint._trusted(
-                Polynomial.variable(names[len(job.unknown_names)]),
-                ConstraintKind.POSITIVE,
-                f"{job.pair_name}:witness",
-            )
-        )
-    for k, label in enumerate(job.product_labels):
-        constraints.append(
-            QuadraticConstraint._trusted(
-                Polynomial.variable(names[lambda_base + k]),
-                ConstraintKind.NONNEGATIVE,
-                f"{job.pair_name}:lambda[{label}]",
-            )
-        )
     pair_name = job.pair_name
-    _append_groups(
-        constraints,
-        result,
-        monomials,
-        job.pool_values,
-        [f"{pair_name}:coeff[{label}]" for label in grlex_labels(result.eq_mu, job.variables)],
+    if job.with_witness:
+        _emit_unit_rows(
+            builder,
+            ConstraintKind.POSITIVE,
+            (f"{pair_name}:witness",),
+            ids[[len(job.unknown_names)]],
+            pool,
+        )
+    _emit_unit_rows(
+        builder,
+        ConstraintKind.NONNEGATIVE,
+        tuple(f"{pair_name}:lambda[{label}]" for label in job.product_labels),
+        ids[lambda_base + np.arange(len(job.product_labels), dtype=np.int64)],
+        pool,
     )
+    origins = GrlexOrigins(f"{pair_name}:coeff", result.eq_mu, job.variables)
+    _check_constant_groups(result, job.pool_values, origins)
+    _emit_groups(builder, result, ids, pool, origins)
 
 
 # ---------------------------------------------------------------------------
@@ -599,17 +624,16 @@ def _assemble_handelman(
 def _build_system(
     jobs: Sequence[_PairJob],
     results: Sequence[KernelResult],
-    assemble: Callable,
+    emit: Callable,
     objective: Polynomial | None,
 ) -> QuadraticSystem:
-    constraints: list[QuadraticConstraint] = []
-    provenance: list[PairProvenance] = []
+    builder = RowBuilder()
     for job, result in zip(jobs, results):
-        assemble(constraints, provenance, job, result)
+        emit(builder, job, result)
     return QuadraticSystem(
-        constraints=constraints,
-        objective=objective if objective is not None else Polynomial.zero(),
-        provenance=provenance,
+        objective=objective,
+        provenance=[job.provenance for job in jobs],
+        rows=builder.freeze(),
     )
 
 
@@ -624,7 +648,7 @@ def putinar_translate_vectorized(
     compiled_at = time.perf_counter()
     results = [run_kernel(job.payload) for job in jobs]
     fanned_at = time.perf_counter()
-    system = _build_system(jobs, results, _assemble_putinar, objective)
+    system = _build_system(jobs, results, _emit_putinar, objective)
     system.translation_profile = TranslationProfile(
         compile_seconds=compiled_at - start,
         fanout_seconds=fanned_at - compiled_at,
@@ -648,7 +672,7 @@ def handelman_translate_vectorized(
     compiled_at = time.perf_counter()
     results = [run_kernel(job.payload) for job in jobs]
     fanned_at = time.perf_counter()
-    system = _build_system(jobs, results, _assemble_handelman, objective)
+    system = _build_system(jobs, results, _emit_handelman, objective)
     system.translation_profile = TranslationProfile(
         compile_seconds=compiled_at - start,
         fanout_seconds=fanned_at - compiled_at,

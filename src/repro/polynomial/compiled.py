@@ -1,21 +1,25 @@
 """Compiled numeric views of polynomials: flat coefficient/exponent arrays.
 
 The exact :class:`~repro.polynomial.polynomial.Polynomial` representation is
-what Steps 1-3 need, but the Step-4 numeric solvers evaluate the same
-polynomials many times over float vectors, and Step 3 matches coefficients
-over thousands of terms.  This module lowers polynomials once into numpy
-arrays so that both loops run on integers and floats, never on ``Fraction``:
+what Steps 1-2 need, but Step 3 matches coefficients over thousands of terms
+and the Step-4 numeric solvers evaluate the result many times over float
+vectors.  This module lowers polynomials into numpy arrays so that both loops
+run on integers and floats, never on ``Fraction``:
 
-* :class:`QuadraticTriplets` / :func:`lower_quadratic` — the degree-<=2
-  Step-4 system split into constants, linear triplets and bilinear triplets,
-  from which :class:`~repro.solvers.problem.CompiledProblem` builds its
-  sparse residual, Jacobian and penalty kernels.
 * :class:`CoefficientPool` / :func:`lower_mixed` / :func:`lower_gram_triples` —
   the exact Step-3 lowering: mixed template polynomials become flat exponent
   matrices plus unknown-id and coefficient-pool-id columns, and the Gram/
   Cholesky SOS expansion becomes index triples, so the translation kernel in
-  :mod:`repro.invariants.translation` works on integers only while the parent
-  keeps the :class:`~fractions.Fraction` coefficients exact.
+  :mod:`repro.invariants.translation` works on integers only while the pool
+  keeps the :class:`~fractions.Fraction` coefficients exact.  The kernel's
+  output stays in arrays: the
+  :class:`~repro.invariants.quadratic_system.RowArrays` Step 4 compiles.
+* :class:`QuadraticTriplets` / :func:`lower_quadratic` — degree-<=2
+  polynomials split into constants, linear triplets and bilinear triplets, the
+  form from which :class:`~repro.solvers.problem.CompiledProblem` builds its
+  sparse residual, Jacobian and penalty kernels.  ``CompiledProblem`` builds
+  its triplets from the row arrays; :func:`lower_quadratic` is the
+  per-polynomial reference the tests compare them with.
 """
 
 from __future__ import annotations

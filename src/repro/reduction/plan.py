@@ -223,18 +223,15 @@ class ReductionPlan:
         """Attach this plan's objective to the (objective-free) cached translation.
 
         A zero objective reuses the cached system object as-is; a non-trivial
-        one gets its own :class:`QuadraticSystem` sharing the translated
-        constraint objects, so an objective sweep never re-translates.
+        one gets its own :class:`QuadraticSystem` sharing the translated row
+        arrays (:meth:`QuadraticSystem.copy`), so an objective sweep never
+        re-translates and never mutates the cached translation.
         """
         objective = self.objective if self.objective is not None else FeasibilityObjective()
         polynomial: Polynomial = objective.polynomial(templates)
         if polynomial.is_zero():
             return translated
-        return QuadraticSystem(
-            constraints=list(translated.constraints),
-            objective=polynomial,
-            provenance=list(translated.provenance),
-        )
+        return translated.copy(objective=polynomial)
 
 
 def compile_plan(

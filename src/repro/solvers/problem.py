@@ -1,18 +1,20 @@
 """The compiled Step-4 problem IR shared by every numeric solver.
 
 Step 3 hands every solver the same :class:`~repro.invariants.quadratic_system.
-QuadraticSystem`; historically each solver privately re-vectorised it (flat
-numpy arrays, strict-margin rewriting, variable classification) before its
-first iteration.  :class:`CompiledProblem` performs that lowering **once** per
-system — through :func:`compile_problem`, which memoises on the system — and
-every solver consumes the compiled form:
+QuadraticSystem`, stored as exact row arrays
+(:class:`~repro.invariants.quadratic_system.RowArrays`).
+:class:`CompiledProblem` lowers those arrays **once** per system — through
+:func:`compile_problem`, which memoises on the system — and every solver
+consumes the compiled form:
 
+* float triplets read straight from the row arrays (:func:`_lower`): the
+  unknowns in ``(role, name)`` column order, every coefficient ``float`` of
+  its pooled ``Fraction``;
 * an exact presolve: unknowns that an equality forces to zero are fixed and
   the rows they empty are dropped, so the descent runs over the free
   unknowns only (:meth:`CompiledProblem.presolved`);
-* flat residual / constraint-value / penalty closures built from the triplet
-  arrays of :mod:`repro.polynomial.compiled` (no ``Fraction`` arithmetic in
-  any inner loop);
+* flat residual / constraint-value / penalty closures built from the
+  triplets (no ``Fraction`` arithmetic in any inner loop);
 * strict-inequality rewriting (``p > 0`` becomes ``p >= strict_margin``) and
   the equality/inequality masks derived from it;
 * the canonical variable ordering plus role masks (template, witness,
@@ -35,13 +37,15 @@ import numpy as np
 from scipy import sparse
 
 from repro.invariants.quadratic_system import (
+    KINDS,
     ConstraintKind,
     QuadraticSystem,
     VariableRole,
     classify_unknown,
+    column_order,
 )
 from repro.solvers.base import DEFAULT_STRICT_MARGIN, DEFAULT_TOLERANCE, SolverResult
-from repro.polynomial.compiled import QuadraticTriplets, lower_quadratic
+from repro.polynomial.compiled import QuadraticTriplets
 
 
 class Deadline:
@@ -230,15 +234,78 @@ class _QuadraticTerms:
         return gradient
 
 
+def _triplets(
+    term_row: np.ndarray,
+    term_a: np.ndarray,
+    term_b: np.ndarray,
+    values: np.ndarray,
+    row_count: int,
+    column_of: np.ndarray,
+    name_rank: np.ndarray,
+) -> QuadraticTriplets:
+    """Split exact row terms (see :class:`RowArrays`) into float triplets over the columns.
+
+    A bilinear term lists its two columns in name order, as the monomial
+    ``x*y`` of the term does.
+    """
+    constant = term_a < 0
+    linear = ~constant & (term_b < 0)
+    quadratic = term_b >= 0
+    constants = np.zeros(row_count)
+    np.add.at(constants, term_row[constant], values[constant])
+    left = term_a[quadratic]
+    right = term_b[quadratic]
+    swap = name_rank[left] > name_rank[right]
+    left, right = np.where(swap, right, left), np.where(swap, left, right)
+    return QuadraticTriplets(
+        row_count=row_count,
+        constants=constants,
+        linear_rows=term_row[linear],
+        linear_cols=column_of[term_a[linear]],
+        linear_values=values[linear],
+        quad_rows=term_row[quadratic],
+        quad_left=column_of[left],
+        quad_right=column_of[right],
+        quad_values=values[quadratic],
+    )
+
+
 def _lower(
     system: QuadraticSystem,
 ) -> tuple[list[str], QuadraticTriplets, np.ndarray, QuadraticTriplets]:
-    """The system's unknowns, constraint triplets, constraint kinds and objective triplets."""
-    variables = system.variables()
-    index = {name: i for i, name in enumerate(variables)}
-    rows = lower_quadratic([constraint.polynomial for constraint in system.constraints], index)
-    kinds = np.array([constraint.kind.value for constraint in system.constraints], dtype="<U2")
-    return variables, rows, kinds, lower_quadratic([system.objective], index)
+    """The system's unknowns, constraint triplets, constraint kinds and objective triplets.
+
+    Read from the system's exact row arrays: the unknowns in
+    :func:`column_order`, every coefficient as ``float`` of its pooled
+    ``Fraction``.
+    """
+    rows = system.rows
+    names, objective_a, objective_b, objective_coefficients = system.objective_terms()
+    order = column_order(names, rows.term_a, rows.term_b, objective_a, objective_b)
+    column_of = np.full(len(names), -1, dtype=np.int64)
+    column_of[order] = np.arange(len(order), dtype=np.int64)
+    name_rank = np.zeros(len(names), dtype=np.int64)
+    name_rank[sorted(order, key=names.__getitem__)] = np.arange(len(order), dtype=np.int64)
+    constraints = _triplets(
+        rows.term_row,
+        rows.term_a,
+        rows.term_b,
+        rows.pool_floats[rows.term_coeff],
+        rows.row_count,
+        column_of,
+        name_rank,
+    )
+    objective = _triplets(
+        np.zeros(objective_a.size, dtype=np.int64),
+        objective_a,
+        objective_b,
+        np.array([float(value) for value in objective_coefficients], dtype=np.float64),
+        1,
+        column_of,
+        name_rank,
+    )
+    kinds = np.array([kind.value for kind in KINDS], dtype="<U2")[rows.kinds]
+    return [names[index] for index in order], constraints, kinds, objective
 
 
 def _rows_of(
@@ -444,7 +511,7 @@ class CompiledProblem:
             "dimension": float(self.dimension),
             "constraints": float(self.row_count),
             "fixed_unknowns": float(len(self.system_variables) - self.dimension),
-            "dropped_rows": float(len(self.system.constraints) - self.row_count),
+            "dropped_rows": float(self.system.size - self.row_count),
         }
 
     # -- values ------------------------------------------------------------------
@@ -820,13 +887,13 @@ def compile_problem(system: QuadraticSystem, strict_margin: float | None = None)
     The cache lives on the system object itself and is keyed by the strict
     margin plus the system's mutation counter (every API-level mutation —
     added constraints, objective assignment — bumps it), so stale entries can
-    never be served to the solvers that share one compilation.  The
-    constraint count stays in the key as a belt-and-braces guard against
-    direct ``system.constraints`` list mutation, which bypasses the counter.
+    never be served to the solvers that share one compilation.  Rows can
+    only be added through that API: ``system.constraints`` is a read-only
+    view.
     """
     if strict_margin is None:
         strict_margin = DEFAULT_STRICT_MARGIN
-    key = (float(strict_margin), system.version, len(system.constraints))
+    key = (float(strict_margin), system.version)
     cache: dict | None = getattr(system, "_compiled_problems", None)
     if cache is None:
         cache = {}

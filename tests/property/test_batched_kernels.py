@@ -38,7 +38,7 @@ from repro.solvers.base import SolverOptions
 from repro.solvers.problem import CompiledProblem
 from repro.solvers.qclp import GaussNewtonSolver, PenaltyQCLPSolver
 
-UNKNOWNS = ["$s_a_0_0_0", "$s_a_0_0_1", "$t_c0_0_0", "$l_f_0_1_1"]
+UNKNOWNS = ["$s_a_0_0_0", "$s_a_0_0_1", "$s_a_0_0_2", "$t_c0_0_0", "$t_c0_0_1", "$l_f_0_1_1"]
 
 _QUADRATIC_MONOMIALS = [Monomial({})]
 _QUADRATIC_MONOMIALS += [Monomial({name: 1}) for name in UNKNOWNS]
@@ -49,12 +49,14 @@ _QUADRATIC_MONOMIALS += [
     for right in UNKNOWNS[i + 1:]
 ]
 
-coefficients = st.integers(min_value=-6, max_value=6).map(Fraction) | st.fractions(
-    min_value=-3, max_value=3, max_denominator=4
+# Odd denominators: a coefficient like 5/7 is no float, so a row's sum rounds
+# and its value depends on the order of the additions.
+coefficients = st.integers(min_value=-6, max_value=6).map(Fraction) | st.builds(
+    Fraction, st.integers(min_value=-60, max_value=60), st.sampled_from([3, 7, 9, 11, 97])
 )
 
 polynomials = st.dictionaries(
-    st.sampled_from(_QUADRATIC_MONOMIALS), coefficients, min_size=1, max_size=4
+    st.sampled_from(_QUADRATIC_MONOMIALS), coefficients, min_size=1, max_size=8
 ).map(Polynomial)
 
 constraints = st.builds(
@@ -72,14 +74,26 @@ def build_system(constraint_list, objective):
     return system
 
 
+# Every objective has a linear term in each unknown (the draws can zero
+# some), so the objective's sums round at the points below.
+linear_forms = st.lists(coefficients, min_size=len(UNKNOWNS), max_size=len(UNKNOWNS)).map(
+    lambda weights: Polynomial(
+        {Monomial({name: 1}): weight for name, weight in zip(UNKNOWNS, weights)}
+    )
+)
+objectives = st.builds(lambda linear, rest: linear + rest, linear_forms, polynomials)
+
 systems = st.builds(
-    build_system, st.lists(constraints, min_size=1, max_size=6), polynomials
+    build_system, st.lists(constraints, min_size=1, max_size=6), objectives
 )
 
 # Random batches: lists of assignments, lowered to (k, d) rows per system
 # with problem.vector (the compiled dimension varies with the system).
+# Sevenths are no floats either, so products and sums at these points round:
+# a kernel whose reduction order changes with the batch's height gives a
+# member's row different bits inside a wider batch than alone.
 assignments = st.fixed_dictionaries(
-    {name: st.integers(min_value=-4, max_value=4).map(float) for name in UNKNOWNS}
+    {name: st.integers(min_value=-28, max_value=28).map(lambda n: n / 7) for name in UNKNOWNS}
 )
 batches = st.lists(assignments, min_size=1, max_size=5)
 
@@ -197,6 +211,12 @@ def test_lockstep_rows_are_bit_identical_to_wide_batches(system, batch, rho):
     rho_members = rho * (1.0 + np.arange(points.shape[0], dtype=float))
     values = problem.constraint_values_batch(points)
     residuals = problem.residuals_batch(points)
+    # Each kernel on its own: inside the penalty, the large residual term
+    # absorbs a last-bit difference of the objective.
+    objectives = problem.objective_value_batch(points)
+    objective_gradients = problem.objective_gradient_batch(points)
+    violations = problem.max_violation_batch(points)
+    active = problem.active_rows_batch(points)
     penalties = problem.penalty_batch(points, rho_members, objective_weight=1.0)
     gradients = problem.penalty_gradient_batch(points, rho_members, objective_weight=1.0)
     rng = np.random.default_rng(0)
@@ -219,6 +239,10 @@ def test_lockstep_rows_are_bit_identical_to_wide_batches(system, batch, rho):
         assert np.array_equal(jtw[i], alone.rmatvec(weights[i : i + 1])[0])
         assert np.array_equal(values[i], problem.constraint_values_batch(row)[0])
         assert np.array_equal(residuals[i], problem.residuals_batch(row)[0])
+        assert np.array_equal(objectives[i], problem.objective_value_batch(row)[0])
+        assert np.array_equal(objective_gradients[i], problem.objective_gradient_batch(row)[0])
+        assert np.array_equal(violations[i], problem.max_violation_batch(row)[0])
+        assert np.array_equal(active[i], problem.active_rows_batch(row)[0])
         assert np.array_equal(
             penalties[i], problem.penalty_batch(row, rho_members[i : i + 1], 1.0)[0]
         )
@@ -229,12 +253,12 @@ def test_lockstep_rows_are_bit_identical_to_wide_batches(system, batch, rho):
 
 
 def test_objective_rows_are_bit_identical_to_wide_batches():
-    """The lockstep guarantee at non-integer points, where rounding order shows.
+    """The lockstep guarantee on a wide objective at Gaussian points.
 
-    The property above draws integer points, whose sums are exact in any
-    order.  At points like these BLAS gemv (``points @ vector``) can round a
-    row of the linear objective differently with the batch's height, which
-    lets a solver's ``batch="on"`` and ``"rows"`` answers drift apart.
+    A fixed witness beside the property above: at points like these BLAS
+    gemv (``points @ vector``) can round a row of the linear objective
+    differently with the batch's height, which lets a solver's
+    ``batch="on"`` and ``"rows"`` answers drift apart.
     """
     rng = np.random.default_rng(0)
     names = [f"$s_a_0_0_{index}" for index in range(12)]
