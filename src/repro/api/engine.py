@@ -59,6 +59,7 @@ from repro.reduction.escalate import DEADLINE_SKIPPED, EscalationAttempt, Escala
 from repro.reduction.task import STAGE_NAMES
 from repro.solvers.base import Solver, SolverOptions, SolverResult
 from repro.solvers.portfolio import make_solver
+from repro.solvers.problem import Deadline
 from repro.solvers.strong import RepresentativeEnumerator
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -66,6 +67,10 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 #: Remaining-deadline floor below which another escalation rung is pointless.
 _ESCALATION_MIN_BUDGET = 0.01
+
+#: Size bound of an engine's own Step 1-3 task cache and of each of its stage
+#: tables (oldest entries evicted first).
+DEFAULT_CACHE_ENTRIES = 128
 
 #: The engine's own :meth:`Engine.stats` counters, each starting at zero.
 _COUNTERS = (
@@ -153,6 +158,8 @@ class Engine:
     cache:
         The Step 1-3 task cache; pass a shared instance to reuse reductions
         across engines (e.g. between a service and its warm-up script).
+        ``None`` builds one bounded to :data:`DEFAULT_CACHE_ENTRIES` entries
+        per table, so a long-lived engine's memory stays bounded.
     solver_options:
         Default Step-4 solver knobs; a request's own
         ``solver_options``/``deadline`` override/tighten these.  Each
@@ -191,7 +198,7 @@ class Engine:
         if workers < 0:
             raise ValueError(f"workers must be non-negative, got {workers}")
         self.workers = workers
-        self.cache = cache if cache is not None else TaskCache()
+        self.cache = cache if cache is not None else TaskCache(max_entries=DEFAULT_CACHE_ENTRIES)
         self.max_cached_solves = max_cached_solves
         self.solver_options = solver_options
         self._jobs: ProcessWorkerPool | None = None
@@ -323,10 +330,14 @@ class Engine:
         The keyword-only ``solver``/``task``/``enumerator`` escape hatches
         carry live in-process objects (a pre-built Step 1-3 reduction, a
         hand-configured solver); they are not part of the wire format and
-        bypass the solve-dedup table.  ``deadline_epoch`` anchors the
-        request's relative ``deadline`` to an absolute wall-clock instant
-        (``time.time()`` scale) so a deadline keeps ticking across queueing
-        and process hops; callers normally leave it ``None``.
+        bypass the solve-dedup table.  ``deadline_epoch`` is the absolute
+        wall-clock instant (``time.time()`` scale) the request must finish
+        by; it defaults to ``request.deadline`` seconds after admission, so
+        a deadline keeps ticking across queueing and process hops.  An
+        explicit epoch bounds the request even without a ``deadline``.
+        Callers normally leave it ``None``.  Execution turns the epoch into
+        one :class:`~repro.solvers.problem.Deadline` that the solve, the
+        lift and repair all read what remains from.
         """
         return self.submit(
             request,
@@ -373,9 +384,8 @@ class Engine:
         # The persistent store short-circuits the whole request: an identical
         # request completed by any process against this root — including a
         # previous life of this one — is re-served from disk.  Store keys are
-        # always computed from the *original* request (never a
-        # deadline-clamped derivation), so warm hits are stable across queue
-        # delays and restarts.
+        # computed from the request as submitted (it is never rewritten), so
+        # warm hits are stable across queue delays and restarts.
         key = served = None
         if self.store is not None and wire_clean:
             key, served = self._from_store(request, submission_id)
@@ -428,17 +438,16 @@ class Engine:
     # -- execution ---------------------------------------------------------------
 
     def _effective_solver_options(self, request: SynthesisRequest) -> SolverOptions | None:
-        """Request solver options over engine defaults, tightened by the deadline."""
+        """Request solver options over engine defaults, tightened by the declared deadline.
+
+        They depend on the request as submitted, never on the clock, so
+        identical requests get identical solve keys; the solve itself runs
+        on what remains of the request's :class:`Deadline` (:meth:`_run_solve`).
+        """
         options = request.solver_options if request.solver_options is not None else self.solver_options
-        if request.deadline is not None:
-            options = options if options is not None else SolverOptions()
-            limit = (
-                float(request.deadline)
-                if options.time_limit is None
-                else min(options.time_limit, float(request.deadline))
-            )
-            options = replace(options, time_limit=limit)
-        return options
+        if request.deadline is None:
+            return options
+        return (options if options is not None else SolverOptions()).within(float(request.deadline))
 
     def _execute(
         self,
@@ -450,35 +459,20 @@ class Engine:
         deadline_epoch: float | None,
         store_key: str | None,
     ) -> SynthesisResponse:
-        """Execute one request in the calling thread; a ``store_key`` files its response."""
-        exec_request = self._clamp_deadline(request, deadline_epoch)
-        if exec_request.options.is_auto_degree and task is None:
-            response = self._execute_escalation(exec_request, submission_id, solver, enumerator)
+        """Execute one request in the calling thread; a ``store_key`` files its response.
+
+        The wall-clock ``deadline_epoch`` becomes the request's one
+        :class:`Deadline` here, in whichever process runs the job.
+        """
+        deadline = Deadline.after(None if deadline_epoch is None else deadline_epoch - time.time())
+        if request.options.is_auto_degree and task is None:
+            response = self._execute_escalation(request, submission_id, solver, enumerator, deadline)
         else:
-            response = self._execute_fixed(exec_request, submission_id, solver, task, enumerator)
+            response = self._execute_fixed(request, submission_id, solver, task, enumerator, deadline)
         if store_key is not None and response.exception is None:
             if self.store.responses.store(store_key, response):
                 self._count(store_response_writes=1)
         return response
-
-    @staticmethod
-    def _clamp_deadline(
-        request: SynthesisRequest, deadline_epoch: float | None
-    ) -> SynthesisRequest:
-        """Re-anchor a request's relative deadline to its admission instant.
-
-        Only ever *tightens*: when less of the budget remains than the
-        request's own ``deadline`` (queue time, a process hop), execution
-        runs on a derived request carrying the remaining budget.  The
-        original request — and therefore every content-addressed key — is
-        never mutated.
-        """
-        if deadline_epoch is None or request.deadline is None:
-            return request
-        remaining = deadline_epoch - time.time()
-        if remaining >= float(request.deadline):
-            return request
-        return dataclasses.replace(request, deadline=max(remaining, 0.001))
 
     def _response_key(self, request: SynthesisRequest) -> str:
         """The content key of a wire-clean request's response.
@@ -631,12 +625,13 @@ class Engine:
         submission_id: int,
         solver: Solver | None,
         enumerator: RepresentativeEnumerator | None,
+        deadline: Deadline,
     ) -> SynthesisResponse:
         """Adaptive degree escalation: run the d = 1..max_degree ladder.
 
         Each rung is an ordinary fixed-degree execution (so it shares the
         degree-independent reduction stages and the solve-dedup table with
-        everything else), under whatever remains of the request deadline.
+        everything else), under whatever remains of the request ``deadline``.
         The first rung that yields an invariant wins — its response is
         returned, stamped with the full :class:`EscalationTrace`; errors at a
         rung (e.g. an objective the small template cannot express) are
@@ -649,20 +644,14 @@ class Engine:
         final_degree: int | None = None
         exhausted = False
         for degree in request.options.escalation_degrees():
-            remaining: float | None = None
-            if request.deadline is not None:
-                remaining = float(request.deadline) - (time.perf_counter() - total_start)
-                if remaining <= _ESCALATION_MIN_BUDGET:
-                    attempts.append(EscalationAttempt(degree=degree, status=DEADLINE_SKIPPED))
-                    exhausted = True
-                    break
-            derived = dataclasses.replace(
-                request,
-                options=replace(request.options, degree=degree),
-                deadline=remaining,
-            )
+            remaining = deadline.remaining()
+            if remaining is not None and remaining <= _ESCALATION_MIN_BUDGET:
+                attempts.append(EscalationAttempt(degree=degree, status=DEADLINE_SKIPPED))
+                exhausted = True
+                break
+            derived = dataclasses.replace(request, options=replace(request.options, degree=degree))
             start = time.perf_counter()
-            response = self._execute_fixed(derived, submission_id, solver, None, enumerator)
+            response = self._execute_fixed(derived, submission_id, solver, None, enumerator, deadline)
             seconds = time.perf_counter() - start
             attempts.append(
                 EscalationAttempt(
@@ -725,6 +714,7 @@ class Engine:
         solver: Solver | None,
         task: SynthesisTask | None,
         enumerator: RepresentativeEnumerator | None,
+        deadline: Deadline,
     ) -> SynthesisResponse:
         total_start = time.perf_counter()
         timings: dict[str, float] = {}
@@ -767,29 +757,24 @@ class Engine:
                         if options is not None
                         else RepresentativeEnumerator()
                     )
-                result = enumerate_task(built, chosen)
+                result = enumerate_task(built, chosen, deadline)
                 timings["solve_seconds"] = time.perf_counter() - start
                 shared = False
             else:
                 solve_result, solve_seconds, shared = self._weak_solve(
-                    request, job, built, solver, task
+                    request, job, built, solver, task, deadline
                 )
                 timings["solve_seconds"] = solve_seconds
                 exact_assignment = None
                 if request.options.verify != "none" and solve_result.feasible:
                     from repro.certify.verify import verify_solution
 
-                    remaining: float | None = None
-                    if request.deadline is not None:
-                        remaining = max(
-                            0.0, float(request.deadline) - (time.perf_counter() - total_start)
-                        )
                     outcome = verify_solution(
                         built,
                         solve_result,
                         request.options,
                         solver_options=self._effective_solver_options(request),
-                        deadline_seconds=remaining,
+                        deadline=deadline,
                     )
                     self._record_verification(outcome)
                     if outcome.solve_result is not None:  # a repair round re-solved
@@ -865,24 +850,12 @@ class Engine:
         task: SynthesisTask,
         solver_override: Solver | None,
         task_override: SynthesisTask | None,
+        deadline: Deadline,
     ) -> tuple[SolverResult, float, bool]:
         """Run (or share) the Step-4 solve; returns ``(result, seconds, shared)``."""
         options = self._effective_solver_options(request)
         if solver_override is not None:
-            solver = solver_override
-            # An explicit solver keeps its own options, but the request's
-            # deadline is a hard per-request bound: tighten the solver's
-            # time_limit on a copy (never mutate a caller's solver).
-            if request.deadline is not None:
-                deadline = float(request.deadline)
-                limit = (
-                    deadline
-                    if solver.options.time_limit is None
-                    else min(solver.options.time_limit, deadline)
-                )
-                if limit != solver.options.time_limit:
-                    solver = copy.copy(solver)
-                    solver.options = replace(solver.options, time_limit=limit)
+            solver = solver_override  # keeps its own options; the deadline still bounds it
         else:
             solver = make_solver(
                 job.options.strategy, options=options, portfolio=job.options.portfolio
@@ -891,7 +864,7 @@ class Engine:
         # Escape-hatch submissions (live solver or pre-built task) bypass the
         # dedup table: their inputs are not captured by the request's keys.
         if solver_override is not None or task_override is not None:
-            result, seconds = self._run_solve(solver, task.system)
+            result, seconds, _ = self._run_solve(solver, task.system, deadline)
             return result, seconds, False
 
         # The persistent solve store is the cross-process sibling of the
@@ -924,17 +897,23 @@ class Engine:
                 future.set_result(stored)
                 return stored[0], stored[1], True
         try:
-            pair = self._run_solve(solver, task.system)
+            result, seconds, starved = self._run_solve(solver, task.system, deadline)
         except BaseException as exc:
             future.set_exception(exc)
             with self._solve_lock:
                 # Failed solves are not cached: a resubmission retries.
                 self._solves.pop(key, None)
             raise
-        future.set_result(pair)
-        if store_key is not None and self.store.solves.store(store_key, pair[0], pair[1]):
+        future.set_result((result, seconds))
+        if starved:
+            # Riders already waiting share it, but an identical request
+            # with its full budget must solve again.
+            with self._solve_lock:
+                if self._solves.get(key) is future:
+                    del self._solves[key]
+        elif store_key is not None and self.store.solves.store(store_key, result, seconds):
             self._count(store_solve_writes=1)
-        return pair[0], pair[1], False
+        return result, seconds, False
 
     def _replace_cached_solve(
         self, request: SynthesisRequest, job, result: SolverResult, seconds: float
@@ -952,17 +931,31 @@ class Engine:
             if self.store.solves.store(store_key, result, seconds, overwrite=True):
                 self._count(store_solve_writes=1)
 
-    def _run_solve(self, solver: Solver, system) -> tuple[SolverResult, float]:
-        pair = _solve_system(solver, system)
+    def _run_solve(
+        self, solver: Solver, system, deadline: Deadline
+    ) -> tuple[SolverResult, float, bool]:
+        """One Step-4 solve under what remains of ``deadline``: ``(result, seconds, starved)``.
+
+        When less remains than the solver's own ``time_limit``, a copy of
+        the solver runs with what remains (a caller's solver is never
+        mutated).  ``starved`` marks such a solve that returned with the
+        deadline expired: it may have been cut short of its key's budget.
+        """
+        options = solver.options.within(deadline.remaining())
+        tightened = options is not solver.options
+        if tightened:
+            solver = copy.copy(solver)
+            solver.options = options
+        result, seconds = _solve_system(solver, system)
         # Kernel-evaluation accounting of the batched Step-4 engines, surfaced
         # through :meth:`stats` next to the cache/dedup counters.
         with self._counter_lock:
-            self._counters["solver_residual_evaluations"] += pair[0].residual_evaluations
-            self._counters["solver_jacobian_evaluations"] += pair[0].jacobian_evaluations
+            self._counters["solver_residual_evaluations"] += result.residual_evaluations
+            self._counters["solver_jacobian_evaluations"] += result.jacobian_evaluations
             self._counters["solver_batch_width_max"] = max(
-                self._counters["solver_batch_width_max"], pair[0].batch_width
+                self._counters["solver_batch_width_max"], result.batch_width
             )
-        return pair
+        return result, seconds, tightened and deadline.expired()
 
 
 # ---------------------------------------------------------------------------
@@ -978,15 +971,15 @@ def default_engine() -> Engine:
 
     Sequential (``workers=0``) and lazily created; its task cache persists
     across calls, so repeated syntheses of the same program reuse the Step 1-3
-    reduction.  Both of its caches are size-bounded (FIFO) so a long-running
-    process calling the paper-named functions over many distinct programs
-    stays at a bounded footprint; use :func:`reset_default_engine` to drop
-    the state entirely.
+    reduction.  Both of its caches are size-bounded (FIFO), like every
+    engine's, so a long-running process calling the paper-named functions
+    over many distinct programs stays at a bounded footprint; use
+    :func:`reset_default_engine` to drop the state entirely.
     """
     global _default_engine
     with _default_engine_lock:
         if _default_engine is None or _default_engine.closed:
-            _default_engine = Engine(cache=TaskCache(max_entries=128), max_cached_solves=256)
+            _default_engine = Engine(max_cached_solves=256)
         return _default_engine
 
 

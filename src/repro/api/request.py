@@ -264,8 +264,11 @@ class SynthesisRequest:
     solver_options:
         Per-request Step-4 solver knobs; ``None`` inherits the engine default.
     deadline:
-        Per-request wall-clock budget in seconds; tightens (never loosens)
-        ``solver_options.time_limit``.
+        Per-request wall-clock budget in seconds, counted from admission.
+        It tightens (never loosens) ``solver_options.time_limit`` in the
+        solve's key, and the engine fixes one
+        :class:`~repro.solvers.problem.Deadline` from it that queue time,
+        the reduction, the solve, the lift and repair all spend.
     request_id:
         Free-form caller identifier echoed on the response.
     reduce_only:

@@ -49,6 +49,7 @@ from repro.invariants.template import UNKNOWN_PREFIX
 from repro.polynomial.monomial import Monomial
 from repro.polynomial.polynomial import Polynomial
 from repro.polynomial.sos import sos_basis
+from repro.solvers.problem import Deadline
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.reduction.task import SynthesisTask
@@ -647,13 +648,12 @@ def certify_assignment(
     floats: Mapping[str, float],
     pin_denominator: int,
     escalate_basis: bool = False,
-    deadline: float | None = None,
+    deadline: Deadline | None = None,
 ) -> tuple[Certificate | None, str | None]:
     """Complete exact witnesses for every pair under a fixed template assignment.
 
-    ``deadline`` is an absolute :func:`time.perf_counter` instant checked
-    between pairs, so an exhausted budget aborts mid-assignment instead of
-    finishing the whole pair list.
+    ``deadline`` is checked between pairs, so an exhausted budget aborts
+    mid-assignment instead of finishing the whole pair list.
     """
     system = task.system
     if len(system.provenance) != len(task.pairs):
@@ -664,7 +664,7 @@ def certify_assignment(
     certified: list[PairCertificate] = []
     scheme = "putinar"
     for pair, prov in zip(task.pairs, system.provenance):
-        if deadline is not None and time.perf_counter() > deadline:
+        if deadline is not None and deadline.expired():
             return None, "lift time budget exhausted"
         scheme = prov.scheme
         if prov.scheme == "putinar":
@@ -704,7 +704,7 @@ def lift_solution(
     repair loop turns into counterexample cuts.
     """
     start = time.perf_counter()
-    deadline = None if time_budget is None else start + time_budget
+    deadline = Deadline.after(time_budget)
     rungs = tuple(ladder) if ladder is not None else DENOMINATOR_LADDER
     template_values = _template_values(assignment)
     attempts = 0
@@ -716,7 +716,7 @@ def lift_solution(
     for escalate_basis in (False, True):
         seen: set[tuple] = set()
         for denominator in rungs:
-            if time_budget is not None and time.perf_counter() - start > time_budget:
+            if deadline.expired():
                 last_reason = last_reason or "lift time budget exhausted"
                 break
             exact_s = {name: snap(value, denominator) for name, value in template_values.items()}

@@ -36,6 +36,7 @@ from repro.semantics.interpreter import ExecutionLimits, Interpreter
 from repro.semantics.scheduler import RandomScheduler
 from repro.solvers.base import SolverOptions, SolverResult
 from repro.solvers.portfolio import make_solver
+from repro.solvers.problem import Deadline
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.reduction.task import SynthesisTask
@@ -194,16 +195,12 @@ def _escalated_options(
     ``tolerance << strict_margin`` forces genuine slack the exact lift can
     keep.
     """
-    options = base if base is not None else SolverOptions()
-    limit = options.time_limit
-    if remaining is not None:
-        limit = remaining if limit is None else min(limit, remaining)
+    options = (base if base is not None else SolverOptions()).within(remaining)
     return replace(
         options,
         seed=options.seed + _SEED_STRIDE * round_index,
         restarts=max(options.restarts * (round_index + 1), round_index + 2),
         max_iterations=max(options.max_iterations, 200 * (round_index + 1)),
-        time_limit=limit,
         tolerance=max(options.tolerance / 10**round_index, 1e-9),
         strict_margin=min(options.strict_margin * 10**round_index, 1e-2),
     )
@@ -217,7 +214,7 @@ def repair_solution(
     solver_options: SolverOptions | None = None,
     strategy: str = "portfolio",
     portfolio: tuple[str, ...] = (),
-    deadline_seconds: float | None = None,
+    deadline: Deadline | None = None,
     rng_seed: int = 0,
 ) -> RepairOutcome:
     """Drive the harvest-cut-re-solve loop until a solution validates.
@@ -226,18 +223,17 @@ def repair_solution(
     tier passes a lift closure, the sampling tier a check closure — and the
     loop returns the first payload that validates, together with the repaired
     :class:`SolverResult`.  Rounds are bounded by ``max_rounds`` and by
-    ``deadline_seconds`` of wall-clock.
+    ``deadline``: a round starts only while more than 0.05 s of it remains,
+    and its re-solve runs on what remains.
     """
     outcome = RepairOutcome(ok=False)
-    start = time.perf_counter()
+    deadline = deadline if deadline is not None else Deadline.never()
     current = dict(assignment)
     for round_index in range(1, max_rounds + 1):
         round_start = time.perf_counter()
-        remaining: float | None = None
-        if deadline_seconds is not None:
-            remaining = deadline_seconds - (time.perf_counter() - start)
-            if remaining <= 0.05:
-                break
+        remaining = deadline.remaining()
+        if remaining is not None and remaining <= 0.05:
+            break
         # Round 1 re-solves the untouched system under tightened numerics —
         # the most common rejection cause is float slack hiding inside the
         # solve tolerance, and counterexample cuts only make that solve

@@ -279,9 +279,8 @@ def check_invariant(
     argument_sets: Sequence[Mapping[str, Fraction | int | float]] = (),
     pair_samples: int = 50,
     sample_range: float = 25.0,
-    seed: int = 0,
     max_steps: int = 5000,
-    rng_seed: int | None = None,
+    rng_seed: int = 0,
     simulation_runs: int = 8,
 ) -> CheckReport:
     """Run every enabled validation of ``invariant`` and return a report.
@@ -300,25 +299,21 @@ def check_invariant(
         and from what box.  For the exact certificate check see
         :func:`repro.certify.check_certificate`.
     rng_seed:
-        Explicit seed of *all* randomness in this run (scheduler choices,
-        derived arguments, pair-sample valuations); falls back to the legacy
-        ``seed`` parameter when ``None``.  Equal seeds reproduce reports
+        Seed of *all* randomness in this run (scheduler choices, derived
+        arguments, pair-sample valuations).  Equal seeds reproduce reports
         exactly.
     simulation_runs:
         How many argument sets to derive when ``argument_sets`` is empty.
         Pass ``0`` to disable simulation explicitly.
     """
-    effective_seed = seed if rng_seed is None else rng_seed
     report = CheckReport()
     runs: Sequence[Mapping[str, Fraction | int | float]] = argument_sets
     if not runs and simulation_runs > 0:
-        runs = derive_argument_sets(
-            cfg, precondition, runs=simulation_runs, rng_seed=effective_seed
-        )
+        runs = derive_argument_sets(cfg, precondition, runs=simulation_runs, rng_seed=rng_seed)
     if runs:
-        _simulate(cfg, precondition, invariant, runs, report, effective_seed, max_steps)
+        _simulate(cfg, precondition, invariant, runs, report, rng_seed, max_steps)
     if pair_samples > 0:
         _sample_pairs(
-            cfg, precondition, invariant, report, pair_samples, sample_range, effective_seed + 1
+            cfg, precondition, invariant, report, pair_samples, sample_range, rng_seed + 1
         )
     return report

@@ -30,6 +30,7 @@ from repro.certify.lift import LiftResult, lift_solution
 from repro.certify.repair import RepairOutcome, repair_solution
 from repro.certify.sampling import CheckReport, check_invariant
 from repro.solvers.base import SolverOptions, SolverResult
+from repro.solvers.problem import Deadline
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.reduction.options import SynthesisOptions
@@ -85,15 +86,18 @@ def verify_solution(
     solve_result: SolverResult,
     options: "SynthesisOptions",
     solver_options: SolverOptions | None = None,
-    deadline_seconds: float | None = None,
+    deadline: Deadline | None = None,
 ) -> VerificationOutcome:
     """Run the requested verification tier, repairing on rejection.
 
     Only meaningful for feasible weak-mode results; the caller guards on
-    ``solve_result.feasible``.  The returned outcome's ``solve_result`` is
-    non-``None`` exactly when a repair round replaced the original solution.
+    ``solve_result.feasible``.  Every lift and repair round runs on what
+    remains of ``deadline`` (``None``: no limit).  The returned outcome's
+    ``solve_result`` is non-``None`` exactly when a repair round replaced
+    the original solution.
     """
     start = time.perf_counter()
+    deadline = deadline if deadline is not None else Deadline.never()
     mode = options.verify
     outcome = VerificationOutcome(mode=mode, verified=False)
     assignment = dict(solve_result.assignment or {})
@@ -114,9 +118,7 @@ def verify_solution(
         outcome.report = report  # type: ignore[assignment]
         outcome.verified = verified
         if not verified:
-            repair = _repair(
-                task, assignment, validate_sample, options, solver_options, deadline_seconds, start
-            )
+            repair = _repair(task, assignment, validate_sample, options, solver_options, deadline)
             outcome.repair_rounds = repair.rounds_used
             if repair.ok:
                 outcome.verified = True
@@ -132,9 +134,8 @@ def verify_solution(
             # The lift honours whatever remains of the request deadline (its
             # own default budget caps unlimited requests); an exhausted
             # deadline degrades to a near-immediate unverified outcome.
-            budget = 120.0
-            if deadline_seconds is not None:
-                budget = max(0.05, deadline_seconds - (time.perf_counter() - start))
+            remaining = deadline.remaining()
+            budget = 120.0 if remaining is None else max(0.05, remaining)
             lift = lift_solution(task, candidate, time_budget=budget)
             lifts.append(lift)
             if not lift.ok or lift.certificate is None:
@@ -153,9 +154,7 @@ def verify_solution(
         else:
             outcome.reason = lift.reason  # type: ignore[union-attr]
             outcome.details["exact_violations"] = float(len(lift.violations))  # type: ignore[union-attr]
-            repair = _repair(
-                task, assignment, validate_exact, options, solver_options, deadline_seconds, start
-            )
+            repair = _repair(task, assignment, validate_exact, options, solver_options, deadline)
             outcome.repair_rounds = repair.rounds_used
             if repair.ok:
                 outcome.verified = True
@@ -181,14 +180,10 @@ def _repair(
     validate,
     options: "SynthesisOptions",
     solver_options: SolverOptions | None,
-    deadline_seconds: float | None,
-    start: float,
+    deadline: Deadline,
 ) -> RepairOutcome:
     if options.max_repair_rounds <= 0:
         return RepairOutcome(ok=False)
-    remaining: float | None = None
-    if deadline_seconds is not None:
-        remaining = max(0.0, deadline_seconds - (time.perf_counter() - start))
     # Repair is an escalation mechanism: it always re-runs the portfolio
     # (the request's own `portfolio` line-up when given), because the pinned
     # strategy already produced the rejected solution.
@@ -200,6 +195,6 @@ def _repair(
         solver_options=solver_options,
         strategy="portfolio",
         portfolio=options.portfolio,
-        deadline_seconds=remaining,
+        deadline=deadline,
         rng_seed=options.verify_seed,
     )

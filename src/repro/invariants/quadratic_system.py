@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -119,24 +119,6 @@ class QuadraticConstraint:
         object.__setattr__(constraint, "kind", kind)
         object.__setattr__(constraint, "origin", origin)
         return constraint
-
-    def violation(self, assignment: Mapping[str, float]) -> float:
-        """How badly the constraint is violated at a numeric assignment (0 when satisfied)."""
-        value = self.polynomial.evaluate_float(assignment)
-        if self.kind is ConstraintKind.EQUALITY:
-            return abs(value)
-        if self.kind is ConstraintKind.NONNEGATIVE:
-            return max(0.0, -value)
-        return max(0.0, -value + 1e-12)
-
-    def satisfied(self, assignment: Mapping[str, float], tolerance: float = 1e-6) -> bool:
-        """Whether the constraint holds at the assignment up to ``tolerance``."""
-        value = self.polynomial.evaluate_float(assignment)
-        if self.kind is ConstraintKind.EQUALITY:
-            return abs(value) <= tolerance
-        if self.kind is ConstraintKind.NONNEGATIVE:
-            return value >= -tolerance
-        return value > -tolerance
 
     def __str__(self) -> str:
         relation = {"eq": "=", "ge": ">=", "gt": ">"}[self.kind.value]
@@ -493,12 +475,6 @@ class QuadraticSystem:
         """Add ``polynomial > 0``."""
         self.add(QuadraticConstraint(polynomial=polynomial, kind=ConstraintKind.POSITIVE, origin=origin))
 
-    def merge(self, other: "QuadraticSystem") -> None:
-        """Append all constraints (and pair provenance) of ``other`` to this system."""
-        for constraint in other.constraints:
-            self.add(constraint)
-        self.provenance.extend(other.provenance)
-
     def copy(self, objective: Polynomial | None = None) -> "QuadraticSystem":
         """A system over the same rows, with ``objective`` (default: this one's).
 
@@ -597,22 +573,6 @@ class QuadraticSystem:
             "cholesky_variables": roles[VariableRole.CHOLESKY],
             "witness_variables": roles[VariableRole.WITNESS],
         }
-
-    # -- evaluation ---------------------------------------------------------------------
-
-    def max_violation(self, assignment: Mapping[str, float]) -> float:
-        """The worst constraint violation at an assignment (0 when feasible)."""
-        return max((c.violation(assignment) for c in self.constraints), default=0.0)
-
-    def satisfied(self, assignment: Mapping[str, float], tolerance: float = 1e-6) -> bool:
-        """Whether every constraint holds at the assignment up to ``tolerance``."""
-        return all(constraint.satisfied(assignment, tolerance) for constraint in self.constraints)
-
-    def violated_constraints(
-        self, assignment: Mapping[str, float], tolerance: float = 1e-6
-    ) -> list[QuadraticConstraint]:
-        """The constraints violated at an assignment (for diagnostics)."""
-        return [c for c in self.constraints if not c.satisfied(assignment, tolerance)]
 
     # -- pickling ---------------------------------------------------------------------------
 

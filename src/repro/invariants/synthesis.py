@@ -41,6 +41,7 @@ from repro.spec.bounded import apply_bounded_reals_model
 from repro.spec.objectives import FeasibilityObjective, Objective
 from repro.spec.preconditions import Precondition, augment_entry_preconditions
 from repro.solvers.base import Solver, SolverResult
+from repro.solvers.problem import Deadline
 from repro.solvers.strong import RepresentativeEnumerator
 
 ProgramLike = Union[str, Program]
@@ -246,14 +247,18 @@ def result_from_solution(
     )
 
 
-def enumerate_task(task: SynthesisTask, enumerator: RepresentativeEnumerator) -> SynthesisResult:
+def enumerate_task(
+    task: SynthesisTask, enumerator: RepresentativeEnumerator, deadline: Deadline | None = None
+) -> SynthesisResult:
     """Run the representative-set enumeration of ``StrongInvSynth`` on a built task.
 
-    Like :func:`result_from_solution`, this copies ``task.statistics`` rather
-    than mutating it, so a task can be shared between runs.
+    The enumeration runs on what remains of ``deadline`` (``None``: no
+    limit).  Like :func:`result_from_solution`, this copies
+    ``task.statistics`` rather than mutating it, so a task can be shared
+    between runs.
     """
     start = time.perf_counter()
-    enumeration = enumerator.enumerate(task.system)
+    enumeration = enumerator.enumerate(task.system, deadline)
     statistics = dict(task.statistics)
     statistics["time_solver"] = time.perf_counter() - start
     statistics["enumeration_attempts"] = float(enumeration.attempts)

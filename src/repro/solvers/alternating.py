@@ -127,5 +127,4 @@ class AlternatingSolver(Solver):
             warm_scale=None,
             descend=lambda points, counters: self._descend(problem, control, points, counters),
             trigger=None,
-            size_details=False,
         )

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Mapping
 
 from repro.invariants.quadratic_system import QuadraticSystem
@@ -90,6 +90,20 @@ class SolverOptions:
             )
         if self.batch not in ("on", "rows"):
             raise ValueError(f"batch must be one of 'on', 'rows'; got {self.batch!r}")
+
+    def within(self, seconds: float | None) -> "SolverOptions":
+        """These options with ``time_limit`` tightened to ``seconds`` (``None``: no bound).
+
+        Never loosens the limit, and returns ``self`` when ``seconds`` does
+        not tighten it.  An exhausted budget becomes a 1 ms limit, because
+        ``time_limit`` must be positive.
+        """
+        if seconds is None:
+            return self
+        limit = max(seconds, 1e-3)
+        if self.time_limit is not None and self.time_limit <= limit:
+            return self
+        return replace(self, time_limit=limit)
 
 
 def _finite(value) -> bool:

@@ -429,7 +429,6 @@ def run_multistart(
     warm_scale: Callable[[int], float] | None,
     descend: Callable[[np.ndarray, KernelCounters], BatchDescent],
     trigger: Callable[[float, float], bool] | None,
-    size_details: bool = True,
 ) -> SolverResult:
     """The shared batch-mode driver of the multi-start solvers.
 
@@ -515,7 +514,7 @@ def run_multistart(
                 if best is not None and trigger(float(violations[best]), float(objectives[best])):
                     break
 
-    details = {"timed_out": float(control.timed_out)}
+    details = {"timed_out": float(control.timed_out), **problem.size_details()}
     if computed == 0:
         return SolverResult(
             assignment=None,
@@ -548,8 +547,6 @@ def run_multistart(
         status = "infeasible-best-effort"
     else:
         status = "feasible-at-deadline" if interrupted else "optimal"
-    if size_details:
-        details.update(problem.size_details())
     return SolverResult(
         assignment=problem.assignment(finals[winner]) if feasible else None,
         status=status,

@@ -53,6 +53,8 @@ class Deadline:
 
     ``Deadline.after(None)`` never expires, so solvers can check
     unconditionally without branching on whether a limit was configured.
+    The engine fixes one per request at admission; every layer after it
+    reads what is left through :meth:`remaining`.
     """
 
     __slots__ = ("_expires_at",)
@@ -73,6 +75,12 @@ class Deadline:
 
     def expired(self) -> bool:
         return self._expires_at is not None and time.monotonic() >= self._expires_at
+
+    def remaining(self) -> float | None:
+        """Seconds left, never negative (``None`` when there is no limit)."""
+        if self._expires_at is None:
+            return None
+        return max(0.0, self._expires_at - time.monotonic())
 
 
 def improves(

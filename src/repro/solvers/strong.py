@@ -14,6 +14,7 @@ gracefully into "whatever distinct solutions the budget found".
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field, replace
 from typing import Mapping, Sequence
 
@@ -21,7 +22,7 @@ import numpy as np
 
 from repro.invariants.quadratic_system import QuadraticSystem, VariableRole, classify_unknown
 from repro.solvers.base import Solver, SolverOptions, SolverResult
-from repro.solvers.problem import compile_problem
+from repro.solvers.problem import Deadline, compile_problem
 from repro.solvers.qclp import PenaltyQCLPSolver
 
 
@@ -59,20 +60,26 @@ class RepresentativeEnumerator:
         self.attempts = attempts
         self.distance_threshold = distance_threshold
 
-    def _make_solver(self, seed: int) -> Solver:
-        per_attempt = replace(self.options, restarts=1, seed=seed)
+    def _make_solver(self, seed: int, remaining: float | None) -> Solver:
+        per_attempt = replace(self.options.within(remaining), restarts=1, seed=seed)
         if self.base_solver is not None:
-            self.base_solver.options = per_attempt
-            return self.base_solver
+            solver = copy.copy(self.base_solver)
+            solver.options = per_attempt
+            return solver
         return PenaltyQCLPSolver(per_attempt)
 
-    def enumerate(self, system: QuadraticSystem) -> EnumerationResult:
+    def enumerate(
+        self, system: QuadraticSystem, deadline: Deadline | None = None
+    ) -> EnumerationResult:
         """Collect representative feasible assignments of ``system``.
 
         The system is compiled into the shared
         :class:`~repro.solvers.problem.CompiledProblem` IR exactly once; the
-        per-attempt solvers all consume that one compilation.
+        per-attempt solvers all consume that one compilation.  Each attempt
+        runs on what remains of ``deadline``, and the enumeration stops when
+        nothing does.
         """
+        deadline = deadline if deadline is not None else Deadline.never()
         template_names = [
             name for name in system.variables() if classify_unknown(name) is VariableRole.TEMPLATE
         ]
@@ -80,7 +87,9 @@ class RepresentativeEnumerator:
         result = EnumerationResult()
         kept_vectors: list[np.ndarray] = []
         for attempt in range(self.attempts):
-            solver = self._make_solver(seed=self.options.seed + attempt)
+            if deadline.expired():
+                break
+            solver = self._make_solver(self.options.seed + attempt, deadline.remaining())
             solve_result: SolverResult = solver.solve_compiled(problem)
             result.attempts += 1
             if not solve_result.feasible or solve_result.assignment is None:

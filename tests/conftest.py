@@ -70,3 +70,19 @@ def recursive_sum_source() -> str:
 def recursive_sum_cfg(recursive_sum_source):
     """CFG of the recursive summation program."""
     return build_cfg(parse_program(recursive_sum_source))
+
+
+@pytest.fixture
+def solve_limits(monkeypatch) -> list:
+    """The ``time_limit`` of every Step-4 solve an engine runs, in order."""
+    from repro.api import engine as engine_module
+
+    limits = []
+    solve = engine_module._solve_system
+
+    def recording(solver, system):
+        limits.append(solver.options.time_limit)
+        return solve(solver, system)
+
+    monkeypatch.setattr(engine_module, "_solve_system", recording)
+    return limits

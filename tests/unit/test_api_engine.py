@@ -1,5 +1,7 @@
 """Tests of the service engine (repro.api.engine)."""
 
+import time
+
 import pytest
 
 from repro.api import (
@@ -9,8 +11,11 @@ from repro.api import (
     SynthesisRequest,
     SynthesisResponse,
 )
+from repro.api import engine as engine_module
 from repro.invariants.synthesis import build_task
-from repro.solvers.base import SolverOptions
+from repro.reduction import plan as plan_module
+from repro.solvers import strong as strong_module
+from repro.solvers.base import Solver, SolverOptions, SolverResult
 from repro.solvers.qclp import PenaltyQCLPSolver
 from repro.suite.registry import get_benchmark
 
@@ -204,6 +209,74 @@ def test_deadline_bounds_an_explicit_solver_without_mutating_it():
     assert solver.options.time_limit is None
 
 
+def test_identical_deadline_requests_share_one_solve():
+    with Engine(solver_options=QUICK_SOLVE) as engine:
+        engine.synthesize(request_for("sum", deadline=100.0))
+        second = engine.synthesize(request_for("sum", deadline=100.0))
+        assert second.shared_solve
+        assert engine.stats()["solves_cached"] == 1.0
+
+
+def test_verification_tiers_share_a_stored_solve_under_a_deadline(tmp_path):
+    options = get_benchmark("sum").options
+    for verify, hits in (("exact", 0.0), ("none", 1.0)):
+        request = request_for("sum", options=options(upsilon=1, verify=verify), deadline=100.0)
+        with Engine(solver_options=QUICK_SOLVE, store=str(tmp_path)) as engine:
+            assert engine.synthesize(request).status == "ok"
+            assert engine.stats()["store_solve_hits"] == hits
+
+
+def test_the_solve_gets_only_what_the_reduction_left(monkeypatch, solve_limits):
+    translate = plan_module.run_translation
+
+    def slow_translation(*args, **kwargs):
+        time.sleep(1.0)
+        return translate(*args, **kwargs)
+
+    monkeypatch.setattr(plan_module, "run_translation", slow_translation)
+    with Engine(solver_options=QUICK_SOLVE) as engine:
+        engine.synthesize(request_for("sum", deadline=3.0))
+    assert len(solve_limits) == 1 and solve_limits[0] <= 2.1
+
+
+class SleepingSolver(Solver):
+    """A Step-4 stub that runs to its time limit and finds nothing."""
+
+    def solve_compiled(self, problem, control=None):
+        time.sleep(self.options.time_limit or 0.0)
+        return SolverResult(assignment=None, status="infeasible-best-effort")
+
+
+def test_strong_mode_attempts_share_the_request_deadline(monkeypatch):
+    monkeypatch.setattr(strong_module, "PenaltyQCLPSolver", SleepingSolver)
+    request = request_for("sum", mode="strong", objective=None, deadline=0.3)
+    with Engine(solver_options=QUICK_SOLVE) as engine:
+        start = time.perf_counter()
+        response = engine.synthesize(request)
+        seconds = time.perf_counter() - start
+    assert response.status == "no_invariant"
+    assert seconds < 0.6
+
+
+def test_a_solve_the_deadline_cut_short_is_not_shared(monkeypatch, solve_limits):
+    solve = engine_module._solve_system
+
+    def cut_short(solver, system):
+        if solver.options.time_limit < 1.0:
+            time.sleep(solver.options.time_limit)  # runs to its limit
+        return solve(solver, system)
+
+    monkeypatch.setattr(engine_module, "_solve_system", cut_short)
+    with Engine(solver_options=QUICK_SOLVE) as engine:
+        # Admitted with 0.2 s of its 100 s left: its solve runs out of time.
+        engine.synthesize(request_for("sum", deadline=100.0), deadline_epoch=time.time() + 0.2)
+        second = engine.synthesize(request_for("sum", deadline=100.0))
+        assert not second.shared_solve
+        assert engine.stats()["solves_cached"] == 1.0
+    assert len(solve_limits) == 2
+    assert solve_limits[0] <= 0.2 and solve_limits[1] > 99.0
+
+
 def test_solve_dedup_table_is_bounded():
     with Engine(solver_options=QUICK_SOLVE, max_cached_solves=1) as engine:
         engine.synthesize(request_for("freire1"))
@@ -222,6 +295,14 @@ def test_task_cache_is_boundable():
         assert len(engine.cache) == 1
         again = engine.synthesize(request_for("freire1", reduce_only=True))
         assert not again.from_cache  # rebuilt after eviction
+
+
+def test_an_engines_own_task_cache_is_bounded():
+    bound = engine_module.DEFAULT_CACHE_ENTRIES
+    assert bound == 128
+    with Engine() as engine:
+        assert engine.cache.max_entries == bound
+        assert engine.cache.stages.max_entries == bound
 
 
 # -- lifecycle ---------------------------------------------------------------------

@@ -61,7 +61,7 @@ def test_non_inductive_invariant_caught_by_pair_sampling(sum_cfg, sum_preconditi
         argument_sets=[],
         pair_samples=120,
         sample_range=10.0,
-        seed=3,
+        rng_seed=3,
     )
     assert not report.passed
 

@@ -1,7 +1,10 @@
 """Unit tests for repro.invariants.putinar, handelman and quadratic_system (Step 3)."""
 
+from fractions import Fraction
+
 import pytest
 
+from repro.certify.lift import exact_violations
 from repro.errors import SynthesisError
 from repro.invariants.constraints import ConstraintPair
 from repro.invariants.handelman import handelman_translate
@@ -79,13 +82,11 @@ def test_putinar_coefficient_matching_on_known_certificate():
         program_variables=("x",),
     )
     system = putinar_translate([pair], upsilon=2)
-    assignment = {name: 0.0 for name in system.variables()}
-    assignment["$eps_c0"] = 1.0
-    # h_1 must equal the constant 1: its t-coefficient of the monomial 1 is t_c0_1_0,
-    # and its Gram matrix is L = diag(1, 0) so the (0,0) Cholesky entry is 1.
-    assignment["$t_c0_1_0"] = 1.0
-    assignment["$l_c0_1_0_0"] = 1.0
-    assert system.satisfied(assignment, tolerance=1e-9)
+    # Unmentioned unknowns are 0.  h_1 must equal the constant 1: its
+    # t-coefficient of the monomial 1 is t_c0_1_0, and its Gram matrix is
+    # L = diag(1, 0) so the (0,0) Cholesky entry is 1.
+    assignment = {"$eps_c0": Fraction(1), "$t_c0_1_0": Fraction(1), "$l_c0_1_0_0": Fraction(1)}
+    assert exact_violations(system, assignment) == []
 
 
 def test_handelman_translation_no_gram_matrices():
@@ -118,20 +119,6 @@ def test_system_add_helpers_skip_trivial_and_detect_inconsistent():
         system.add_equality(Polynomial.constant(3), origin="bad")
 
 
-def test_violation_and_satisfaction():
-    system = QuadraticSystem()
-    system.add_equality(parse_polynomial("a - 2"))
-    system.add_nonnegative(parse_polynomial("b"))
-    system.add_positive(parse_polynomial("c"))
-    good = {"a": 2.0, "b": 0.0, "c": 1.0}
-    bad = {"a": 3.0, "b": -1.0, "c": 0.0}
-    assert system.satisfied(good)
-    assert not system.satisfied(bad)
-    assert system.max_violation(good) == pytest.approx(0.0, abs=1e-9)
-    assert system.max_violation(bad) >= 1.0
-    assert len(system.violated_constraints(bad)) >= 2
-
-
 def test_counts_and_variables():
     system = QuadraticSystem()
     system.add_equality(parse_polynomial("$s_f_1_0_0 - $t_c0_0_0"))
@@ -150,15 +137,6 @@ def test_classify_unknown():
     assert classify_unknown("$l_c0_1_0_0") is VariableRole.CHOLESKY
     assert classify_unknown("$eps_c0") is VariableRole.WITNESS
     assert classify_unknown("x") is VariableRole.OTHER
-
-
-def test_merge_systems():
-    first = QuadraticSystem()
-    first.add_nonnegative(parse_polynomial("$t_a_0_0"))
-    second = QuadraticSystem()
-    second.add_nonnegative(parse_polynomial("$t_b_0_0"))
-    first.merge(second)
-    assert first.size == 2
 
 
 def test_pendulum_translation_interns_fewer_monomials_than_its_label_basis():

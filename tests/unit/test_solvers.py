@@ -233,6 +233,13 @@ def test_alternating_solver_on_bilinear_system():
     assert result.feasible
     product = result.assignment["$s_f_1_0_0"] * result.assignment["$t_c0_0_0"]
     assert product == pytest.approx(1.0, abs=1e-3)
+    # Like every strategy, it reports the size of the presolved problem,
+    # also when the deadline stops it before any descent.
+    sizes = {"dimension", "constraints", "fixed_unknowns", "dropped_rows"}
+    assert sizes <= set(result.details)
+    expired = SolveControl(deadline=Deadline.after(0.0))
+    cut = solver.solve_compiled(compile_problem(bilinear_system()), expired)
+    assert cut.status == "no-progress" and sizes <= set(cut.details)
 
 
 def test_alternating_solver_trivial_system():
