@@ -16,11 +16,14 @@ penalty solver solves, at equal-or-better median wall-clock.
 
 The ``batch_on_vs_rows`` section (``--batch-compare``) is the batched
 engine's determinism gate: the batched qclp solver (``batch="on"``) must
-produce winning assignments bit-identical to its one-member-at-a-time replay
-(``batch="rows"``) on every program, and at least one program must actually
-iterate two or more restart members in one batch — otherwise the two legs
-make the same width-1 calls and the comparison proves nothing.  The script
-exits 1 when either fails.
+produce winning assignments, statuses and restart counts identical to its
+one-member-at-a-time replay (``batch="rows"``) on every program, and at
+least one program must actually iterate two or more restart members in one
+batch — otherwise the two legs make the same width-1 calls and the
+comparison proves nothing.  The ``batch_on_vs_rows_portfolio`` section runs
+the same comparison through a one-strategy ``("qclp",)`` portfolio, so the
+walk's first-feasible-wins rule is held to the same contract.  The script
+exits 1 when either section fails.
 
 Every run also appends one compact row (shared meta block, per-strategy
 totals, RSS high-water) to ``BENCH_history.jsonl`` so the trajectory across
@@ -159,20 +162,28 @@ def run(
 BATCH_COMPARE_OPTIONS = SolverOptions(restarts=3, max_iterations=40, time_limit=None)
 
 
-def measure_batch(quick: bool = True, limit: int | None = None, limit_variables: int = 8) -> dict:
+def measure_batch(
+    quick: bool = True,
+    limit: int | None = None,
+    limit_variables: int = 8,
+    portfolio: tuple[str, ...] = (),
+) -> dict:
     """Batched qclp (``batch="on"``) against its one-member replay (``batch="rows"``).
 
-    Two qclp solves per suite program on one shared compiled problem, both
-    under :data:`BATCH_COMPARE_OPTIONS`.  Lockstep row independence says
-    their winning assignments, statuses and final violations are identical;
-    ``widest_batch`` records the most restart members any ``"on"`` kernel
-    call carried, which must reach 2 for the check to cover batching at all.
+    Two solves per suite program on one shared compiled problem, both under
+    :data:`BATCH_COMPARE_OPTIONS`: qclp itself, or a portfolio walking
+    ``portfolio`` when that is given.  Lockstep row independence says their
+    winning assignments, statuses, final violations and restart counts are
+    identical; ``widest_batch`` records the most restart members any
+    ``"on"`` kernel call carried, which must reach 2 for the check to cover
+    batching at all.
     """
     benchmarks = all_benchmarks()
     if quick:
         benchmarks = [b for b in benchmarks if b.variable_count() <= limit_variables]
     if limit is not None:
         benchmarks = benchmarks[:limit]
+    strategy = "portfolio" if portfolio else "qclp"
 
     per_benchmark: dict[str, dict] = {}
     for benchmark in benchmarks:
@@ -183,7 +194,9 @@ def measure_batch(quick: bool = True, limit: int | None = None, limit_variables:
         results: dict[str, object] = {}
         seconds: dict[str, float] = {}
         for mode in ("on", "rows"):
-            solver = make_solver("qclp", dataclasses.replace(BATCH_COMPARE_OPTIONS, batch=mode))
+            solver = make_solver(
+                strategy, dataclasses.replace(BATCH_COMPARE_OPTIONS, batch=mode), portfolio
+            )
             start = time.perf_counter()
             results[mode] = solver.solve(task.system)
             seconds[mode] = time.perf_counter() - start
@@ -194,18 +207,20 @@ def measure_batch(quick: bool = True, limit: int | None = None, limit_variables:
             "on_feasible": bool(on.feasible),
             "batch_width": on.batch_width,
             # The determinism oracle: identical winning assignment (raw
-            # floats), status and final violation between "on" and "rows".
+            # floats), status, final violation and restarts used between
+            # "on" and "rows".
             "fingerprint_match": (
                 on.assignment == rows.assignment
                 and on.status == rows.status
                 and on.max_violation == rows.max_violation
+                and on.restarts_used == rows.restarts_used
             ),
         }
 
     entries = per_benchmark.values()
     matches = sum(1 for row in entries if row["fingerprint_match"])
     return {
-        "strategy": "qclp",
+        "strategy": "portfolio:" + ",".join(portfolio) if portfolio else "qclp",
         "solver_options": {
             "restarts": BATCH_COMPARE_OPTIONS.restarts,
             "max_iterations": BATCH_COMPARE_OPTIONS.max_iterations,
@@ -221,6 +236,11 @@ def measure_batch(quick: bool = True, limit: int | None = None, limit_variables:
         "fingerprint_matches": matches,
         "fingerprints_deterministic": matches == len(per_benchmark),
     }
+
+
+#: The ``--batch-compare`` sections: report key and the portfolio line-up
+#: (empty: qclp standalone).
+BATCH_COMPARE_LEGS = (("batch_on_vs_rows", ()), ("batch_on_vs_rows_portfolio", ("qclp",)))
 
 
 def append_history(report: dict, path: str) -> dict:
@@ -251,10 +271,11 @@ def append_history(report: dict, path: str) -> dict:
             for name, entry in report["per_strategy"].items()
         },
     }
-    if "batch_on_vs_rows" in report:
-        row["batch_fingerprints_deterministic"] = report["batch_on_vs_rows"][
-            "fingerprints_deterministic"
-        ]
+    legs = [report[key] for key, _ in BATCH_COMPARE_LEGS if key in report]
+    if legs:
+        row["batch_fingerprints_deterministic"] = all(
+            leg["fingerprints_deterministic"] for leg in legs
+        )
     with open(path, "a", encoding="utf-8") as handle:
         handle.write(json.dumps(row, sort_keys=True) + "\n")
     return row
@@ -278,8 +299,9 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--batch-compare", action="store_true",
                         help="also solve with batched qclp (batch='on') and its one-member "
                              "replay (batch='rows') at restarts=3, max_iterations=40, no "
-                             "deadline; fail unless every fingerprint matches and some "
-                             "program batches at least two members")
+                             "deadline, standalone and through a ('qclp',) portfolio; fail "
+                             "unless every fingerprint matches and some program batches at "
+                             "least two members")
     parser.add_argument("--history", default="BENCH_history.jsonl", metavar="PATH",
                         help="append one compact per-run row here (JSONL trajectory)")
     parser.add_argument("--no-history", action="store_true",
@@ -295,11 +317,12 @@ def main(argv: list[str] | None = None) -> int:
     report = run(strategies=strategies, quick=args.quick, limit=args.limit, solver_options=options)
 
     failures: list[str] = []
-    if args.batch_compare:
-        batch = measure_batch(quick=args.quick, limit=args.limit)
-        report["batch_on_vs_rows"] = batch
+    legs = BATCH_COMPARE_LEGS if args.batch_compare else ()
+    for key, portfolio in legs:
+        batch = measure_batch(quick=args.quick, limit=args.limit, portfolio=portfolio)
+        report[key] = batch
         print(
-            f"[batch] qclp on {batch['on_total_seconds']:.2f}s, "
+            f"[batch] {batch['strategy']} on {batch['on_total_seconds']:.2f}s, "
             f"rows {batch['rows_total_seconds']:.2f}s "
             f"(widest batch {batch['widest_batch']} on {batch['batched_programs']} programs, "
             f"fingerprints {batch['fingerprint_matches']}/{batch['programs']})",
@@ -309,11 +332,11 @@ def main(argv: list[str] | None = None) -> int:
             mismatched = sorted(
                 name for name, row in batch["per_benchmark"].items() if not row["fingerprint_match"]
             )
-            failures.append(f"batch on/rows fingerprints diverged: {mismatched}")
+            failures.append(f"{batch['strategy']} on/rows fingerprints diverged: {mismatched}")
         if batch["widest_batch"] < 2:
             failures.append(
-                "no program's batch='on' solve iterated two restart members at once, "
-                "so the on/rows comparison did not cover batching"
+                f"no program's batch='on' {batch['strategy']} solve iterated two restart "
+                "members at once, so the on/rows comparison did not cover batching"
             )
 
     rendered = json.dumps(report, indent=2, sort_keys=True)

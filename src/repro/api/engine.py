@@ -462,14 +462,16 @@ class Engine:
         """Execute one request in the calling thread; a ``store_key`` files its response.
 
         The wall-clock ``deadline_epoch`` becomes the request's one
-        :class:`Deadline` here, in whichever process runs the job.
+        :class:`Deadline` here, in whichever process runs the job.  A
+        response built after that deadline passed may have been starved of
+        its budget, so it is not filed for later requests.
         """
         deadline = Deadline.after(None if deadline_epoch is None else deadline_epoch - time.time())
         if request.options.is_auto_degree and task is None:
             response = self._execute_escalation(request, submission_id, solver, enumerator, deadline)
         else:
             response = self._execute_fixed(request, submission_id, solver, task, enumerator, deadline)
-        if store_key is not None and response.exception is None:
+        if store_key is not None and response.exception is None and not deadline.expired():
             if self.store.responses.store(store_key, response):
                 self._count(store_response_writes=1)
         return response
@@ -684,13 +686,12 @@ class Engine:
         chosen = last_usable if final_degree is None else last_response
         if chosen is None:
             chosen = last_response
-        if chosen is None:  # pragma: no cover - deadline validation keeps rung 1 alive
+        if chosen is None:  # the deadline was spent before rung 1
             chosen = SynthesisResponse(
                 mode=request.mode,
-                status="error",
+                status="no_invariant",
                 request_id=request.request_id,
                 submission_id=submission_id,
-                error=ErrorInfo(type="SynthesisError", message="escalation ran no degree"),
             )
         chosen.escalation = trace.to_dict()
         # Aggregate the ladder's timings over the winning rung's own — keeping

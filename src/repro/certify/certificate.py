@@ -29,6 +29,7 @@ from fractions import Fraction
 from typing import TYPE_CHECKING, Mapping, Sequence
 
 from repro.errors import ReproError, SynthesisError, ValidationError
+from repro.invariants.template import UNKNOWN_PREFIX
 from repro.polynomial.monomial import Monomial
 from repro.polynomial.parse import parse_polynomial
 from repro.polynomial.polynomial import Polynomial
@@ -38,6 +39,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 #: Witness schemes a certificate can carry.
 SCHEMES = ("putinar", "handelman")
+
+_ZERO = Fraction(0)
 
 
 def certificate_fingerprint(payload: Mapping) -> str:
@@ -316,11 +319,9 @@ class Certificate:
 
 
 def _concretize(polynomial: Polynomial, assignment: Mapping[str, Fraction]) -> Polynomial:
-    """Substitute exact rational values for every template unknown."""
-    from repro.invariants.template import UNKNOWN_PREFIX
-
+    """Substitute every unknown's exact value, or 0 for an unknown ``assignment`` lacks."""
     substitution = {
-        name: Polynomial.constant(assignment.get(name, Fraction(0)))
+        name: Polynomial.constant(assignment.get(name, _ZERO))
         for name in polynomial.variables()
         if name.startswith(UNKNOWN_PREFIX)
     }

@@ -33,7 +33,7 @@ from typing import TYPE_CHECKING, Mapping, Sequence
 
 import numpy as np
 
-from repro.certify.certificate import Certificate, PairCertificate, SOSWitness
+from repro.certify.certificate import Certificate, PairCertificate, SOSWitness, _concretize
 from repro.certify.linalg import ldl_decompose, solve_linear
 from repro.invariants.constraints import ConstraintPair
 from repro.invariants.quadratic_system import (
@@ -175,15 +175,6 @@ def _template_values(assignment: Mapping[str, float]) -> dict[str, Fraction]:
         for name, value in assignment.items()
         if classify_unknown(name) is VariableRole.TEMPLATE
     }
-
-
-def _concrete(polynomial: Polynomial, exact_s: Mapping[str, Fraction]) -> Polynomial:
-    substitution = {
-        name: Polynomial.constant(exact_s.get(name, _ZERO))
-        for name in polynomial.variables()
-        if name.startswith(UNKNOWN_PREFIX)
-    }
-    return polynomial.substitute(substitution) if substitution else polynomial
 
 
 # ---------------------------------------------------------------------------
@@ -401,8 +392,8 @@ def _certify_pair_putinar_at(
     upsilon: int,
 ) -> tuple[PairCertificate | None, str | None]:
     variables = prov.variables
-    assumptions = [_concrete(polynomial, exact_s) for polynomial in pair.assumptions]
-    conclusion = _concrete(pair.conclusion, exact_s)
+    assumptions = [_concretize(polynomial, exact_s) for polynomial in pair.assumptions]
+    conclusion = _concretize(pair.conclusion, exact_s)
     basis = tuple(sos_basis(variables, upsilon))
     groups = _slot_groups(basis)
     one = Monomial.one()
@@ -561,8 +552,8 @@ def _certify_pair_handelman(
 ) -> tuple[PairCertificate | None, str | None]:
     from repro.invariants.handelman import enumerate_products
 
-    assumptions = [_concrete(polynomial, exact_s) for polynomial in pair.assumptions]
-    conclusion = _concrete(pair.conclusion, exact_s)
+    assumptions = [_concretize(polynomial, exact_s) for polynomial in pair.assumptions]
+    conclusion = _concretize(pair.conclusion, exact_s)
     products = enumerate_products(
         pair.assumptions, 2 if prov.max_factors is None else prov.max_factors
     )

@@ -30,7 +30,7 @@ from typing import TYPE_CHECKING, Callable, Mapping
 
 from repro.certify.sampling import derive_argument_sets
 from repro.invariants.quadratic_system import QuadraticSystem
-from repro.invariants.result import Invariant
+from repro.invariants.synthesis import _instantiate_invariant
 from repro.polynomial.polynomial import Polynomial
 from repro.semantics.interpreter import ExecutionLimits, Interpreter
 from repro.semantics.scheduler import RandomScheduler
@@ -74,13 +74,6 @@ class RepairOutcome:
         return len(self.rounds)
 
 
-def _instantiate(task: "SynthesisTask", assignment: Mapping[str, float]) -> Invariant:
-    """The candidate invariant of a numeric assignment (uncleaned, direct)."""
-    from repro.invariants.synthesis import _instantiate_invariant
-
-    return _instantiate_invariant(task, assignment, clean=False)
-
-
 #: Candidate template values below this magnitude at a reachable state are
 #: treated as degenerate (a near-zero template whose positivity the solver
 #: only sustained inside its float tolerance).
@@ -112,7 +105,7 @@ def harvest_trace_cuts(
       excludes them while keeping a positively-scaled copy of every genuine
       strict invariant feasible (templates scale freely per label).
     """
-    invariant = _instantiate(task, assignment)
+    invariant = _instantiate_invariant(task, assignment, clean=False)
     interpreter = Interpreter(
         task.cfg,
         scheduler=RandomScheduler(seed=rng_seed),

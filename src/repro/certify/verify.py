@@ -29,6 +29,7 @@ from repro.certify.certificate import Certificate, check_certificate
 from repro.certify.lift import LiftResult, lift_solution
 from repro.certify.repair import RepairOutcome, repair_solution
 from repro.certify.sampling import CheckReport, check_invariant
+from repro.invariants.synthesis import _instantiate_invariant
 from repro.solvers.base import SolverOptions, SolverResult
 from repro.solvers.problem import Deadline
 
@@ -75,12 +76,6 @@ class VerificationOutcome:
         return payload
 
 
-def _instantiate_for_sampling(task: "SynthesisTask", assignment: Mapping[str, float]):
-    from repro.certify.repair import _instantiate
-
-    return _instantiate(task, assignment)
-
-
 def verify_solution(
     task: "SynthesisTask",
     solve_result: SolverResult,
@@ -105,7 +100,7 @@ def verify_solution(
     if mode == "sample":
 
         def validate_sample(candidate: Mapping[str, float]) -> tuple[bool, object]:
-            invariant = _instantiate_for_sampling(task, candidate)
+            invariant = _instantiate_invariant(task, candidate, clean=False)
             report = check_invariant(
                 task.cfg,
                 task.precondition,

@@ -59,10 +59,10 @@ class SynthesisOptions:
     strategy:
         The Step-4 back-end: a registered strategy name (``"qclp"``,
         ``"gauss-newton"``, ``"alternating"``, ...) or ``"portfolio"`` to
-        race several strategies on the compiled problem (see
+        walk several strategies in order on the compiled problem (see
         :mod:`repro.solvers.portfolio`).
     portfolio:
-        The strategy list raced when ``strategy="portfolio"`` (empty means
+        The strategy list walked when ``strategy="portfolio"`` (empty means
         the default portfolio).
     verify:
         Post-solve verification tier (weak modes): ``"none"`` trusts the
@@ -72,8 +72,8 @@ class SynthesisOptions:
         pure polynomial identity (:mod:`repro.certify.lift`).  A rejected
         solution enters the counterexample-guided repair loop.
     max_repair_rounds:
-        Bound on the repair loop's harvest-cut-rerace rounds after a failed
-        verification (0 disables repair).  Repair always re-races the solver
+        Bound on the repair loop's harvest-cut-re-solve rounds after a failed
+        verification (0 disables repair).  Repair always re-runs the solver
         portfolio (this options' ``portfolio`` line-up when non-empty) — the
         pinned ``strategy`` already produced the rejected solution.
     verify_seed:

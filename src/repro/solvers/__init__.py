@@ -9,7 +9,9 @@ compiled problem IR:
   force to zero, flat residual/Jacobian/penalty evaluation built once per
   system (memoised through :func:`compile_problem`), strict-margin
   rewriting, variable ordering and role masks, plus the solve-time control
-  plane (:class:`Deadline`, :class:`SolveControl`).
+  plane (:class:`Deadline`, :class:`SolveControl`).  Every solver enters
+  through :meth:`~repro.solvers.base.Solver.solve_compiled`, which answers
+  a system the presolve decided before any search.
 * :mod:`repro.solvers.batched` — the batched multi-start descent engines
   (per-member Levenberg–Marquardt and L-BFGS over the batch
   kernels of the IR) that vectorise the restart axis of every multi-start
@@ -25,8 +27,9 @@ compiled problem IR:
   bilinear structure of the systems (template coefficients vs. certificate
   multipliers) with block-coordinate penalty sweeps.
 * :class:`~repro.solvers.portfolio.PortfolioSolver` — walks a configurable
-  strategy line-up in order on one compiled problem with a shared deadline,
-  first-feasible-wins and warm-start exchange.
+  strategy line-up in order on one compiled problem with a shared deadline
+  and warm-start exchange; the walk ends at the first strategy whose result
+  is feasible.
 * :class:`~repro.solvers.strong.RepresentativeEnumerator` — the practical
   substitute for the Grigor'ev–Vorobjov procedure of Strong synthesis:
   multi-start search plus solution clustering.

@@ -27,7 +27,7 @@ from repro.solvers.batched import (
     batched_penalty_descent,
     run_multistart,
 )
-from repro.solvers.problem import CompiledProblem, Deadline, SolveControl, presolve_verdict
+from repro.solvers.problem import CompiledProblem, SolveControl
 
 #: The block sweeps' rho stages, lowest first.
 _PENALTY_SCHEDULE = (10.0, 100.0, 1_000.0, 10_000.0)
@@ -107,21 +107,11 @@ class AlternatingSolver(Solver):
 
     # -- main loop -------------------------------------------------------------------------
 
-    def solve_compiled(
-        self, problem: CompiledProblem, control: SolveControl | None = None
-    ) -> SolverResult:
-        options = self.options
-        if control is None:
-            control = SolveControl(
-                deadline=Deadline.after(options.time_limit), tolerance=options.tolerance
-            )
-        verdict = presolve_verdict(problem)
-        if verdict is not None:
-            return verdict
+    def _search(self, problem: CompiledProblem, control: SolveControl) -> SolverResult:
         return run_multistart(
             problem,
             control,
-            options,
+            self.options,
             self.label(),
             cold_scale=self._cold_scale,
             warm_scale=None,

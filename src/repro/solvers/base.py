@@ -120,8 +120,8 @@ class SolverResult:
     counts ``k``), so they stay comparable across batch modes;
     ``batch_width`` is the most live restart members any one batched kernel
     call carried (1 in ``"rows"`` mode or when the leader wave wins alone, 0
-    when no batched kernel ran: trivial systems and Gauss-Newton's
-    unconstrained shortcut).
+    when no batched kernel ran: a system the presolve decided, or a deadline
+    that passed before the first descent).
 
     ``details`` carries solver diagnostics.  Its ``dimension`` and
     ``constraints`` count the presolved problem the solver descended on
@@ -206,7 +206,9 @@ class Solver(ABC):
     Solvers operate on the compiled problem IR
     (:class:`~repro.solvers.problem.CompiledProblem`); :meth:`solve` is a
     convenience wrapper that compiles (memoised) and delegates to
-    :meth:`solve_compiled`.  The portfolio compiles once, builds one
+    :meth:`solve_compiled`, the one entry point: it answers a problem the
+    presolve decided and hands every other one to the solver's
+    :meth:`_search`.  The portfolio compiles once, builds one
     :class:`~repro.solvers.problem.SolveControl` and calls each strategy's
     :meth:`solve_compiled` with it in turn.
     """
@@ -226,11 +228,30 @@ class Solver(ABC):
 
         return self.solve_compiled(compile_problem(system, self.options.strict_margin))
 
-    @abstractmethod
     def solve_compiled(
         self, problem: "CompiledProblem", control: "SolveControl | None" = None
     ) -> SolverResult:
-        """Solve an already-compiled problem under an optional shared control."""
+        """Solve an already-compiled problem under an optional shared control.
+
+        A problem the presolve proved infeasible, or left without a free
+        unknown, is answered without a search.  Without a ``control`` the
+        search gets one built from ``options.time_limit`` and
+        ``options.tolerance``.
+        """
+        from repro.solvers.problem import Deadline, SolveControl, presolve_verdict
+
+        verdict = presolve_verdict(problem)
+        if verdict is not None:
+            return verdict
+        if control is None:
+            control = SolveControl(
+                deadline=Deadline.after(self.options.time_limit), tolerance=self.options.tolerance
+            )
+        return self._search(problem, control)
+
+    @abstractmethod
+    def _search(self, problem: "CompiledProblem", control: "SolveControl") -> SolverResult:
+        """Search a problem with free unknowns under ``control``'s deadline."""
 
     def name(self) -> str:
         """Short solver name used in reports."""

@@ -16,7 +16,7 @@ inside a width-``k`` batch (``batch="on"``) — which is what lets
 first-feasible-wins semantics over batch results and produce the same
 winning assignment fingerprint.
 
-Deadline / stop checks (:meth:`SolveControl.should_stop`) happen once per
+Deadline checks (:meth:`SolveControl.should_stop`) happen once per
 batched iteration, so a solve overshoots its deadline by at most
 one batched iteration: one Jacobian fill and its CG solve, or one L-BFGS
 step with its line search.
@@ -468,12 +468,6 @@ def run_multistart(
             violations[member] = problem.max_violation_batch(outcome.points)[0]
             objectives[member] = problem.objective_value_batch(outcome.points)[0]
             computed = member + 1
-            control.report(finals[member], violations[member], objectives[member])
-            if options.verbose:
-                print(
-                    f"[{label}] restart {member}: violation={violations[member]:.3g} "
-                    f"objective={objectives[member]:.6g}"
-                )
             if outcome.interrupted:
                 cut = member
                 break
@@ -514,7 +508,7 @@ def run_multistart(
                 if best is not None and trigger(float(violations[best]), float(objectives[best])):
                     break
 
-    details = {"timed_out": float(control.timed_out), **problem.size_details()}
+    details = {"timed_out": float(control.should_stop()), **problem.size_details()}
     if computed == 0:
         return SolverResult(
             assignment=None,
@@ -528,14 +522,14 @@ def run_multistart(
         )
 
     winner, used = winning_member(violations, objectives, computed, options.tolerance, trigger)
-    if options.batch == "on":
-        for member in range(used):
-            control.report(finals[member], violations[member], objectives[member])
-            if options.verbose:
-                print(
-                    f"[{label}] restart {member}: violation={violations[member]:.3g} "
-                    f"objective={objectives[member]:.6g}"
-                )
+    # The members the fold consumed feed the warm-start exchange, in order.
+    for member in range(used):
+        control.report(finals[member], violations[member], objectives[member])
+        if options.verbose:
+            print(
+                f"[{label}] restart {member}: violation={violations[member]:.3g} "
+                f"objective={objectives[member]:.6g}"
+            )
 
     violation = float(violations[winner])
     objective = float(objectives[winner])

@@ -11,12 +11,11 @@ thread:
 
 * a **shared deadline** (``SolverOptions.time_limit``) enforced inside every
   strategy's iteration loop;
-* **first-feasible-wins** — the first strategy to report a feasible point
-  stops the walk through the shared
-  :class:`~repro.solvers.problem.SolveControl`, so later strategies never
-  start;
+* **first-feasible-wins** — the walk ends with the first strategy whose
+  result is feasible, so later strategies never start;
 * **warm-start exchange** — every strategy may seed its next restart from the
-  portfolio's best-known point.
+  portfolio's best-known point, through the shared
+  :class:`~repro.solvers.problem.SolveControl`.
 
 Walking cheapest-first is the optimistic order: the expensive strategies
 run only when the cheap ones fail, and a fixed seed gives a fixed answer.
@@ -31,7 +30,7 @@ from typing import Callable, Sequence
 from repro.errors import SynthesisError
 from repro.solvers.alternating import AlternatingSolver
 from repro.solvers.base import Solver, SolverOptions, SolverResult
-from repro.solvers.problem import CompiledProblem, Deadline, SolveControl, improves, presolve_verdict
+from repro.solvers.problem import CompiledProblem, SolveControl, improves
 from repro.solvers.qclp import GaussNewtonSolver, PenaltyQCLPSolver
 
 
@@ -154,31 +153,20 @@ class PortfolioSolver(Solver):
             solvers.append((name, solver))
         return solvers
 
-    # -- main entry ------------------------------------------------------------------
+    # -- the walk ----------------------------------------------------------------------
 
-    def solve_compiled(
-        self, problem: CompiledProblem, control: SolveControl | None = None
-    ) -> SolverResult:
-        verdict = presolve_verdict(problem)
-        if verdict is not None:
-            return verdict
-        if control is None:
-            control = SolveControl(
-                deadline=Deadline.after(self.options.time_limit),
-                tolerance=self.options.tolerance,
-                stop_on_feasible=True,
-            )
-        return self._assemble(self._walk(problem, control), control)
+    def _search(self, problem: CompiledProblem, control: SolveControl) -> SolverResult:
+        return self._assemble(self._walk(problem, control), problem, control)
 
     def _walk(self, problem: CompiledProblem, control: SolveControl) -> list[StrategyOutcome]:
-        """Run the strategies in line-up order until the control says stop.
+        """Run the strategies in line-up order until one answers feasibly.
 
-        The portfolio's own control stops at the first feasible report or
-        the deadline; the strategies left are recorded as cancelled.
+        Every strategy after the first feasible result, and every one whose
+        turn comes after the deadline, is recorded as cancelled.
         """
         outcomes = []
         for name, solver in self._solvers():
-            if control.should_stop():
+            if control.should_stop() or any(outcome.feasible for outcome in outcomes):
                 outcomes.append(StrategyOutcome(name=name, result=None, seconds=0.0, cancelled=True))
                 continue
             start = time.perf_counter()
@@ -193,13 +181,19 @@ class PortfolioSolver(Solver):
 
     # -- result assembly ------------------------------------------------------------------
 
-    def _assemble(self, outcomes: list[StrategyOutcome], control: SolveControl) -> SolverResult:
+    def _assemble(
+        self, outcomes: list[StrategyOutcome], problem: CompiledProblem, control: SolveControl
+    ) -> SolverResult:
+        """The walk's answer: the best outcome by :func:`improves`, with every strategy's columns.
+
+        The walk stops at the first feasible result, so that result, when
+        there is one, is the only feasible outcome and wins.
+        """
         tolerance = self.options.tolerance
         best: SolverResult | None = None
         best_name: str | None = None
         best_violation = float("inf")
         best_objective = float("inf")
-        best_settled = False
         iterations = 0
         restarts = 0
         residual_evaluations = 0
@@ -222,21 +216,12 @@ class PortfolioSolver(Solver):
             batch_width = max(batch_width, result.batch_width)
             violation = result.max_violation if result.max_violation is not None else float("inf")
             objective = result.objective_value if result.objective_value is not None else float("inf")
-            # A strategy the deadline stopped mid-descent returns wherever
-            # it stood, often only barely feasible: it may win on violation,
-            # but never displace a completed feasible result on objective.
-            settled = violation <= tolerance and not result.details.get("interrupted")
-            if (
-                best is None
-                or (settled and not best_settled)
-                or (
-                    settled == best_settled
-                    and improves(best_violation, best_objective, violation, objective, tolerance)
-                )
-            ):
+            if best is None or improves(best_violation, best_objective, violation, objective, tolerance):
                 best, best_name = result, outcome.name
-                best_violation, best_objective, best_settled = violation, objective, settled
+                best_violation, best_objective = violation, objective
 
+        details.update(problem.size_details() if best is None else best.details)
+        details["timed_out"] = float(control.should_stop())
         if best is None:
             return SolverResult(
                 assignment=None,
@@ -249,8 +234,6 @@ class PortfolioSolver(Solver):
                 jacobian_evaluations=jacobian_evaluations,
                 batch_width=batch_width,
             )
-        details.update(best.details)
-        details["timed_out"] = float(control.timed_out)
         return SolverResult(
             assignment=best.assignment,
             status=best.status,
@@ -264,4 +247,3 @@ class PortfolioSolver(Solver):
             batch_width=batch_width,
             strategy=best_name,
         )
-

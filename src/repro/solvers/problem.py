@@ -23,8 +23,8 @@ consumes the compiled form:
 
 The module also defines the solve-time control plane: :class:`Deadline` (a
 wall-clock budget the batched engines check once per batched iteration, not
-just between restarts) and :class:`SolveControl` (the stop flag,
-best-known-point exchange and first-feasible-wins signalling the solver
+just between restarts) and :class:`SolveControl` (that deadline, the
+feasibility tolerance and the best-known-point exchange the solver
 portfolio shares across its strategies).
 """
 
@@ -101,50 +101,35 @@ def improves(
 
 
 class SolveControl:
-    """Budget, stop flag and warm-start state of one Step-4 solve.
+    """Deadline, tolerance and warm-start state of one Step-4 solve.
 
     A single solver uses it to enforce its deadline inside iteration loops; a
     :class:`~repro.solvers.portfolio.PortfolioSolver` hands one instance to
-    each strategy it walks, which gives first-feasible-wins (the first
-    feasible report sets the stop flag, so later strategies never start)
-    and warm-start exchange (every strategy can seed a restart from the
-    portfolio's best-known point).  One solve runs in one thread, so the
-    state needs no lock.
+    each strategy it walks, which shares the deadline and the warm-start
+    exchange (every strategy can seed a restart from the portfolio's
+    best-known point).  One solve runs in one thread, so the state needs no
+    lock.
     """
 
-    def __init__(
-        self,
-        deadline: Deadline | None = None,
-        tolerance: float | None = None,
-        stop_on_feasible: bool = False,
-    ):
+    def __init__(self, deadline: Deadline | None = None, tolerance: float | None = None):
         self.deadline = deadline if deadline is not None else Deadline.never()
         self.tolerance = DEFAULT_TOLERANCE if tolerance is None else tolerance
-        self.stop_on_feasible = stop_on_feasible
-        self._stopped = False
         self._best_point: np.ndarray | None = None
         self._best_violation = np.inf
         self._best_objective = np.inf
 
-    # -- stopping ---------------------------------------------------------------
-
     def should_stop(self) -> bool:
-        return self._stopped or self.deadline.expired()
-
-    @property
-    def timed_out(self) -> bool:
+        """Whether the deadline has passed."""
         return self.deadline.expired()
 
     # -- best-known-point exchange -----------------------------------------------
 
     def report(self, point: np.ndarray, violation: float, objective: float) -> None:
-        """Record a candidate; feasible reports may trigger first-feasible-wins."""
+        """Record a candidate for the warm-start exchange."""
         if improves(self._best_violation, self._best_objective, violation, objective, self.tolerance):
             self._best_point = np.array(point, dtype=float, copy=True)
             self._best_violation = violation
             self._best_objective = objective
-        if self.stop_on_feasible and violation <= self.tolerance:
-            self._stopped = True
 
     def warm_start(self) -> np.ndarray | None:
         """A copy of the best-known point so far (``None`` before any report)."""

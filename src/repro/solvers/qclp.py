@@ -28,7 +28,7 @@ from repro.solvers.batched import (
     batched_penalty_descent,
     run_multistart,
 )
-from repro.solvers.problem import CompiledProblem, Deadline, SolveControl, presolve_verdict
+from repro.solvers.problem import CompiledProblem, SolveControl
 
 #: The penalty solver's rho stages, lowest first.
 _PENALTY_SCHEDULE = (1.0, 10.0, 100.0, 1_000.0, 10_000.0)
@@ -168,21 +168,11 @@ class PenaltyQCLPSolver(Solver):
 
     # -- main loop ---------------------------------------------------------------------
 
-    def solve_compiled(
-        self, problem: CompiledProblem, control: SolveControl | None = None
-    ) -> SolverResult:
-        options = self.options
-        if control is None:
-            control = SolveControl(
-                deadline=Deadline.after(options.time_limit), tolerance=options.tolerance
-            )
-        verdict = presolve_verdict(problem)
-        if verdict is not None:
-            return verdict
+    def _search(self, problem: CompiledProblem, control: SolveControl) -> SolverResult:
         return run_multistart(
             problem,
             control,
-            options,
+            self.options,
             self.label(),
             cold_scale=self._cold_scale,
             warm_scale=lambda attempt: 0.05 * (attempt + 1),
@@ -228,26 +218,8 @@ class GaussNewtonSolver(Solver):
             win_tolerance=tolerance,
         )
 
-    def solve_compiled(
-        self, problem: CompiledProblem, control: SolveControl | None = None
-    ) -> SolverResult:
+    def _search(self, problem: CompiledProblem, control: SolveControl) -> SolverResult:
         options = self.options
-        if control is None:
-            control = SolveControl(
-                deadline=Deadline.after(options.time_limit), tolerance=options.tolerance
-            )
-        verdict = presolve_verdict(problem)
-        if verdict is not None:
-            return verdict
-        if problem.row_count == 0:
-            point = problem.apply_role_floors_batch(np.zeros((1, problem.dimension)))[0]
-            return SolverResult(
-                assignment=problem.assignment(point),
-                status="optimal",
-                objective_value=problem.objective_value(point),
-                max_violation=0.0,
-                strategy=self.label(),
-            )
         return run_multistart(
             problem,
             control,

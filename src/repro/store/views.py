@@ -74,7 +74,10 @@ class ResponseStore:
         Only verified successes are persisted: ``status="ok"`` and — when a
         verification tier ran — a passing verdict.  Errors, deadline-shaped
         ``no_invariant`` outcomes and rejected solutions must be recomputed,
-        never replayed.
+        never replayed.  So must an ``ok`` answer built after its request's
+        deadline passed (a ``feasible-at-deadline`` solve, say): the engine
+        does not offer one here, because a later request with the same key
+        may have the whole budget to spend.
         """
         if response.status != "ok":
             return False

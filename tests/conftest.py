@@ -42,6 +42,17 @@ def sum_precondition(sum_cfg):
     return Precondition.from_spec(sum_cfg, {"sum": {1: "n >= 1"}})
 
 
+@pytest.fixture(scope="session")
+def quick_sum_system():
+    """The Step-3 system of suite program ``sum`` at the quick preset (upsilon=1)."""
+    from repro.invariants.synthesis import build_task
+    from repro.suite.registry import get_benchmark
+
+    benchmark = get_benchmark("sum")
+    options = benchmark.options(upsilon=1)
+    return build_task(benchmark.source, benchmark.precondition, benchmark.objective(), options).system
+
+
 RECURSIVE_SUM_SOURCE = """
 recursive_sum(n) {
     if n <= 0 then

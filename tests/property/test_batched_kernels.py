@@ -16,8 +16,9 @@ loop over the lowered linear and bilinear triplets, since the per-point
 ``residual_jacobian`` shares the assembly under test.
 
 The solver-level corollary is checked too: with the same seed, the three
-multi-start solvers return identical fingerprints (assignment, status,
-violation) under ``batch="on"`` and ``batch="rows"``.
+multi-start solvers and a one-strategy portfolio return identical
+fingerprints (assignment, status, violation, restarts used) under
+``batch="on"`` and ``batch="rows"``.
 """
 
 from fractions import Fraction
@@ -35,6 +36,7 @@ from repro.polynomial.monomial import Monomial
 from repro.polynomial.polynomial import Polynomial
 from repro.solvers.alternating import AlternatingSolver
 from repro.solvers.base import SolverOptions
+from repro.solvers.portfolio import PortfolioSolver
 from repro.solvers.problem import CompiledProblem
 from repro.solvers.qclp import GaussNewtonSolver, PenaltyQCLPSolver
 
@@ -275,7 +277,7 @@ def test_objective_rows_are_bit_identical_to_wide_batches():
 
 
 def _fingerprint(result):
-    return (result.assignment, result.status, result.max_violation)
+    return (result.assignment, result.status, result.max_violation, result.restarts_used)
 
 
 @settings(max_examples=10, deadline=None)
@@ -286,6 +288,7 @@ def test_same_seed_batched_and_replay_fingerprints_match(system, seed):
         lambda options: PenaltyQCLPSolver(options),
         lambda options: GaussNewtonSolver(options),
         lambda options: AlternatingSolver(options, sweeps=2),
+        lambda options: PortfolioSolver(options, strategies=("qclp",)),
     ):
         fingerprints = []
         for mode in ("on", "rows"):

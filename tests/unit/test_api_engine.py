@@ -242,7 +242,7 @@ def test_the_solve_gets_only_what_the_reduction_left(monkeypatch, solve_limits):
 class SleepingSolver(Solver):
     """A Step-4 stub that runs to its time limit and finds nothing."""
 
-    def solve_compiled(self, problem, control=None):
+    def _search(self, problem, control):
         time.sleep(self.options.time_limit or 0.0)
         return SolverResult(assignment=None, status="infeasible-best-effort")
 
@@ -275,6 +275,28 @@ def test_a_solve_the_deadline_cut_short_is_not_shared(monkeypatch, solve_limits)
         assert engine.stats()["solves_cached"] == 1.0
     assert len(solve_limits) == 2
     assert solve_limits[0] <= 0.2 and solve_limits[1] > 99.0
+
+
+def test_a_response_the_deadline_starved_is_not_filed(tmp_path):
+    """Admitted after its deadline, a request still answers but leaves no response behind."""
+    request = request_for("sum", deadline=100.0)
+    with Engine(solver_options=QUICK_SOLVE, store=str(tmp_path)) as engine:
+        starved = engine.synthesize(request, deadline_epoch=time.time() - 1)
+        assert starved.status == "ok" and starved.solver_status == "feasible-at-deadline"
+        assert engine.stats()["store_response_writes"] == 0
+    with Engine(solver_options=QUICK_SOLVE, store=str(tmp_path)) as engine:
+        assert not engine.synthesize(request).served_from_store
+
+
+def test_a_deadline_spent_before_the_first_rung_is_a_deadline_outcome():
+    """No escalation rung fits the budget: no invariant, and the trace says why."""
+    options = get_benchmark("sum").options(upsilon=1, degree="auto")
+    request = request_for("sum", options=options, deadline=5.0)
+    with Engine(solver_options=QUICK_SOLVE) as engine:
+        response = engine.synthesize(request, deadline_epoch=time.time() + 0.005)
+    assert response.status == "no_invariant" and response.error is None
+    assert response.escalation["exhausted_deadline"] is True
+    assert response.escalation["final_degree"] is None
 
 
 def test_solve_dedup_table_is_bounded():

@@ -8,10 +8,9 @@ import pytest
 
 from repro.errors import SynthesisError
 from repro.invariants.quadratic_system import QuadraticSystem
-from repro.invariants.synthesis import build_task
 from repro.polynomial.parse import parse_polynomial
 from repro.solvers.alternating import AlternatingSolver
-from repro.solvers.base import SolverOptions, SolverResult
+from repro.solvers.base import Solver, SolverOptions, SolverResult
 from repro.solvers.portfolio import (
     DEFAULT_PORTFOLIO,
     PortfolioSolver,
@@ -22,7 +21,6 @@ from repro.solvers.portfolio import (
 )
 from repro.solvers.problem import CompiledProblem, Deadline, SolveControl, compile_problem
 from repro.solvers.qclp import GaussNewtonSolver, PenaltyQCLPSolver
-from repro.suite.registry import get_benchmark
 
 
 def bilinear_system():
@@ -135,13 +133,6 @@ def test_every_strategy_runs_in_the_callers_thread(monkeypatch):
     assert threads == {name: threading.get_ident() for name in DEFAULT_PORTFOLIO}
 
 
-@pytest.fixture(scope="module")
-def quick_sum_system():
-    benchmark = get_benchmark("sum")
-    options = benchmark.options(upsilon=1)
-    return build_task(benchmark.source, benchmark.precondition, benchmark.objective(), options).system
-
-
 def test_same_seed_portfolio_solves_are_bit_identical(quick_sum_system):
     options = SolverOptions(restarts=1, max_iterations=150, seed=5)
     first = PortfolioSolver(options).solve(quick_sum_system)
@@ -224,41 +215,86 @@ def test_a_deadline_cut_feasible_solve_reads_feasible_at_deadline(quick_sum_syst
     assert cut.strategy == "gauss-newton"
 
 
-# -- result assembly ----------------------------------------------------------------------
+# -- first-feasible-wins ------------------------------------------------------------------
 
 
-def outcome(name, violation, objective, interrupted):
-    feasible = violation <= 1e-5
-    result = SolverResult(
-        assignment={"$s_f_1_0_0": 1.0} if feasible else None,
-        status="optimal" if feasible else "infeasible-best-effort",
-        objective_value=objective,
-        max_violation=violation,
-        details={"interrupted": float(interrupted)},
-        strategy=name,
-    )
-    return StrategyOutcome(name, result, seconds=0.1)
+def stub_strategy(feasible, calls):
+    """A registry factory whose solver answers at once, without reporting any point."""
+
+    class Stub(Solver):
+        def _search(self, problem, control):
+            calls.append(self.label())
+            return SolverResult(
+                assignment={"$s_f_1_0_0": 1.0} if feasible else None,
+                status="optimal" if feasible else "infeasible-best-effort",
+                objective_value=0.0,
+                max_violation=0.0 if feasible else 1.0,
+                details=problem.size_details(),
+            )
+
+    return Stub
 
 
-@pytest.mark.parametrize(
-    "raced, winner",
-    [
-        # Regression: a thread race could return qclp's cancelled point
-        # (barely feasible, lower objective) over gauss-newton's completed
-        # one, in either order, and the raw exact lift of that point fails.
-        # A deadline cut still leaves such points.
-        ([("gauss-newton", 2e-10, 5.0, False), ("qclp", 3e-6, 1.0, True)], "gauss-newton"),
-        ([("qclp", 3e-6, 1.0, True), ("gauss-newton", 2e-10, 5.0, False)], "gauss-newton"),
-        # An interrupted point still wins on violation ...
-        ([("gauss-newton", 0.5, 5.0, False), ("qclp", 3e-6, 1.0, True)], "qclp"),
-        # ... and completed feasible points still compete on objective.
-        ([("gauss-newton", 2e-10, 5.0, False), ("qclp", 3e-6, 1.0, False)], "qclp"),
-    ],
-)
-def test_interrupted_points_never_displace_completed_feasible_ones(raced, winner):
+def test_no_strategy_runs_after_a_feasible_one(monkeypatch):
+    """The result decides: a feasible answer ends the walk even when nothing was reported."""
+    problem = compile_problem(bilinear_system())
+    for first_feasible in range(len(DEFAULT_PORTFOLIO)):
+        calls = []
+        for index, name in enumerate(DEFAULT_PORTFOLIO):
+            monkeypatch.setitem(STRATEGIES, name, stub_strategy(index >= first_feasible, calls))
+        result = PortfolioSolver().solve_compiled(problem)
+        assert calls == list(DEFAULT_PORTFOLIO[: first_feasible + 1])
+        assert result.strategy == DEFAULT_PORTFOLIO[first_feasible]
+        for name in DEFAULT_PORTFOLIO[first_feasible + 1 :]:
+            assert result.details[f"portfolio_{name}_cancelled"] == 1.0
+            assert result.details[f"portfolio_{name}_feasible"] == -1.0
+
+
+def row_free_system():
+    """No constraint rows, and an objective that falls without bound in ``$eps_c0``."""
+    system = QuadraticSystem()
+    system.objective = parse_polynomial("$s_f_1_0_0^2 + $eps_c0")
+    return system
+
+
+def test_a_row_free_system_is_answered_by_the_first_strategy():
+    """gauss-newton's role-floor point wins; qclp never gets to chase the objective down."""
+    result = PortfolioSolver(SolverOptions(restarts=3, max_iterations=40)).solve(row_free_system())
+    assert result.strategy == "gauss-newton"
+    assert result.assignment == {"$s_f_1_0_0": 0.0, "$eps_c0": 1e-3}
+    assert result.details["portfolio_qclp_cancelled"] == 1.0
+    assert result.details["portfolio_alternating_cancelled"] == 1.0
+
+
+def test_every_result_carries_the_size_keys():
+    sizes = {"dimension", "constraints", "fixed_unknowns", "dropped_rows"}
+    gauss_newton = GaussNewtonSolver(SolverOptions(restarts=1, max_iterations=40))
+    assert sizes <= set(gauss_newton.solve(row_free_system()).details)
+    expired = SolveControl(deadline=Deadline.after(0.0))
+    cut = PortfolioSolver().solve_compiled(compile_problem(bilinear_system()), expired)
+    assert cut.status == "no-progress"
+    assert sizes <= set(cut.details) and cut.details["timed_out"] == 1.0
+
+
+def test_an_interrupted_feasible_result_beats_infeasible_ones():
+    """The deadline cut qclp mid-descent at a feasible point, after gauss-newton failed."""
     solver = PortfolioSolver(SolverOptions(tolerance=1e-5), strategies=("gauss-newton", "qclp"))
-    outcomes = [outcome(*entry) for entry in raced]
-    assert solver._assemble(outcomes, SolveControl(tolerance=1e-5)).strategy == winner
+    outcomes = []
+    for name, violation, interrupted in (("gauss-newton", 0.5, False), ("qclp", 3e-6, True)):
+        feasible = violation <= 1e-5
+        result = SolverResult(
+            assignment={"$s_f_1_0_0": 1.0} if feasible else None,
+            status="feasible-at-deadline" if feasible else "infeasible-best-effort",
+            objective_value=1.0,
+            max_violation=violation,
+            details={"interrupted": float(interrupted)},
+            strategy=name,
+        )
+        outcomes.append(StrategyOutcome(name, result, seconds=0.1))
+    problem = compile_problem(bilinear_system())
+    assembled = solver._assemble(outcomes, problem, SolveControl(tolerance=1e-5))
+    assert assembled.strategy == "qclp"
+    assert assembled.status == "feasible-at-deadline"
 
 
 # -- warm-start exchange ------------------------------------------------------------------
@@ -275,13 +311,3 @@ def test_warm_start_exchange_through_control():
     # A worse report must not displace the best-known point.
     control.report(problem.vector({}), violation=5.0, objective=0.0)
     assert control.best_violation == 0.0
-
-
-def test_first_feasible_sets_stop_event():
-    control = SolveControl(tolerance=1e-5, stop_on_feasible=True)
-    assert not control.should_stop()
-    control.report(compile_problem(bilinear_system()).vector({}), violation=2.0, objective=0.0)
-    assert not control.should_stop()
-    point = compile_problem(bilinear_system()).vector({"$s_f_1_0_0": 2.0, "$t_c0_0_0": 0.5})
-    control.report(point, violation=0.0, objective=0.0)
-    assert control.should_stop()

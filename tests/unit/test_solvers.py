@@ -13,6 +13,7 @@ from repro.invariants.synthesis import build_task
 from repro.polynomial.parse import parse_polynomial
 from repro.solvers.alternating import AlternatingSolver
 from repro.solvers.base import SolverOptions
+from repro.solvers.portfolio import PortfolioSolver
 from repro.solvers.problem import CompiledProblem, Deadline, SolveControl, compile_problem
 from repro.solvers.qclp import GaussNewtonSolver, PenaltyQCLPSolver
 from repro.solvers.strong import RepresentativeEnumerator
@@ -186,10 +187,7 @@ def test_time_limit_is_enforced_inside_iteration_loops(batch):
 
 @pytest.mark.parametrize("batch", ["on", "rows"])
 def test_results_say_whether_the_winner_was_stopped_mid_descent(batch):
-    """``details["interrupted"]`` flags a winner the control cut short.
-
-    The portfolio ranks such a point below every completed feasible result.
-    """
+    """``details["interrupted"]`` flags a winner the control cut short."""
 
     class StopAtSecondCheck(SolveControl):
         checks = 0
@@ -295,15 +293,24 @@ def test_importing_repro_leaves_scipy_optimize_unloaded():
     assert completed.stdout.strip() == "False"
 
 
-def test_batch_modes_agree_on_winning_assignment():
-    """`batch="on"` and the one-member-at-a-time replay pick the same winner."""
-    for system in (bilinear_system(), objective_system()):
-        fingerprints = []
-        for mode in ("on", "rows"):
-            options = SolverOptions(restarts=3, max_iterations=200, batch=mode)
-            result = PenaltyQCLPSolver(options).solve(system)
-            fingerprints.append((result.assignment, result.status, result.max_violation))
-        assert fingerprints[0] == fingerprints[1]
+def test_batch_modes_agree_on_winning_assignment(quick_sum_system):
+    """`batch="on"` and the one-member-at-a-time replay pick the same winner.
+
+    Also through a one-strategy portfolio: on quick ``sum`` the replay used
+    to stop at its first feasible member there, where ``"on"`` ran qclp's
+    own objective trigger to the end.
+    """
+    makers = (PenaltyQCLPSolver, lambda options: PortfolioSolver(options, strategies=("qclp",)))
+    for system in (bilinear_system(), objective_system(), quick_sum_system):
+        for make in makers:
+            fingerprints = []
+            for mode in ("on", "rows"):
+                options = SolverOptions(restarts=3, max_iterations=200, batch=mode)
+                result = make(options).solve(system)
+                fingerprints.append(
+                    (result.assignment, result.status, result.max_violation, result.restarts_used)
+                )
+            assert fingerprints[0] == fingerprints[1]
 
 
 def test_solver_results_report_kernel_counters():
