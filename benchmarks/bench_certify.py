@@ -10,7 +10,9 @@ verification trajectory is tracked across PRs::
 Per benchmark: whether the Step-4 solution verified, the denominator of the
 successful lift, how many repair rounds were needed, and the exact-check time
 next to the solve time (the certificate tax).  Aggregates report the
-verified/unverified counts and a repair-round histogram.
+verified/unverified counts and a repair-round histogram.  The run exits 1
+when a solved instance is unverified or a certificate fails its independent
+re-check.
 """
 
 from __future__ import annotations
@@ -65,11 +67,12 @@ def measure_certification(benchmarks, quick: bool, max_repair_rounds: int) -> di
             total = time.perf_counter() - start
             verification = response.verification or {}
             recheck_seconds = None
+            recheck_ok = None
             if response.certificate is not None:
                 # The independent re-check: deserialize and validate from scratch.
                 certificate = Certificate.from_dict(response.certificate)
                 t0 = time.perf_counter()
-                assert check_certificate(certificate, task=response.task).ok
+                recheck_ok = check_certificate(certificate, task=response.task).ok
                 recheck_seconds = time.perf_counter() - t0
             rounds = int(verification.get("repair_rounds", 0))
             histogram[rounds] = histogram.get(rounds, 0) + 1
@@ -83,6 +86,7 @@ def measure_certification(benchmarks, quick: bool, max_repair_rounds: int) -> di
                     "solve_seconds": response.timings.get("solve_seconds"),
                     "verify_seconds": response.timings.get("verify_seconds"),
                     "recheck_seconds": recheck_seconds,
+                    "recheck_ok": recheck_ok,
                     "total_seconds": total,
                     "reason": verification.get("reason"),
                 }
@@ -105,6 +109,7 @@ def measure_certification(benchmarks, quick: bool, max_repair_rounds: int) -> di
             "solved": len(solved),
             "verified": len(verified),
             "unverified": len(solved) - len(verified),
+            "recheck_failed": sum(1 for row in rows if row["recheck_ok"] is False),
             "via_repair": sum(1 for row in verified if row["repair_rounds"]),
             "repair_round_histogram": {str(k): v for k, v in sorted(histogram.items())},
             "solve_seconds_total": solve_total,
@@ -141,6 +146,15 @@ def main(argv=None) -> int:
         else "[certify] no solved instances"
     )
     print(f"[certify] wrote {args.output}")
+    # A solved instance that did not verify, or a certificate its re-check
+    # rejects, is a wrong answer: fail the run.
+    if summary["unverified"] or summary["recheck_failed"]:
+        print(
+            f"[certify] FAIL: {summary['unverified']} solved instance(s) unverified, "
+            f"{summary['recheck_failed']} certificate(s) rejected by the re-check",
+            file=sys.stderr,
+        )
+        return 1
     return 0
 
 

@@ -26,6 +26,7 @@ import hashlib
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 from typing import TYPE_CHECKING, Mapping, Sequence
 
 from repro.errors import ReproError, SynthesisError, ValidationError
@@ -319,13 +320,54 @@ class Certificate:
 
 
 def _concretize(polynomial: Polynomial, assignment: Mapping[str, Fraction]) -> Polynomial:
-    """Substitute every unknown's exact value, or 0 for an unknown ``assignment`` lacks."""
-    substitution = {
-        name: Polynomial.constant(assignment.get(name, _ZERO))
-        for name in polynomial.variables()
-        if name.startswith(UNKNOWN_PREFIX)
-    }
-    return polynomial.substitute(substitution) if substitution else polynomial
+    """Substitute every unknown's exact value, or 0 for an unknown ``assignment`` lacks.
+
+    Equal to :meth:`Polynomial.substitute` with one constant per unknown, term
+    order included: that order becomes the row order of the lift's
+    coefficient-matching equations.  One pass scales each term in integers;
+    the sums then run over one common denominator, and a sum that cancels
+    to 0 leaves the map, so a term that reappears after it goes to the end,
+    as in ``substitute``.
+    """
+    scaled: list[tuple[Monomial, int, int]] = []
+    substituted = False
+    for monomial, coefficient in polynomial.items():
+        numerator, denominator = coefficient.numerator, coefficient.denominator
+        kept = []
+        for item in monomial.items:
+            name, exponent = item
+            if not name.startswith(UNKNOWN_PREFIX):
+                kept.append(item)
+                continue
+            substituted = True
+            value = assignment.get(name, _ZERO)
+            if exponent == 1:
+                numerator *= value.numerator
+                denominator *= value.denominator
+            else:
+                numerator *= value.numerator**exponent
+                denominator *= value.denominator**exponent
+        if not numerator:
+            continue
+        if len(kept) != len(monomial.items):
+            monomial = Monomial._from_tuple(tuple(kept))
+        scaled.append((monomial, numerator, denominator))
+    if not substituted:
+        return polynomial
+    common = lcm(*(denominator for _, _, denominator in scaled))
+    sums: dict[Monomial, int] = {}
+    for monomial, numerator, denominator in scaled:
+        value = numerator * (common // denominator)
+        existing = sums.get(monomial)
+        if existing is None:
+            sums[monomial] = value
+        elif existing + value:
+            sums[monomial] = existing + value
+        else:
+            del sums[monomial]
+    return Polynomial._from_validated(
+        {monomial: Fraction(value, common) for monomial, value in sums.items()}
+    )
 
 
 def check_certificate(

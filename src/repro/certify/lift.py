@@ -64,6 +64,9 @@ DENOMINATOR_LADDER: tuple[int, ...] = (
 
 _ZERO = Fraction(0)
 
+#: A snapped-Cholesky multiplier: its polynomial and its exact Gram matrix.
+_Pinned = tuple[Polynomial, tuple[tuple[Fraction, ...], ...]]
+
 
 def snap(value: Fraction, max_denominator: int) -> Fraction:
     """The closest rational to ``value`` with denominator at most ``max_denominator``.
@@ -222,18 +225,15 @@ def _gram_matrix(
     multiplier: Polynomial,
     basis: Sequence[Monomial],
     groups: Mapping[Monomial, list[tuple[int, int]]],
-    prov: PairProvenance,
-    which: int,
-    floats: Mapping[str, float],
-    pin_denominator: int,
+    pinned: _Pinned,
 ) -> tuple[tuple[Fraction, ...], ...] | None:
     """An exact Gram matrix with ``multiplier == y^T Q y``, or ``None``.
 
     When every product monomial has a unique basis-pair slot (true for the
     affine bases of Upsilon <= 3) the Gram matrix is determined by the
-    multiplier's coefficients.  Otherwise the solver's Cholesky factors guide
-    a PSD starting matrix and the exact residual is folded into the first
-    slot of each product group.
+    multiplier's coefficients.  Otherwise the solver's snapped Cholesky
+    factors (``pinned``) give a PSD starting matrix and the exact residual is
+    folded into the first slot of each product group.
     """
     dimension = len(basis)
     unique = all(len(slots) == 1 for slots in groups.values())
@@ -250,12 +250,8 @@ def _gram_matrix(
                 gram[i][j] = coefficient / 2
                 gram[j][i] = coefficient / 2
         return tuple(tuple(row) for row in gram)
-    gram = _float_gram(prov, which, dimension, floats, pin_denominator)
-    expanded = Polynomial.zero()
-    for i in range(dimension):
-        for j in range(dimension):
-            if gram[i][j]:
-                expanded = expanded + Polynomial.from_monomial(basis[i] * basis[j], gram[i][j])
+    expanded, start = pinned
+    gram = [list(row) for row in start]
     residual = multiplier - expanded
     for monomial, coefficient in residual.items():
         slots = groups.get(monomial)
@@ -303,7 +299,7 @@ def _pinned_multiplier(
     basis: Sequence[Monomial],
     floats: Mapping[str, float],
     pin_denominator: int,
-) -> tuple[Polynomial, tuple[tuple[Fraction, ...], ...]]:
+) -> _Pinned:
     """The snapped-Cholesky multiplier ``y^T (L̂ L̂^T) y`` — exactly SOS by construction."""
     gram = _float_gram(prov, which, len(basis), floats, pin_denominator)
     polynomial = Polynomial.zero()
@@ -360,8 +356,7 @@ def _boost_paired_grams(
 def _certify_pair_putinar(
     pair: ConstraintPair,
     prov: PairProvenance,
-    exact_s: Mapping[str, Fraction],
-    floats: Mapping[str, float],
+    snapped: _Snap,
     pin_denominator: int,
     escalate_basis: bool = False,
 ) -> tuple[PairCertificate | None, str | None]:
@@ -374,26 +369,26 @@ def _certify_pair_putinar(
     membership that the coarse basis lacks at a snapped template assignment.
     """
     outcome, reason = _certify_pair_putinar_at(
-        pair, prov, exact_s, floats, pin_denominator, prov.upsilon or 0
+        pair, prov, snapped, pin_denominator, prov.upsilon or 0
     )
     if outcome is not None or not escalate_basis:
         return outcome, reason
     return _certify_pair_putinar_at(
-        pair, prov, exact_s, floats, pin_denominator, (prov.upsilon or 0) + 2
+        pair, prov, snapped, pin_denominator, (prov.upsilon or 0) + 2
     )
 
 
 def _certify_pair_putinar_at(
     pair: ConstraintPair,
     prov: PairProvenance,
-    exact_s: Mapping[str, Fraction],
-    floats: Mapping[str, float],
+    snapped: _Snap,
     pin_denominator: int,
     upsilon: int,
 ) -> tuple[PairCertificate | None, str | None]:
     variables = prov.variables
-    assumptions = [_concretize(polynomial, exact_s) for polynomial in pair.assumptions]
-    conclusion = _concretize(pair.conclusion, exact_s)
+    floats = snapped.floats
+    assumptions = [snapped.concrete(polynomial) for polynomial in pair.assumptions]
+    conclusion = snapped.concrete(pair.conclusion)
     basis = tuple(sos_basis(variables, upsilon))
     groups = _slot_groups(basis)
     one = Monomial.one()
@@ -406,16 +401,16 @@ def _certify_pair_putinar_at(
     # (snapped) Cholesky factors: a multiplier whose columns all stay free
     # keeps exactly this polynomial — and exactly this PSD Gram.
     pinned = [
-        _pinned_multiplier(prov, which, basis, floats, pin_denominator)
-        for which in range(multiplier_count)
+        snapped.pinned(prov, which, basis, pin_denominator) for which in range(multiplier_count)
     ]
     eps_guess = _snap_solver_value(
         floats, f"{UNKNOWN_PREFIX}eps_{prov.tag}", max(pin_denominator, 10**6)
     )
 
     def contribution(which: int, monomial: Monomial) -> Polynomial:
-        base = Polynomial.from_monomial(monomial)
-        return base if which == 0 else base * assumptions[which - 1]
+        if which == 0:
+            return Polynomial.from_monomial(monomial)
+        return snapped.product(monomial, assumptions[which - 1])
 
     # Column order routes the RREF pivots: equality-paired multipliers first
     # (their PSD margins are repairable for free), then the unpaired ones,
@@ -487,9 +482,7 @@ def _certify_pair_putinar_at(
             if which in protected:
                 grams[which] = [list(row) for row in pinned[which][1]]
                 continue
-            gram = _gram_matrix(
-                multipliers[which], basis, groups, prov, which, floats, pin_denominator
-            )
+            gram = _gram_matrix(multipliers[which], basis, groups, pinned[which])
             if gram is None:
                 return which, "multiplier outside the SOS-representable support"
             grams[which] = [list(row) for row in gram]
@@ -546,14 +539,14 @@ def _certify_pair_putinar_at(
 def _certify_pair_handelman(
     pair: ConstraintPair,
     prov: PairProvenance,
-    exact_s: Mapping[str, Fraction],
-    floats: Mapping[str, float],
+    snapped: _Snap,
     pin_denominator: int,
 ) -> tuple[PairCertificate | None, str | None]:
     from repro.invariants.handelman import enumerate_products
 
-    assumptions = [_concretize(polynomial, exact_s) for polynomial in pair.assumptions]
-    conclusion = _concretize(pair.conclusion, exact_s)
+    floats = snapped.floats
+    assumptions = [snapped.concrete(polynomial) for polynomial in pair.assumptions]
+    conclusion = snapped.concrete(pair.conclusion)
     products = enumerate_products(
         pair.assumptions, 2 if prov.max_factors is None else prov.max_factors
     )
@@ -633,6 +626,54 @@ def _certify_pair_handelman(
     )
 
 
+class _Snap:
+    """One template snap of a lift, with what its pins, bases and passes reuse.
+
+    :meth:`concrete` substitutes the snap into each distinct pair polynomial
+    once, and :meth:`product` multiplies each (basis monomial, concretized
+    assumption) column once.  :meth:`pinned` snaps each ``(pair, multiplier,
+    pin, basis)`` Cholesky factor once, in a table every snap of the lift
+    shares (it reads the solver's floats, not the snap).  The tables live as
+    long as the :func:`lift_solution` call that made them.
+    """
+
+    def __init__(
+        self,
+        exact_s: Mapping[str, Fraction],
+        floats: Mapping[str, float],
+        pinned: dict[tuple, _Pinned],
+    ):
+        self.exact_s = exact_s
+        self.floats = floats
+        self._concrete: dict[Polynomial, Polynomial] = {}
+        self._products: dict[tuple[Monomial, Polynomial], Polynomial] = {}
+        self._pinned = pinned
+
+    def concrete(self, polynomial: Polynomial) -> Polynomial:
+        value = self._concrete.get(polynomial)
+        if value is None:
+            value = self._concrete[polynomial] = _concretize(polynomial, self.exact_s)
+        return value
+
+    def product(self, monomial: Monomial, polynomial: Polynomial) -> Polynomial:
+        key = (monomial, polynomial)
+        value = self._products.get(key)
+        if value is None:
+            value = self._products[key] = Polynomial.from_monomial(monomial) * polynomial
+        return value
+
+    def pinned(
+        self, prov: PairProvenance, which: int, basis: tuple[Monomial, ...], pin_denominator: int
+    ) -> _Pinned:
+        key = (prov.index, which, pin_denominator, basis)
+        value = self._pinned.get(key)
+        if value is None:
+            value = self._pinned[key] = _pinned_multiplier(
+                prov, which, basis, self.floats, pin_denominator
+            )
+        return value
+
+
 def certify_assignment(
     task: "SynthesisTask",
     exact_s: Mapping[str, Fraction],
@@ -646,6 +687,18 @@ def certify_assignment(
     ``deadline`` is checked between pairs, so an exhausted budget aborts
     mid-assignment instead of finishing the whole pair list.
     """
+    return _certify_snap(
+        task, _Snap(exact_s, floats, {}), pin_denominator, escalate_basis, deadline
+    )
+
+
+def _certify_snap(
+    task: "SynthesisTask",
+    snapped: _Snap,
+    pin_denominator: int,
+    escalate_basis: bool,
+    deadline: Deadline | None,
+) -> tuple[Certificate | None, str | None]:
     system = task.system
     if len(system.provenance) != len(task.pairs):
         return None, (
@@ -660,11 +713,11 @@ def certify_assignment(
         scheme = prov.scheme
         if prov.scheme == "putinar":
             pair_certificate, reason = _certify_pair_putinar(
-                pair, prov, exact_s, floats, pin_denominator, escalate_basis=escalate_basis
+                pair, prov, snapped, pin_denominator, escalate_basis=escalate_basis
             )
         else:
             pair_certificate, reason = _certify_pair_handelman(
-                pair, prov, exact_s, floats, pin_denominator
+                pair, prov, snapped, pin_denominator
             )
         if pair_certificate is None:
             return None, f"{pair.name}: {reason}"
@@ -672,7 +725,7 @@ def certify_assignment(
     return (
         Certificate(
             scheme=scheme,
-            assignment=dict(exact_s),
+            assignment=dict(snapped.exact_s),
             pairs=tuple(certified),
             denominator=pin_denominator,
         ),
@@ -693,26 +746,46 @@ def lift_solution(
     the exact witness completion.  On failure the result carries the exact
     quadratic-system residuals of the finest whole-assignment snap, which the
     repair loop turns into counterexample cuts.
+
+    Exact work that no rung, pin or basis changes is done once per call:
+    each rung's snap, each pair polynomial's concretization and each
+    coefficient-matching column per distinct snap, and each snapped-Cholesky
+    multiplier per (pair, multiplier, pin, basis).
     """
     start = time.perf_counter()
     deadline = Deadline.after(time_budget)
     rungs = tuple(ladder) if ladder is not None else DENOMINATOR_LADDER
     template_values = _template_values(assignment)
+    # An exact zero snaps to 0 at every rung, so only the other values are
+    # snapped per rung, and only they can tell two rungs' snaps apart.
+    nonzero = {name: value for name, value in template_values.items() if value}
     attempts = 0
     last_reason: str | None = None
+    # Each rung's snap, and each multiplier's pin, is made once and reused
+    # by both passes, both pins and both bases.
+    pinned: dict[tuple, _Pinned] = {}
+    snaps: dict[int, tuple[tuple[tuple[int, int], ...], _Snap]] = {}
     # Pass 1 walks the whole ladder at the translator's own witness basis
     # (cheap); pass 2 re-walks it with the escalated basis, which is an order
     # of magnitude more expensive and only pays off when the coarse basis
     # cannot express an exact witness at any snap.
     for escalate_basis in (False, True):
-        seen: set[tuple] = set()
+        seen: set[tuple[tuple[int, int], ...]] = set()
         for denominator in rungs:
             if deadline.expired():
                 last_reason = last_reason or "lift time budget exhausted"
                 break
-            exact_s = {name: snap(value, denominator) for name, value in template_values.items()}
-            # Every rung snaps the same names in the same order.
-            signature = tuple(exact_s.values())
+            if denominator not in snaps:
+                snapped_values = {name: snap(value, denominator) for name, value in nonzero.items()}
+                exact_s = dict.fromkeys(template_values, _ZERO)
+                exact_s.update(snapped_values)
+                # Every rung snaps the same names in the same order.  Integer
+                # pairs hash without the modular inverse of Fraction.__hash__.
+                signature = tuple(
+                    (value.numerator, value.denominator) for value in snapped_values.values()
+                )
+                snaps[denominator] = signature, _Snap(exact_s, assignment, pinned)
+            signature, snapped = snaps[denominator]
             if signature in seen:
                 continue
             seen.add(signature)
@@ -723,19 +796,14 @@ def lift_solution(
             pins = (denominator,) if denominator >= 10**6 else (denominator, 10**6)
             for pin in pins:
                 attempts += 1
-                certificate, reason = certify_assignment(
-                    task,
-                    exact_s,
-                    assignment,
-                    pin,
-                    escalate_basis=escalate_basis,
-                    deadline=deadline,
+                certificate, reason = _certify_snap(
+                    task, snapped, pin, escalate_basis, deadline
                 )
                 if certificate is not None:
                     return LiftResult(
                         ok=True,
                         certificate=certificate,
-                        exact_assignment=exact_s,
+                        exact_assignment=snapped.exact_s,
                         denominator=denominator,
                         attempts=attempts,
                         seconds=time.perf_counter() - start,

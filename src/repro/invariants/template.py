@@ -12,6 +12,8 @@ never produce, so clashes with program variables are impossible.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
+from functools import cached_property
 from typing import Iterator, Mapping, Sequence
 
 from repro.cfg.graph import FunctionCFG, ProgramCFG
@@ -19,7 +21,7 @@ from repro.cfg.labels import Label
 from repro.errors import SynthesisError
 from repro.polynomial.monomial import Monomial
 from repro.polynomial.ordering import monomials_up_to_degree
-from repro.polynomial.polynomial import Polynomial
+from repro.polynomial.polynomial import Polynomial, _to_fraction
 from repro.spec.assertions import ConjunctiveAssertion, assertion_from_polynomials
 
 UNKNOWN_PREFIX = "$"
@@ -27,6 +29,33 @@ UNKNOWN_PREFIX = "$"
 
 def _coefficient_name(kind: str, owner: str, conjunct: int, index: int) -> str:
     return f"{UNKNOWN_PREFIX}{kind}_{owner}_{conjunct}_{index}"
+
+
+def _conjunct_polynomials(
+    owner: str, monomials: Sequence[Monomial], conjuncts: int
+) -> tuple[Polynomial, ...]:
+    """``sum_j s_j * m_j`` per conjunct: one term per template monomial, in their order."""
+    one = Fraction(1)
+    polynomials = []
+    for conjunct in range(conjuncts):
+        terms: dict[Monomial, Fraction] = {}
+        for index, monomial in enumerate(monomials):
+            unknown = Monomial._from_tuple(((_coefficient_name("s", owner, conjunct, index), 1),))
+            terms[monomial * unknown] = one
+        polynomials.append(Polynomial._from_validated(terms))
+    return tuple(polynomials)
+
+
+def _instantiate(
+    owner: str, monomials: Sequence[Monomial], conjunct: int, assignment: Mapping[str, float | int]
+) -> Polynomial:
+    """One conjunct with each s-variable's value read from ``assignment`` (0 when absent)."""
+    terms: dict[Monomial, Fraction] = {}
+    for index, monomial in enumerate(monomials):
+        value = _to_fraction(assignment.get(_coefficient_name("s", owner, conjunct, index), 0))
+        if value:
+            terms[monomial] = value
+    return Polynomial._from_validated(terms)
 
 
 @dataclass(frozen=True)
@@ -44,6 +73,10 @@ class TemplateEntry:
     def label_index(self) -> int:
         return self.label.index
 
+    @property
+    def _owner(self) -> str:
+        return f"{self.function}_{self.label.index}"
+
     def coefficient_name(self, conjunct: int, monomial: Monomial) -> str:
         """The s-variable holding the coefficient of ``monomial`` in conjunct ``conjunct``."""
         try:
@@ -52,43 +85,39 @@ class TemplateEntry:
             raise SynthesisError(
                 f"monomial {monomial} is not part of the degree-{self.degree} template at {self.label}"
             ) from exc
-        owner = f"{self.function}_{self.label.index}"
-        return _coefficient_name("s", owner, conjunct, index)
+        return _coefficient_name("s", self._owner, conjunct, index)
 
     def coefficient_names(self) -> list[str]:
         """All s-variables of this entry, conjunct-major."""
         names = []
         for conjunct in range(self.conjuncts):
-            owner = f"{self.function}_{self.label.index}"
             names.extend(
-                _coefficient_name("s", owner, conjunct, index) for index in range(len(self.monomials))
+                _coefficient_name("s", self._owner, conjunct, index)
+                for index in range(len(self.monomials))
             )
         return names
 
-    def conjunct_polynomial(self, conjunct: int) -> Polynomial:
-        """The symbolic polynomial ``sum_j s_j * m_j`` of one conjunct."""
+    @cached_property
+    def _polynomials(self) -> tuple[Polynomial, ...]:
+        return _conjunct_polynomials(self._owner, self.monomials, self.conjuncts)
+
+    def _check_conjunct(self, conjunct: int) -> None:
         if not 0 <= conjunct < self.conjuncts:
             raise SynthesisError(f"conjunct {conjunct} out of range for template at {self.label}")
-        owner = f"{self.function}_{self.label.index}"
-        result = Polynomial.zero()
-        for index, monomial in enumerate(self.monomials):
-            name = _coefficient_name("s", owner, conjunct, index)
-            result = result + Polynomial.variable(name) * Polynomial.from_monomial(monomial)
-        return result
+
+    def conjunct_polynomial(self, conjunct: int) -> Polynomial:
+        """The symbolic polynomial ``sum_j s_j * m_j`` of one conjunct (built once per entry)."""
+        self._check_conjunct(conjunct)
+        return self._polynomials[conjunct]
 
     def polynomials(self) -> list[Polynomial]:
-        """The symbolic polynomials of all conjuncts."""
-        return [self.conjunct_polynomial(conjunct) for conjunct in range(self.conjuncts)]
+        """The symbolic polynomials of all conjuncts, as a fresh list."""
+        return list(self._polynomials)
 
     def instantiate(self, conjunct: int, assignment: Mapping[str, float | int]) -> Polynomial:
         """Plug numeric values for the s-variables of one conjunct."""
-        symbolic = self.conjunct_polynomial(conjunct)
-        substitution = {
-            name: Polynomial.constant(assignment.get(name, 0))
-            for name in symbolic.variables()
-            if name.startswith(UNKNOWN_PREFIX)
-        }
-        return symbolic.substitute(substitution)
+        self._check_conjunct(conjunct)
+        return _instantiate(self._owner, self.monomials, conjunct, assignment)
 
     def instantiate_assertion(self, assignment: Mapping[str, float | int]) -> ConjunctiveAssertion:
         """The concrete (numeric) invariant assertion at this label."""
@@ -108,6 +137,10 @@ class PostTemplateEntry:
     variables: tuple[str, ...]
     monomials: tuple[Monomial, ...]
 
+    @property
+    def _owner(self) -> str:
+        return f"post_{self.function}"
+
     def coefficient_name(self, conjunct: int, monomial: Monomial) -> str:
         try:
             index = self.monomials.index(monomial)
@@ -115,39 +148,37 @@ class PostTemplateEntry:
             raise SynthesisError(
                 f"monomial {monomial} is not part of the post-condition template of {self.function}"
             ) from exc
-        return _coefficient_name("s", f"post_{self.function}", conjunct, index)
+        return _coefficient_name("s", self._owner, conjunct, index)
 
     def coefficient_names(self) -> list[str]:
         names = []
         for conjunct in range(self.conjuncts):
             names.extend(
-                _coefficient_name("s", f"post_{self.function}", conjunct, index)
+                _coefficient_name("s", self._owner, conjunct, index)
                 for index in range(len(self.monomials))
             )
         return names
 
-    def conjunct_polynomial(self, conjunct: int) -> Polynomial:
+    @cached_property
+    def _polynomials(self) -> tuple[Polynomial, ...]:
+        return _conjunct_polynomials(self._owner, self.monomials, self.conjuncts)
+
+    def _check_conjunct(self, conjunct: int) -> None:
         if not 0 <= conjunct < self.conjuncts:
             raise SynthesisError(
                 f"conjunct {conjunct} out of range for post-condition template of {self.function}"
             )
-        result = Polynomial.zero()
-        for index, monomial in enumerate(self.monomials):
-            name = _coefficient_name("s", f"post_{self.function}", conjunct, index)
-            result = result + Polynomial.variable(name) * Polynomial.from_monomial(monomial)
-        return result
+
+    def conjunct_polynomial(self, conjunct: int) -> Polynomial:
+        self._check_conjunct(conjunct)
+        return self._polynomials[conjunct]
 
     def polynomials(self) -> list[Polynomial]:
-        return [self.conjunct_polynomial(conjunct) for conjunct in range(self.conjuncts)]
+        return list(self._polynomials)
 
     def instantiate(self, conjunct: int, assignment: Mapping[str, float | int]) -> Polynomial:
-        symbolic = self.conjunct_polynomial(conjunct)
-        substitution = {
-            name: Polynomial.constant(assignment.get(name, 0))
-            for name in symbolic.variables()
-            if name.startswith(UNKNOWN_PREFIX)
-        }
-        return symbolic.substitute(substitution)
+        self._check_conjunct(conjunct)
+        return _instantiate(self._owner, self.monomials, conjunct, assignment)
 
     def instantiate_assertion(self, assignment: Mapping[str, float | int]) -> ConjunctiveAssertion:
         return assertion_from_polynomials(

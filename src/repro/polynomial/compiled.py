@@ -126,33 +126,38 @@ def lower_mixed(
     assumptions agree on ids.  ``negate`` bakes the sign of moved right-hand
     sides into the pooled coefficients.
     """
-    keep = frozenset(variables)
     index = {name: position for position, name in enumerate(variables)}
     width = len(variables)
-    program_parts: list[Monomial] = []
+    rows: list[list[int]] = []
     unknown_ids: list[int] = []
     coefficient_ids: list[int] = []
     for monomial, coefficient in polynomial.items():
-        program_part = monomial.restrict(keep)
-        unknown_part = monomial.exclude(keep)
-        items = unknown_part.items
-        if not items:
+        # One pass per term: program variables fill the exponent row, and
+        # what is left must be a single unknown to the first power.
+        row = [0] * width
+        unknown = None
+        for name, exponent in monomial.items:
+            position = index.get(name)
+            if position is not None:
+                row[position] = exponent
+            elif unknown is None and exponent == 1:
+                unknown = name
+            else:
+                raise PolynomialError(
+                    f"term {monomial} is not linear in the template unknowns; "
+                    "Step 3 requires degree <= 1 unknown parts"
+                )
+        if unknown is None:
             unknown_ids.append(-1)
-        elif len(items) == 1 and items[0][1] == 1:
-            name = items[0][0]
-            slot = unknown_index.get(name)
+        else:
+            slot = unknown_index.get(unknown)
             if slot is None:
                 slot = len(unknown_index)
-                unknown_index[name] = slot
+                unknown_index[unknown] = slot
             unknown_ids.append(slot)
-        else:
-            raise PolynomialError(
-                f"term {monomial} is not linear in the template unknowns; "
-                "Step 3 requires degree <= 1 unknown parts"
-            )
-        program_parts.append(program_part)
+        rows.append(row)
         coefficient_ids.append(pool.add(-coefficient if negate else coefficient))
-    exponents = exponent_rows(program_parts, index, width)
+    exponents = np.asarray(rows, dtype=np.int64).reshape(len(rows), width)
     max_degree = int(exponents.sum(axis=1).max()) if exponents.size else 0
     return MixedTermArrays(
         exponents=exponents,

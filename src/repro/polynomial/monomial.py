@@ -242,13 +242,13 @@ class Monomial:
         return Monomial._from_tuple(tuple(sorted(merged.items())))
 
     def restrict(self, variables: Iterable[str]) -> "Monomial":
-        """The part of this monomial involving only ``variables``."""
-        keep = set(variables)
+        """The part of this monomial involving only ``variables`` (a set is used as is)."""
+        keep = variables if isinstance(variables, (set, frozenset)) else set(variables)
         return Monomial._from_tuple(tuple(item for item in self._items if item[0] in keep))
 
     def exclude(self, variables: Iterable[str]) -> "Monomial":
-        """The part of this monomial involving none of ``variables``."""
-        drop = set(variables)
+        """The part of this monomial involving none of ``variables`` (a set is used as is)."""
+        drop = variables if isinstance(variables, (set, frozenset)) else set(variables)
         return Monomial._from_tuple(tuple(item for item in self._items if item[0] not in drop))
 
     def evaluate(self, valuation: Mapping[str, float]) -> float:

@@ -8,6 +8,7 @@ repair round to a verified result.
 """
 
 import dataclasses
+from collections import Counter
 
 import pytest
 
@@ -150,3 +151,59 @@ def test_verify_options_round_trip_through_request_json():
     assert rebuilt.options.max_repair_rounds == 1
     assert rebuilt.options.verify_seed == 42
     assert rebuilt == request or rebuilt.to_dict() == request.to_dict()
+
+
+def test_one_lift_concretizes_and_pins_each_object_once(monkeypatch):
+    """merge-sort's first lift fails at every rung, so it walks the whole ladder.
+
+    That walk tries two pins per rung and then re-walks the ladder with the
+    escalated basis.  None of it may redo exact work: each pair polynomial
+    is concretized once per distinct template snap, and each multiplier's
+    Cholesky factors are snapped once per (pair, multiplier, pin, basis).
+    """
+    import repro.certify.lift as lift_module
+
+    concretized: Counter = Counter()
+    snaps: dict[int, tuple] = {}
+    unrecorded_concretize = lift_module._concretize
+
+    def recording_concretize(polynomial, assignment):
+        # Key the snap by its values; the dict is kept alive so its id stays unique.
+        if id(assignment) not in snaps:
+            values = tuple(sorted((n, v.numerator, v.denominator) for n, v in assignment.items()))
+            snaps[id(assignment)] = (assignment, values)
+        concretized[(polynomial, snaps[id(assignment)][1])] += 1
+        return unrecorded_concretize(polynomial, assignment)
+
+    grams: Counter = Counter()
+    unrecorded_float_gram = lift_module._float_gram
+
+    def recording_float_gram(prov, which, dimension, floats, pin_denominator):
+        grams[(prov.index, which, dimension, pin_denominator)] += 1
+        return unrecorded_float_gram(prov, which, dimension, floats, pin_denominator)
+
+    monkeypatch.setattr(lift_module, "_concretize", recording_concretize)
+    monkeypatch.setattr(lift_module, "_float_gram", recording_float_gram)
+    benchmark = get_benchmark("merge-sort")
+    request = SynthesisRequest(
+        program=benchmark.source,
+        precondition=benchmark.precondition,
+        objective=benchmark.objective(),
+        options=benchmark.options(
+            upsilon=1,
+            strategy="gauss-newton",
+            portfolio=("gauss-newton",),
+            verify="exact",
+            max_repair_rounds=0,
+        ),
+        solver_options=SolverOptions(time_limit=15.0),
+    )
+    with Engine(workers=0) as engine:
+        response = engine.synthesize(request)
+    verification = response.verification
+    assert verification["verified"] is False, verification
+    assert verification["details"]["lift_attempts"] >= 10
+    assert concretized and grams
+    twice = [key for key, count in concretized.items() if count > 1]
+    assert not twice, f"{len(twice)} (polynomial, snap) pairs concretized more than once"
+    assert max(grams.values()) == 1, "a (pair, multiplier, pin, basis) Gram was snapped twice"
