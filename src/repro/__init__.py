@@ -47,7 +47,6 @@ mapping between the paper's sections and the packages of this library.
 """
 
 from repro.errors import (
-    InfeasibleError,
     ParseError,
     PolynomialError,
     ReproError,
@@ -141,7 +140,6 @@ __all__ = [
     "EscalationTrace",
     "FeasibilityObjective",
     "GaussNewtonSolver",
-    "InfeasibleError",
     "Interpreter",
     "Invariant",
     "LiftResult",

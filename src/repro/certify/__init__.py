@@ -34,7 +34,6 @@ from repro.certify.lift import (
     DENOMINATOR_LADDER,
     ExactViolation,
     LiftResult,
-    certify_assignment,
     exact_violations,
     lift_solution,
     rationalize,
@@ -52,7 +51,7 @@ from repro.certify.sampling import (
     check_invariant,
     derive_argument_sets,
 )
-from repro.certify.verify import VERIFY_MODES, VerificationOutcome, verify_solution
+from repro.certify.verify import VerificationOutcome, verify_solution
 
 __all__ = [
     "Certificate",
@@ -65,10 +64,8 @@ __all__ = [
     "RepairOutcome",
     "RepairRound",
     "SOSWitness",
-    "VERIFY_MODES",
     "VerificationOutcome",
     "Violation",
-    "certify_assignment",
     "check_certificate",
     "check_invariant",
     "derive_argument_sets",

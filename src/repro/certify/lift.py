@@ -674,31 +674,18 @@ class _Snap:
         return value
 
 
-def certify_assignment(
-    task: "SynthesisTask",
-    exact_s: Mapping[str, Fraction],
-    floats: Mapping[str, float],
-    pin_denominator: int,
-    escalate_basis: bool = False,
-    deadline: Deadline | None = None,
-) -> tuple[Certificate | None, str | None]:
-    """Complete exact witnesses for every pair under a fixed template assignment.
-
-    ``deadline`` is checked between pairs, so an exhausted budget aborts
-    mid-assignment instead of finishing the whole pair list.
-    """
-    return _certify_snap(
-        task, _Snap(exact_s, floats, {}), pin_denominator, escalate_basis, deadline
-    )
-
-
 def _certify_snap(
     task: "SynthesisTask",
     snapped: _Snap,
     pin_denominator: int,
     escalate_basis: bool,
-    deadline: Deadline | None,
+    deadline: Deadline,
 ) -> tuple[Certificate | None, str | None]:
+    """Complete exact witnesses for every pair under one template snap.
+
+    ``deadline`` is checked between pairs, so an exhausted budget aborts
+    mid-snap instead of finishing the whole pair list.
+    """
     system = task.system
     if len(system.provenance) != len(task.pairs):
         return None, (
@@ -708,7 +695,7 @@ def _certify_snap(
     certified: list[PairCertificate] = []
     scheme = "putinar"
     for pair, prov in zip(task.pairs, system.provenance):
-        if deadline is not None and deadline.expired():
+        if deadline.expired():
             return None, "lift time budget exhausted"
         scheme = prov.scheme
         if prov.scheme == "putinar":
@@ -736,16 +723,15 @@ def _certify_snap(
 def lift_solution(
     task: "SynthesisTask",
     assignment: Mapping[str, float],
-    ladder: Sequence[int] | None = None,
     time_budget: float | None = 120.0,
 ) -> LiftResult:
     """Lift a numeric Step-4 assignment to an exact certificate.
 
-    Walks the denominator ladder smallest-first; each rung snaps the template
-    coefficients, deduplicates against previously tried snaps, and attempts
-    the exact witness completion.  On failure the result carries the exact
-    quadratic-system residuals of the finest whole-assignment snap, which the
-    repair loop turns into counterexample cuts.
+    Walks :data:`DENOMINATOR_LADDER` smallest-first; each rung snaps the
+    template coefficients, deduplicates against previously tried snaps, and
+    attempts the exact witness completion.  On failure the result carries
+    the exact quadratic-system residuals of the finest whole-assignment
+    snap, which the repair loop turns into counterexample cuts.
 
     Exact work that no rung, pin or basis changes is done once per call:
     each rung's snap, each pair polynomial's concretization and each
@@ -754,7 +740,6 @@ def lift_solution(
     """
     start = time.perf_counter()
     deadline = Deadline.after(time_budget)
-    rungs = tuple(ladder) if ladder is not None else DENOMINATOR_LADDER
     template_values = _template_values(assignment)
     # An exact zero snaps to 0 at every rung, so only the other values are
     # snapped per rung, and only they can tell two rungs' snaps apart.
@@ -771,7 +756,7 @@ def lift_solution(
     # cannot express an exact witness at any snap.
     for escalate_basis in (False, True):
         seen: set[tuple[tuple[int, int], ...]] = set()
-        for denominator in rungs:
+        for denominator in DENOMINATOR_LADDER:
             if deadline.expired():
                 last_reason = last_reason or "lift time budget exhausted"
                 break
@@ -809,7 +794,7 @@ def lift_solution(
                         seconds=time.perf_counter() - start,
                     )
                 last_reason = reason
-    snapped = rationalize(assignment, max(rungs))
+    snapped = rationalize(assignment, max(DENOMINATOR_LADDER))
     return LiftResult(
         ok=False,
         attempts=attempts,

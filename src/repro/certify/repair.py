@@ -7,7 +7,8 @@ silently accepting the solver's word:
 
 1. **Harvest** violating valuations: exact residuals of the quadratic system
    at the snapped point, and concrete program states from
-   :mod:`repro.semantics` trace falsification of the candidate invariant.
+   :mod:`repro.semantics` trace falsification of the candidate invariant
+   (a fixed budget of runs, steps and cuts: the module's constants).
 2. **Cut**: every reachable state ``v`` that falsifies the candidate yields
    the *sound* linear cut ``sum_j s_j * m_j(v) >= 0`` over the template
    unknowns — by Lemma 2.1 any inductive invariant must hold at ``v``, so the
@@ -46,6 +47,12 @@ _SEED_STRIDE = 7919
 
 #: Cap on the cuts injected per repair round.
 _MAX_CUTS = 24
+#: Trace exploration per harvest: simulated runs (argument sets derived from
+#: the pre-condition box), the interpreter's step limit per run, and the
+#: non-violating states per label that may yield a normalization cut.
+_TRACE_RUNS = 8
+_TRACE_STEPS = 2000
+_STATES_PER_LABEL = 3
 
 
 @dataclass(frozen=True)
@@ -84,12 +91,11 @@ def harvest_trace_cuts(
     task: "SynthesisTask",
     assignment: Mapping[str, float],
     rng_seed: int = 0,
-    max_runs: int = 8,
-    max_cuts: int = _MAX_CUTS,
-    max_steps: int = 2000,
-    states_per_label: int = 3,
 ) -> list[tuple[str, Polynomial]]:
     """Template cuts from trace exploration of the candidate invariant.
+
+    Simulates ``_TRACE_RUNS`` runs of at most ``_TRACE_STEPS`` steps each and
+    returns at most ``_MAX_CUTS`` cuts.
 
     Two kinds of ``>= 0`` cuts over the template unknowns come back as
     ``(origin, polynomial)`` pairs, both obtained by substituting a reachable
@@ -109,13 +115,13 @@ def harvest_trace_cuts(
     interpreter = Interpreter(
         task.cfg,
         scheduler=RandomScheduler(seed=rng_seed),
-        limits=ExecutionLimits(max_steps=max_steps),
+        limits=ExecutionLimits(max_steps=_TRACE_STEPS),
     )
     cuts: list[tuple[str, Polynomial]] = []
     seen: set[Polynomial] = set()
     per_label: dict[object, int] = {}
     argument_sets = derive_argument_sets(
-        task.cfg, task.precondition, runs=max_runs, rng_seed=rng_seed
+        task.cfg, task.precondition, runs=_TRACE_RUNS, rng_seed=rng_seed
     )
 
     def add(origin: str, cut: Polynomial) -> bool:
@@ -123,7 +129,7 @@ def harvest_trace_cuts(
             return False
         seen.add(cut)
         cuts.append((origin, cut))
-        return len(cuts) >= max_cuts
+        return len(cuts) >= _MAX_CUTS
 
     for arguments in argument_sets:
         result = interpreter.run(arguments)
@@ -138,7 +144,7 @@ def harvest_trace_cuts(
             if entry is None:
                 continue
             violated = not invariant.at(element.label).holds(float_valuation)
-            if not violated and per_label.get(element.label, 0) >= states_per_label:
+            if not violated and per_label.get(element.label, 0) >= _STATES_PER_LABEL:
                 continue
             exact_valuation = {
                 name: Polynomial.constant(Fraction(value))

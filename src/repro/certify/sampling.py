@@ -18,6 +18,9 @@ polynomial identity.
 
 All randomness flows from one explicit ``rng_seed`` through private
 :class:`random.Random` instances, so verification runs are reproducible.
+The simulation's size is fixed by module constants: the argument sets
+derived when the caller passes none, their box, and the interpreter's step
+limit per run.
 This is the ``verify="sample"`` tier of the certificate subsystem; the exact
 tier lives in :mod:`repro.certify.lift` / :mod:`repro.certify.certificate`.
 """
@@ -39,6 +42,13 @@ from repro.semantics.interpreter import ExecutionLimits, Interpreter
 from repro.semantics.scheduler import RandomScheduler
 from repro.spec.assertions import ConjunctiveAssertion
 from repro.spec.preconditions import Precondition
+
+#: Derived simulation arguments lie in ``[-_ARGUMENT_BOUND, _ARGUMENT_BOUND]``.
+_ARGUMENT_BOUND = 10
+#: Argument sets :func:`check_invariant` derives when the caller passes none.
+_SIMULATION_RUNS = 8
+#: The interpreter's step limit per simulated run.
+_SIMULATION_STEPS = 5000
 
 
 @dataclass(frozen=True)
@@ -152,15 +162,15 @@ def derive_argument_sets(
     precondition: Precondition,
     runs: int = 8,
     rng_seed: int = 0,
-    bound: int = 10,
 ) -> list[dict[str, Fraction]]:
     """Simulation arguments derived from the entry pre-condition's box.
 
     For every parameter of the entry function, the interval admitted by the
     univariate linear atoms of the entry assertion (clipped to
-    ``[-bound, bound]``) supplies both endpoints and ``rng_seed``-seeded
-    integer samples, so :func:`check_invariant` can simulate meaningfully even
-    when the caller passes no explicit argument sets.
+    ``[-_ARGUMENT_BOUND, _ARGUMENT_BOUND]``) supplies both endpoints and
+    ``rng_seed``-seeded integer samples, so :func:`check_invariant` can
+    simulate meaningfully even when the caller passes no explicit argument
+    sets.
     """
     main_cfg = cfg.main
     parameters = list(main_cfg.parameters)
@@ -168,7 +178,9 @@ def derive_argument_sets(
         return [{}]
     rng = random.Random(rng_seed)
     assertion = precondition.at(main_cfg.entry)
-    intervals = {name: _interval_from_atoms(assertion, name, bound) for name in parameters}
+    intervals = {
+        name: _interval_from_atoms(assertion, name, _ARGUMENT_BOUND) for name in parameters
+    }
     argument_sets: list[dict[str, Fraction]] = []
     seen: set[tuple] = set()
 
@@ -209,10 +221,11 @@ def _simulate(
     argument_sets: Sequence[Mapping[str, Fraction | int | float]],
     report: CheckReport,
     seed: int,
-    max_steps: int,
 ) -> None:
     interpreter = Interpreter(
-        cfg, scheduler=RandomScheduler(seed=seed), limits=ExecutionLimits(max_steps=max_steps)
+        cfg,
+        scheduler=RandomScheduler(seed=seed),
+        limits=ExecutionLimits(max_steps=_SIMULATION_STEPS),
     )
     for arguments in argument_sets:
         result = interpreter.run(arguments)
@@ -279,9 +292,7 @@ def check_invariant(
     argument_sets: Sequence[Mapping[str, Fraction | int | float]] = (),
     pair_samples: int = 50,
     sample_range: float = 25.0,
-    max_steps: int = 5000,
     rng_seed: int = 0,
-    simulation_runs: int = 8,
 ) -> CheckReport:
     """Run every enabled validation of ``invariant`` and return a report.
 
@@ -291,9 +302,9 @@ def check_invariant(
         Concrete argument valuations for the entry function; each produces one
         simulated run.  Arguments violating the entry pre-condition simply
         yield invalid runs that are skipped, so callers can pass broad grids.
-        When empty, ``simulation_runs`` argument sets are derived from the
+        When empty, ``_SIMULATION_RUNS`` argument sets are derived from the
         entry pre-condition's box (:func:`derive_argument_sets`) — simulation
-        is never silently skipped.
+        is never skipped.  Each run stops after ``_SIMULATION_STEPS`` steps.
     pair_samples, sample_range:
         How many random valuations to throw at each concrete constraint pair,
         and from what box.  For the exact certificate check see
@@ -302,16 +313,12 @@ def check_invariant(
         Seed of *all* randomness in this run (scheduler choices, derived
         arguments, pair-sample valuations).  Equal seeds reproduce reports
         exactly.
-    simulation_runs:
-        How many argument sets to derive when ``argument_sets`` is empty.
-        Pass ``0`` to disable simulation explicitly.
     """
     report = CheckReport()
     runs: Sequence[Mapping[str, Fraction | int | float]] = argument_sets
-    if not runs and simulation_runs > 0:
-        runs = derive_argument_sets(cfg, precondition, runs=simulation_runs, rng_seed=rng_seed)
-    if runs:
-        _simulate(cfg, precondition, invariant, runs, report, rng_seed, max_steps)
+    if not runs:
+        runs = derive_argument_sets(cfg, precondition, runs=_SIMULATION_RUNS, rng_seed=rng_seed)
+    _simulate(cfg, precondition, invariant, runs, report, rng_seed)
     if pair_samples > 0:
         _sample_pairs(
             cfg, precondition, invariant, report, pair_samples, sample_range, rng_seed + 1

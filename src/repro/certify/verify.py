@@ -37,10 +37,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.reduction.options import SynthesisOptions
     from repro.reduction.task import SynthesisTask
 
-#: Verification tiers of the ``SynthesisOptions.verify`` knob.
-VERIFY_MODES = ("none", "sample", "exact")
-
-
 @dataclass
 class VerificationOutcome:
     """Everything one verification (plus repair) pass produced."""

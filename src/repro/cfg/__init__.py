@@ -8,7 +8,7 @@ guard, call descriptor or the ``*`` marker accordingly.
 """
 
 from repro.cfg.builder import build_cfg
-from repro.cfg.dnf import AtomicInequality, DisjunctiveNormalForm, negate_predicate, to_dnf
+from repro.cfg.dnf import AtomicInequality, DisjunctiveNormalForm, to_dnf
 from repro.cfg.graph import FunctionCFG, ProgramCFG
 from repro.cfg.labels import Label, LabelKind
 from repro.cfg.transition import Transition, TransitionKind
@@ -23,6 +23,5 @@ __all__ = [
     "Transition",
     "TransitionKind",
     "build_cfg",
-    "negate_predicate",
     "to_dnf",
 ]

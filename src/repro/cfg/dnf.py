@@ -69,11 +69,6 @@ def normalize_comparison(comparison: Comparison, negate: bool = False) -> Atomic
     raise SpecificationError(f"unsupported comparison operator {op!r}")
 
 
-def negate_predicate(predicate: Predicate) -> Predicate:
-    """Structural negation of a predicate (used for else-branches and loop exits)."""
-    return NegatedPredicate(operand=predicate)
-
-
 def _dnf(predicate: Predicate, negate: bool) -> list[list[AtomicInequality]]:
     if isinstance(predicate, Comparison):
         return [[normalize_comparison(predicate, negate=negate)]]

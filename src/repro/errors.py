@@ -52,7 +52,3 @@ class SynthesisError(ReproError):
 
 class SolverError(ReproError):
     """Raised when a Step-4 solver fails in a way that is not simply 'infeasible'."""
-
-
-class InfeasibleError(SolverError):
-    """Raised when a solver proves (or strongly suspects) that no solution exists."""

@@ -32,7 +32,7 @@ from repro.invariants.synthesis import (
     strong_inv_synth,
     weak_inv_synth,
 )
-from repro.invariants.template import PostTemplateEntry, TemplateEntry, TemplateSet
+from repro.invariants.template import TemplateEntry, TemplateSet
 
 # Imported last: repro.certify.sampling's imports re-enter this package's
 # submodules.
@@ -43,7 +43,6 @@ __all__ = [
     "ConstraintKind",
     "ConstraintPair",
     "Invariant",
-    "PostTemplateEntry",
     "QuadraticConstraint",
     "QuadraticSystem",
     "SynthesisOptions",

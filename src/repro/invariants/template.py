@@ -60,10 +60,15 @@ def _instantiate(
 
 @dataclass(frozen=True)
 class TemplateEntry:
-    """The invariant template ``eta(l)`` at one label."""
+    """The invariant template ``eta(l)`` at one label, or a post-condition template.
+
+    With ``label=None`` the entry is the post-condition template ``mu(f)`` of
+    ``function`` (Step 1.a): its s-variables are owned by ``post_<function>``
+    instead of ``<function>_<label index>``, and it has no ``label_index``.
+    """
 
     function: str
-    label: Label
+    label: Label | None
     conjuncts: int
     degree: int
     variables: tuple[str, ...]
@@ -75,6 +80,8 @@ class TemplateEntry:
 
     @property
     def _owner(self) -> str:
+        if self.label is None:
+            return f"post_{self.function}"
         return f"{self.function}_{self.label.index}"
 
     def coefficient_name(self, conjunct: int, monomial: Monomial) -> str:
@@ -82,9 +89,12 @@ class TemplateEntry:
         try:
             index = self.monomials.index(monomial)
         except ValueError as exc:
-            raise SynthesisError(
-                f"monomial {monomial} is not part of the degree-{self.degree} template at {self.label}"
-            ) from exc
+            where = (
+                f"post-condition template of {self.function}"
+                if self.label is None
+                else f"degree-{self.degree} template at {self.label}"
+            )
+            raise SynthesisError(f"monomial {monomial} is not part of the {where}") from exc
         return _coefficient_name("s", self._owner, conjunct, index)
 
     def coefficient_names(self) -> list[str]:
@@ -103,7 +113,12 @@ class TemplateEntry:
 
     def _check_conjunct(self, conjunct: int) -> None:
         if not 0 <= conjunct < self.conjuncts:
-            raise SynthesisError(f"conjunct {conjunct} out of range for template at {self.label}")
+            where = (
+                f"post-condition template of {self.function}"
+                if self.label is None
+                else f"template at {self.label}"
+            )
+            raise SynthesisError(f"conjunct {conjunct} out of range for {where}")
 
     def conjunct_polynomial(self, conjunct: int) -> Polynomial:
         """The symbolic polynomial ``sum_j s_j * m_j`` of one conjunct (built once per entry)."""
@@ -120,67 +135,7 @@ class TemplateEntry:
         return _instantiate(self._owner, self.monomials, conjunct, assignment)
 
     def instantiate_assertion(self, assignment: Mapping[str, float | int]) -> ConjunctiveAssertion:
-        """The concrete (numeric) invariant assertion at this label."""
-        return assertion_from_polynomials(
-            [self.instantiate(conjunct, assignment) for conjunct in range(self.conjuncts)],
-            strict=True,
-        )
-
-
-@dataclass(frozen=True)
-class PostTemplateEntry:
-    """The post-condition template ``mu(f)`` of one function (Step 1.a)."""
-
-    function: str
-    conjuncts: int
-    degree: int
-    variables: tuple[str, ...]
-    monomials: tuple[Monomial, ...]
-
-    @property
-    def _owner(self) -> str:
-        return f"post_{self.function}"
-
-    def coefficient_name(self, conjunct: int, monomial: Monomial) -> str:
-        try:
-            index = self.monomials.index(monomial)
-        except ValueError as exc:
-            raise SynthesisError(
-                f"monomial {monomial} is not part of the post-condition template of {self.function}"
-            ) from exc
-        return _coefficient_name("s", self._owner, conjunct, index)
-
-    def coefficient_names(self) -> list[str]:
-        names = []
-        for conjunct in range(self.conjuncts):
-            names.extend(
-                _coefficient_name("s", self._owner, conjunct, index)
-                for index in range(len(self.monomials))
-            )
-        return names
-
-    @cached_property
-    def _polynomials(self) -> tuple[Polynomial, ...]:
-        return _conjunct_polynomials(self._owner, self.monomials, self.conjuncts)
-
-    def _check_conjunct(self, conjunct: int) -> None:
-        if not 0 <= conjunct < self.conjuncts:
-            raise SynthesisError(
-                f"conjunct {conjunct} out of range for post-condition template of {self.function}"
-            )
-
-    def conjunct_polynomial(self, conjunct: int) -> Polynomial:
-        self._check_conjunct(conjunct)
-        return self._polynomials[conjunct]
-
-    def polynomials(self) -> list[Polynomial]:
-        return list(self._polynomials)
-
-    def instantiate(self, conjunct: int, assignment: Mapping[str, float | int]) -> Polynomial:
-        self._check_conjunct(conjunct)
-        return _instantiate(self._owner, self.monomials, conjunct, assignment)
-
-    def instantiate_assertion(self, assignment: Mapping[str, float | int]) -> ConjunctiveAssertion:
+        """The concrete (numeric) assertion this template stands for."""
         return assertion_from_polynomials(
             [self.instantiate(conjunct, assignment) for conjunct in range(self.conjuncts)],
             strict=True,
@@ -192,7 +147,7 @@ class TemplateSet:
     """All templates of a synthesis task: one entry per label, one post entry per function."""
 
     entries: Mapping[Label, TemplateEntry]
-    post_entries: Mapping[str, PostTemplateEntry]
+    post_entries: Mapping[str, TemplateEntry]
     degree: int
     conjuncts: int
 
@@ -217,7 +172,7 @@ class TemplateSet:
             with_postconditions = cfg.program.is_recursive()
 
         entries: dict[Label, TemplateEntry] = {}
-        post_entries: dict[str, PostTemplateEntry] = {}
+        post_entries: dict[str, TemplateEntry] = {}
         for function_cfg in cfg:
             label_monomials = tuple(monomials_up_to_degree(function_cfg.variables, degree))
             for label in function_cfg.labels:
@@ -249,7 +204,7 @@ class TemplateSet:
                 return entry
         raise SynthesisError(f"no template entry at {function}:{label_index}")
 
-    def post_entry_for(self, function: str) -> PostTemplateEntry:
+    def post_entry_for(self, function: str) -> TemplateEntry:
         """The post-condition template of a function."""
         try:
             return self.post_entries[function]
@@ -276,13 +231,14 @@ class TemplateSet:
         return len(self.coefficient_names())
 
 
-def _build_post_entry(function_cfg: FunctionCFG, degree: int, conjuncts: int) -> PostTemplateEntry:
+def _build_post_entry(function_cfg: FunctionCFG, degree: int, conjuncts: int) -> TemplateEntry:
     vocabulary: Sequence[str] = sorted(
         {function_cfg.return_variable, *function_cfg.frozen_parameters.values()}
     )
     monomials = tuple(monomials_up_to_degree(vocabulary, degree))
-    return PostTemplateEntry(
+    return TemplateEntry(
         function=function_cfg.name,
+        label=None,
         conjuncts=conjuncts,
         degree=degree,
         variables=tuple(vocabulary),

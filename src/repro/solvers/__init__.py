@@ -36,6 +36,11 @@ compiled problem IR:
 * :mod:`repro.solvers.farkas` — the linear baseline in the spirit of
   [Colón et al. 2003] used for comparison experiments.
 
+Every solver is configured by :class:`~repro.solvers.base.SolverOptions`
+and the deadline of its :class:`~repro.solvers.problem.SolveControl`; the
+numerics no caller varies (stopping tolerances, line-search and CG budgets,
+penalty schedules) are constants of the module that uses them.
+
 The solvers only propose: a numeric assignment counts as an invariant once
 :mod:`repro.certify` lifts its multipliers to an exact rational Putinar (or
 Handelman) certificate and checks that identity without floats.

@@ -90,7 +90,6 @@ class AlternatingSolver(Solver):
                         schedule[stage],
                         control=control,
                         counters=counters,
-                        objective_weight=1.0,
                         max_iterations=options.max_iterations,
                         active=active,
                         columns=columns,

@@ -24,6 +24,12 @@ DEFAULT_TOLERANCE = 1e-5
 class SolverOptions:
     """Knobs shared by the numeric solvers.
 
+    These fields, :class:`~repro.reduction.options.SynthesisOptions` and the
+    request's :class:`~repro.solvers.problem.Deadline` are all that
+    configure Step 4.  The numerics no caller varies (stopping tolerances,
+    line-search and CG budgets, penalty schedules, the penalty solver's
+    objective threshold) are constants of the module that uses them.
+
     Attributes
     ----------
     max_iterations:
@@ -38,18 +44,12 @@ class SolverOptions:
     strict_margin:
         The margin used to turn strict inequalities ``p > 0`` into
         ``p >= strict_margin`` for the numeric solvers.
-    verbose:
-        Whether to print progress information.
     time_limit:
         Wall-clock limit in seconds (``None``: no limit).  The batched
         engines check a :class:`~repro.solvers.problem.Deadline` once per
         batched iteration, so a solve overshoots the budget by at most one
         batched iteration: one Jacobian fill and its CG solve, or one
         L-BFGS step with its line search.
-    stop_at_objective:
-        Stop restarting as soon as a feasible point with an objective value at
-        or below this threshold has been found (the objectives used for weak
-        synthesis are squared distances, so 0 means "target matched exactly").
     batch:
         How the multi-start solvers walk the restart axis.  ``"on"`` (the
         default) iterates all restarts as one vectorised batch with survivor
@@ -63,9 +63,7 @@ class SolverOptions:
     tolerance: float = DEFAULT_TOLERANCE
     seed: int = 0
     strict_margin: float = DEFAULT_STRICT_MARGIN
-    verbose: bool = False
     time_limit: float | None = None
-    stop_at_objective: float = 1e-6
     batch: str = "on"
 
     def __post_init__(self) -> None:

@@ -20,6 +20,11 @@ Deadline checks (:meth:`SolveControl.should_stop`) happen once per
 batched iteration, so a solve overshoots its deadline by at most
 one batched iteration: one Jacobian fill and its CG solve, or one L-BFGS
 step with its line search.
+
+A caller chooses each descent's iteration budget, target, active members
+and (for L-BFGS) penalty weights ``rho`` and variable block.  The stopping
+tolerances, the Armijo backtracking budget and the CG budget and tolerance
+are the module constants below.
 """
 
 from __future__ import annotations
@@ -39,10 +44,22 @@ _MIN_STEP = 1e-14
 _MAX_STEP = 1e8
 #: Curvature pairs kept by the batched L-BFGS penalty descent.
 _LBFGS_HISTORY = 8
-#: CG steps per Levenberg–Marquardt iteration (CG also stops at ``rtol``).
+#: CG steps per Levenberg–Marquardt iteration (CG also stops at ``_CG_RTOL``).
 #: A constant, not a share of the dimension: a budget that shrinks with the
 #: presolved dimension left restarts stalled short of the tolerance.
 _CG_ITERATIONS = 100
+#: CG stops a member once its residual norm falls below this share of the
+#: right-hand side's.
+_CG_RTOL = 1e-6
+#: A Levenberg–Marquardt member retires when its largest gradient entry is at
+#: or below this value (stationary).
+_LM_GTOL = 1e-12
+#: An L-BFGS member retires when its gradient norm is at or below ``_LBFGS_GTOL``
+#: or a step lowers its merit by no more than ``_LBFGS_FTOL`` (relative).
+_LBFGS_GTOL = 1e-10
+_LBFGS_FTOL = 1e-12
+#: Armijo step halvings per L-BFGS iteration before a member gives up.
+_MAX_BACKTRACKS = 30
 
 
 @dataclass
@@ -158,7 +175,6 @@ def _batched_cg(
     rhs: np.ndarray,
     active: np.ndarray,
     iterations: int,
-    rtol: float = 1e-6,
 ) -> np.ndarray:
     """Per-member conjugate gradients on ``k`` independent SPD systems.
 
@@ -170,7 +186,7 @@ def _batched_cg(
     r = rhs.copy()
     p = rhs.copy()
     rs = np.einsum("kd,kd->k", r, r)
-    threshold = (rtol * rtol) * rs
+    threshold = (_CG_RTOL * _CG_RTOL) * rs
     live = active & (rs > 0.0)
     for _ in range(iterations):
         if not live.any():
@@ -200,7 +216,6 @@ def batched_least_squares(
     max_iterations: int,
     target: float,
     active: np.ndarray | None = None,
-    gtol: float = 1e-12,
     win_tolerance: float | None = None,
 ) -> BatchDescent:
     """Per-member Levenberg–Marquardt on the residuals (the feasibility sprint).
@@ -248,7 +263,7 @@ def batched_least_squares(
         jacobian = problem.residual_jacobian_batch(x, live)
         counters.count_jacobians(width)
         gradient = jacobian.rmatvec(r)
-        live &= np.max(np.abs(gradient), axis=1) > gtol
+        live &= np.max(np.abs(gradient), axis=1) > _LM_GTOL
         if not live.any():
             break
 
@@ -293,17 +308,13 @@ def batched_penalty_descent(
     *,
     control: SolveControl,
     counters: KernelCounters,
-    objective_weight: float,
     max_iterations: int,
     active: np.ndarray | None = None,
     columns: np.ndarray | None = None,
-    ftol: float = 1e-12,
-    gtol: float = 1e-10,
-    max_backtracks: int = 30,
 ) -> BatchDescent:
     """Per-member L-BFGS descent on the penalty merit function.
 
-    Minimises ``objective_weight * objective(x_i) + rho_i * ||r(x_i)||^2``
+    Minimises ``objective(x_i) + rho_i * ||r(x_i)||^2``
     for every live member: limited-memory BFGS directions (the two-loop
     recursion vectorised over the batch — every inner product is a
     per-member ``einsum``) with a vectorised Armijo backtracking line search
@@ -316,8 +327,8 @@ def batched_penalty_descent(
     (the alternating solver's sweeps): the gradient is masked to the block
     and every curvature pair then lives in the block's subspace, so the
     frozen coordinates never move.  Members retire on a vanished (block)
-    gradient, a relative merit decrease below ``ftol``, or a failed line
-    search.
+    gradient, a relative merit decrease below ``_LBFGS_FTOL``, or a line
+    search that found no sufficient decrease in ``_MAX_BACKTRACKS`` halvings.
     """
     k, _ = points.shape
     x = points.copy()
@@ -326,11 +337,11 @@ def batched_penalty_descent(
 
     def merit(batch: np.ndarray, members: int) -> np.ndarray:
         counters.count_residuals(members)
-        return problem.penalty_batch(batch, rho, objective_weight)
+        return problem.penalty_batch(batch, rho)
 
     def merit_gradient(batch: np.ndarray, members: int) -> np.ndarray:
         counters.count_jacobians(members)
-        gradient = problem.penalty_gradient_batch(batch, rho, objective_weight)
+        gradient = problem.penalty_gradient_batch(batch, rho)
         if columns is not None:
             gradient *= columns[None, :]
         return gradient
@@ -346,7 +357,7 @@ def batched_penalty_descent(
     iterations = 0
     interrupted = False
     for _ in range(max_iterations):
-        live &= np.isfinite(f) & (gsq > gtol * gtol)
+        live &= np.isfinite(f) & (gsq > _LBFGS_GTOL * _LBFGS_GTOL)
         if not live.any():
             break
         if control.should_stop():
@@ -380,7 +391,7 @@ def batched_penalty_descent(
         new_x = x.copy()
         new_f = f.copy()
         accepted = np.zeros(k, dtype=bool)
-        for _ in range(max_backtracks):
+        for _ in range(_MAX_BACKTRACKS):
             if not searching.any():
                 break
             candidate = np.where(searching[:, None], x + t[:, None] * direction, x)
@@ -414,7 +425,7 @@ def batched_penalty_descent(
         decrease = f - new_f
         x, f, g = new_x, new_f, new_g
         gsq = np.einsum("kd,kd->k", g, g)
-        live &= decrease > ftol * np.maximum(1.0, np.abs(f))
+        live &= decrease > _LBFGS_FTOL * np.maximum(1.0, np.abs(f))
 
     return BatchDescent(points=x, iterations=iterations, interrupted=interrupted)
 
@@ -525,11 +536,6 @@ def run_multistart(
     # The members the fold consumed feed the warm-start exchange, in order.
     for member in range(used):
         control.report(finals[member], violations[member], objectives[member])
-        if options.verbose:
-            print(
-                f"[{label}] restart {member}: violation={violations[member]:.3g} "
-                f"objective={objectives[member]:.6g}"
-            )
 
     violation = float(violations[winner])
     objective = float(objectives[winner])

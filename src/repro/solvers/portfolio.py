@@ -34,15 +34,10 @@ from repro.solvers.problem import CompiledProblem, SolveControl, improves
 from repro.solvers.qclp import GaussNewtonSolver, PenaltyQCLPSolver
 
 
-def _qclp_feasibility(options: SolverOptions) -> Solver:
-    return PenaltyQCLPSolver(options, objective_weight=0.0)
-
-
 #: Registered Step-4 strategies, cheapest first.
 STRATEGIES: dict[str, Callable[[SolverOptions], Solver]] = {
     "gauss-newton": GaussNewtonSolver,
     "qclp": PenaltyQCLPSolver,
-    "qclp-feasibility": _qclp_feasibility,
     "alternating": AlternatingSolver,
 }
 

@@ -658,23 +658,17 @@ class CompiledProblem:
         )
         return gradient
 
-    def penalty_batch(
-        self, points: np.ndarray, rho: float | np.ndarray, objective_weight: float = 1.0
-    ) -> np.ndarray:
-        """:meth:`penalty` over a batch → ``(k,)`` merit values.
+    def penalty_batch(self, points: np.ndarray, rho: float | np.ndarray) -> np.ndarray:
+        """:meth:`penalty` (objective weight 1) over a batch → ``(k,)`` merit values.
 
         ``rho`` may be a scalar or a ``(k,)`` array — the batched penalty
         solver walks its members through the rho schedule independently.
         """
         residuals = self.residuals_batch(points)
         merit = np.asarray(rho, dtype=float) * np.einsum("km,km->k", residuals, residuals)
-        if objective_weight:
-            merit = merit + objective_weight * self.objective_value_batch(points)
-        return merit
+        return merit + self.objective_value_batch(points)
 
-    def penalty_gradient_batch(
-        self, points: np.ndarray, rho: float | np.ndarray, objective_weight: float = 1.0
-    ) -> np.ndarray:
+    def penalty_gradient_batch(self, points: np.ndarray, rho: float | np.ndarray) -> np.ndarray:
         """Analytic gradient of :meth:`penalty_batch` → ``(k, d)``."""
         points = np.asarray(points, dtype=float)
         residuals = self._residuals_of_batch(self.constraint_values_batch(points))
@@ -682,8 +676,7 @@ class CompiledProblem:
         weights = 2.0 * (rho[:, None] if rho.ndim else rho) * residuals
         gradient = np.ascontiguousarray(self._linear_transposed().dot(weights.T).T)
         gradient += self.quadratic.weighted_gradient_batch(points, weights, self.dimension)
-        if objective_weight:
-            gradient += objective_weight * self.objective_gradient_batch(points)
+        gradient += self.objective_gradient_batch(points)
         return gradient
 
     def jacobian_pattern(self) -> "JacobianPattern":

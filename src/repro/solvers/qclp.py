@@ -1,19 +1,21 @@
 """Penalty and Gauss-Newton solvers over the compiled problem IR.
 
 The paper hands its quadratically-constrained linear programs to the LOQO
-interior-point solver.  This environment has no commercial solver, so
+interior-point solver.  This reproduction has no commercial solver, so
 :class:`PenaltyQCLPSolver` minimises the merit function::
 
     objective(x) + rho * sum_i residual_i(x)^2
 
 over an increasing penalty schedule ``rho``, with analytic gradients from the
 shared :class:`~repro.solvers.problem.CompiledProblem` IR and several random
-restarts.  :class:`GaussNewtonSolver` is the cheap pure-feasibility strategy
-of the portfolio: it skips the penalty schedule entirely and drives the
-residuals to zero with batched Levenberg–Marquardt.  Both run on the batched
-engines of :mod:`repro.solvers.batched`, which check the
+restarts; a feasible restart whose objective reaches ``_STOP_AT_OBJECTIVE``
+ends the loop.  :class:`GaussNewtonSolver` is the portfolio's
+pure-feasibility strategy: it skips the penalty schedule entirely and drives
+the residuals to zero with batched Levenberg–Marquardt.  Both run on the
+batched engines of :mod:`repro.solvers.batched`, which check the
 :class:`~repro.solvers.problem.SolveControl` deadline once per batched
 iteration, and both can seed restarts from the portfolio's best-known point.
+Both are configured by :class:`~repro.solvers.base.SolverOptions` alone.
 """
 
 from __future__ import annotations
@@ -32,14 +34,14 @@ from repro.solvers.problem import CompiledProblem, SolveControl
 
 #: The penalty solver's rho stages, lowest first.
 _PENALTY_SCHEDULE = (1.0, 10.0, 100.0, 1_000.0, 10_000.0)
+#: A feasible restart whose objective is at or below this value ends the
+#: restart loop (weak-synthesis objectives are squared distances, so 0
+#: means "target matched exactly").
+_STOP_AT_OBJECTIVE = 1e-6
 
 
 class PenaltyQCLPSolver(Solver):
     """Quadratic-penalty solver with random restarts (the default Step-4 back-end)."""
-
-    def __init__(self, options=None, objective_weight: float = 1.0):
-        super().__init__(options)
-        self.objective_weight = objective_weight
 
     def _cold_scale(self, attempt: int) -> float:
         # The very first restart of the default seed starts from the origin (good
@@ -48,11 +50,9 @@ class PenaltyQCLPSolver(Solver):
         return 0.0 if (attempt == 0 and self.options.seed == 0) else 0.1 * max(attempt, 1)
 
     def _win_trigger(self):
-        options = self.options
-        if self.objective_weight == 0.0:
-            return lambda violation, objective: violation <= options.tolerance
+        tolerance = self.options.tolerance
         return lambda violation, objective: (
-            violation <= options.tolerance and objective <= options.stop_at_objective
+            violation <= tolerance and objective <= _STOP_AT_OBJECTIVE
         )
 
     def _descend(
@@ -85,7 +85,6 @@ class PenaltyQCLPSolver(Solver):
             counters=counters,
             max_iterations=sprint_budget,
             target=target,
-            win_tolerance=tolerance if self.objective_weight == 0.0 else None,
         )
         x = outcome.points
         iterations = outcome.iterations
@@ -105,27 +104,18 @@ class PenaltyQCLPSolver(Solver):
             complete = np.flatnonzero(finished & (violation <= tolerance) & ~cancelled)
             if complete.size == 0:
                 return
-            objectives = (
-                problem.objective_value_batch(x) if self.objective_weight else None
-            )
+            objectives = problem.objective_value_batch(x)
             for index in complete:
-                if objectives is None or trigger(violation[index], objectives[index]):
+                if trigger(violation[index], objectives[index]):
                     cancelled[index + 1 :] = True
                     return
 
-        stage = np.zeros(members, dtype=int)
-        if self.objective_weight == 0.0:
-            # Pure feasibility: members the sprint already satisfied are done.
-            violation = problem.max_violation_batch(x)
-            finished |= violation <= tolerance
-            cancel_overtaken_members(violation)
-        else:
-            # Members the sprint already made feasible skip straight to the
-            # top rho: a low penalty weight would trade their feasibility
-            # away for objective, leaving the closing polish to re-earn it
-            # from far outside the feasible manifold (the expensive case).
-            violation = problem.max_violation_batch(x)
-            stage = np.where(violation <= tolerance, schedule.size - 1, 0)
+        # Members the sprint already made feasible skip straight to the top
+        # rho: a low penalty weight would trade their feasibility away for
+        # objective, leaving the closing polish to re-earn it from far
+        # outside the feasible manifold (the expensive case).
+        violation = problem.max_violation_batch(x)
+        stage = np.where(violation <= tolerance, schedule.size - 1, 0)
         while not (finished | cancelled).all():
             if control.should_stop():
                 return BatchDescent(x, iterations, True)
@@ -135,7 +125,6 @@ class PenaltyQCLPSolver(Solver):
                 schedule[stage],
                 control=control,
                 counters=counters,
-                objective_weight=self.objective_weight,
                 max_iterations=options.max_iterations,
                 active=~finished & ~cancelled,
             )

@@ -4,24 +4,25 @@ The paper's Step 4 for strong synthesis calls the Grigor'ev–Vorobjov
 procedure, which returns one point per connected component of the solution
 set; the authors themselves note (Remark 8) that the procedure is impractical
 and never implement it.  This module provides the practical substitute used
-by this reproduction: run the numeric solver from many randomised starts and
-keep one representative per *cluster* of solutions, where two solutions are
-considered equivalent when their template-coefficient vectors are close after
-normalisation.  On the small systems where enumeration is meaningful this
-recovers distinct connected components; on large systems it degrades
-gracefully into "whatever distinct solutions the budget found".
+by this reproduction: run the penalty solver
+(:class:`~repro.solvers.qclp.PenaltyQCLPSolver`, one restart per attempt)
+from many seeds and keep one representative per *cluster* of solutions,
+where two solutions are considered equivalent when their
+template-coefficient vectors are close after normalisation.  On the small
+systems where enumeration is meaningful this recovers distinct connected
+components; on large systems it degrades gracefully into "whatever distinct
+solutions the budget found".
 """
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass, field, replace
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from repro.invariants.quadratic_system import QuadraticSystem, VariableRole, classify_unknown
-from repro.solvers.base import Solver, SolverOptions, SolverResult
+from repro.solvers.base import SolverOptions, SolverResult
 from repro.solvers.problem import Deadline, compile_problem
 from repro.solvers.qclp import PenaltyQCLPSolver
 
@@ -46,27 +47,21 @@ def _template_vector(assignment: Mapping[str, float], names: Sequence[str]) -> n
 
 
 class RepresentativeEnumerator:
-    """Multi-start enumeration with clustering of template-coefficient vectors."""
+    """Multi-start enumeration with clustering of template-coefficient vectors.
+
+    Every attempt is one single-restart :class:`PenaltyQCLPSolver` solve
+    with its own seed.
+    """
 
     def __init__(
         self,
-        base_solver: Solver | None = None,
         attempts: int = 12,
         distance_threshold: float = 0.15,
         options: SolverOptions | None = None,
     ):
         self.options = options if options is not None else SolverOptions(restarts=1)
-        self.base_solver = base_solver
         self.attempts = attempts
         self.distance_threshold = distance_threshold
-
-    def _make_solver(self, seed: int, remaining: float | None) -> Solver:
-        per_attempt = replace(self.options.within(remaining), restarts=1, seed=seed)
-        if self.base_solver is not None:
-            solver = copy.copy(self.base_solver)
-            solver.options = per_attempt
-            return solver
-        return PenaltyQCLPSolver(per_attempt)
 
     def enumerate(
         self, system: QuadraticSystem, deadline: Deadline | None = None
@@ -89,8 +84,12 @@ class RepresentativeEnumerator:
         for attempt in range(self.attempts):
             if deadline.expired():
                 break
-            solver = self._make_solver(self.options.seed + attempt, deadline.remaining())
-            solve_result: SolverResult = solver.solve_compiled(problem)
+            per_attempt = replace(
+                self.options.within(deadline.remaining()),
+                restarts=1,
+                seed=self.options.seed + attempt,
+            )
+            solve_result: SolverResult = PenaltyQCLPSolver(per_attempt).solve_compiled(problem)
             result.attempts += 1
             if not solve_result.feasible or solve_result.assignment is None:
                 continue

@@ -129,8 +129,8 @@ def test_batched_penalty_and_gradients_match_per_point(system, batch, rho):
     points = _points(problem, batch)
     # Per-member rho: distinct multiples exercise the (k,) broadcast path.
     rho_members = rho * (1.0 + np.arange(points.shape[0], dtype=float))
-    penalties = problem.penalty_batch(points, rho_members, objective_weight=1.0)
-    gradients = problem.penalty_gradient_batch(points, rho_members, objective_weight=1.0)
+    penalties = problem.penalty_batch(points, rho_members)
+    gradients = problem.penalty_gradient_batch(points, rho_members)
     objective_gradients = problem.objective_gradient_batch(points)
     for i, point in enumerate(points):
         assert np.isclose(
@@ -219,8 +219,8 @@ def test_lockstep_rows_are_bit_identical_to_wide_batches(system, batch, rho):
     objective_gradients = problem.objective_gradient_batch(points)
     violations = problem.max_violation_batch(points)
     active = problem.active_rows_batch(points)
-    penalties = problem.penalty_batch(points, rho_members, objective_weight=1.0)
-    gradients = problem.penalty_gradient_batch(points, rho_members, objective_weight=1.0)
+    penalties = problem.penalty_batch(points, rho_members)
+    gradients = problem.penalty_gradient_batch(points, rho_members)
     rng = np.random.default_rng(0)
     vectors = rng.standard_normal(points.shape)
     weights = rng.standard_normal((points.shape[0], problem.row_count))
@@ -246,11 +246,11 @@ def test_lockstep_rows_are_bit_identical_to_wide_batches(system, batch, rho):
         assert np.array_equal(violations[i], problem.max_violation_batch(row)[0])
         assert np.array_equal(active[i], problem.active_rows_batch(row)[0])
         assert np.array_equal(
-            penalties[i], problem.penalty_batch(row, rho_members[i : i + 1], 1.0)[0]
+            penalties[i], problem.penalty_batch(row, rho_members[i : i + 1])[0]
         )
         assert np.array_equal(
             gradients[i],
-            problem.penalty_gradient_batch(row, rho_members[i : i + 1], 1.0)[0],
+            problem.penalty_gradient_batch(row, rho_members[i : i + 1])[0],
         )
 
 

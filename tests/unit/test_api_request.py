@@ -157,6 +157,16 @@ def test_from_dict_rejects_unknown_option_fields(field):
     assert any(entry["field"] == "options" for entry in info.value.errors)
 
 
+@pytest.mark.parametrize("field, value", [("verbose", True), ("stop_at_objective", 1e-6)])
+def test_from_dict_rejects_unknown_solver_option_fields(field, value):
+    payload = sum_request().to_dict()
+    payload["solver_options"][field] = value
+    with pytest.raises(RequestValidationError) as info:
+        SynthesisRequest.from_dict(payload)
+    assert any(entry["field"] == "solver_options" for entry in info.value.errors)
+    assert "unknown solver option fields" in str(info.value)
+
+
 @pytest.mark.parametrize(
     "field, value",
     [

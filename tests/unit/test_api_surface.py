@@ -27,7 +27,6 @@ EXPECTED_REPRO_ALL = [
     "EscalationTrace",
     "FeasibilityObjective",
     "GaussNewtonSolver",
-    "InfeasibleError",
     "Interpreter",
     "Invariant",
     "LiftResult",
@@ -97,10 +96,8 @@ EXPECTED_CERTIFY_ALL = [
     "RepairOutcome",
     "RepairRound",
     "SOSWitness",
-    "VERIFY_MODES",
     "VerificationOutcome",
     "Violation",
-    "certify_assignment",
     "check_certificate",
     "check_invariant",
     "derive_argument_sets",

@@ -49,16 +49,15 @@ def test_make_solver_resolves_strategies():
     assert isinstance(make_solver("qclp"), PenaltyQCLPSolver)
     assert isinstance(make_solver("gauss-newton"), GaussNewtonSolver)
     assert isinstance(make_solver("alternating"), AlternatingSolver)
-    feasibility = make_solver("qclp-feasibility")
-    assert isinstance(feasibility, PenaltyQCLPSolver) and feasibility.objective_weight == 0.0
     portfolio = make_solver("portfolio", portfolio=("qclp", "alternating"))
     assert isinstance(portfolio, PortfolioSolver)
     assert portfolio.strategies == ("qclp", "alternating")
 
 
 def test_make_solver_rejects_unknown_strategy():
-    with pytest.raises(SynthesisError):
-        make_solver("simplex")
+    for strategy in ("simplex", "qclp-feasibility"):
+        with pytest.raises(SynthesisError):
+            make_solver(strategy)
 
 
 def test_portfolio_validates_configuration():
