@@ -3,8 +3,8 @@
 By default the benchmarks run a *quick* preset (small benchmarks, multiplier
 degree 1) so that ``pytest benchmarks/ --benchmark-only`` finishes in a couple
 of minutes.  Set the environment variable ``REPRO_BENCH_FULL=1`` to reproduce
-the paper's full parameter set (this is what EXPERIMENTS.md reports; expect
-several minutes for the largest instances).
+the paper's full parameter set (the one ``python -m repro.bench`` runs without
+``--quick``; expect several minutes for the largest instances).
 """
 
 from __future__ import annotations

@@ -13,11 +13,11 @@ is tracked across PRs::
    and assembles from cached stages.  The report also breaks out *prefix*
    reuse: how much of the warm-within-cold sweep (second degree of the first
    pass) came from shared frontend/precondition stages.
-2. **translation** — the Putinar translation of the largest systems up to
-   the compiled Step-4 problem, two ways: the symbolic per-``Polynomial``
-   reference loop (the old baseline) and the vectorised kernel, the only
-   path an engine runs.  ``--min-translation-speedup`` turns the kernel's
-   speedup into a CI gate.
+2. **translation** — the Putinar translation kernel from constraint pairs to
+   the compiled Step-4 problem on the three largest quick systems, timed in
+   fresh child processes.  ``--baseline-rev REV`` times the same work at
+   ``REV`` too, in pairs that alternate which side runs first, and turns the
+   median per-pair ratio (this checkout over ``REV``) into a CI gate.
 3. **escalation vs fixed degree** — ``degree="auto"`` wall-clock against the
    sum of the fixed-degree requests it replaces.
 """
@@ -26,24 +26,63 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
+import statistics
+import subprocess
 import sys
+import tempfile
 import time
-
-import numpy as np
 
 import _bench_config
 
 from repro.api.engine import Engine
 from repro.api.request import SynthesisRequest
-from repro.invariants.putinar import putinar_translate
 from repro.pipeline.cache import TaskCache
 from repro.pipeline.jobs import SynthesisJob
 from repro.reduction import EscalationTrace
 from repro.solvers.base import SolverOptions
-from repro.solvers.problem import compile_problem
 from repro.suite.registry import all_benchmarks
 
 SOLVE_BUDGET = SolverOptions(restarts=1, max_iterations=150, time_limit=15.0)
+
+#: The largest quick systems, where the translation dominates the reduction.
+TRANSLATION_PROGRAMS = ("strict-inverted-pendulum", "inverted-pendulum", "merge-sort")
+#: Child-process pairs per translation measurement (each side runs once a pair).
+TRANSLATION_PAIRS = 8
+#: Passes per child; a program's time is its fastest pass.
+TRANSLATION_PASSES = 3
+#: ``--baseline-rev`` fails when the median per-pair time ratio (this checkout
+#: over the baseline) exceeds this.  On a 2-vCPU host identical trees read
+#: 0.69-1.30 a pair over two runs (medians 1.00 and 1.10), and a translation
+#: made to take twice as long read 1.48-2.48 (median 1.94).
+MAX_TRANSLATION_RATIO = 1.5
+
+#: Run in a fresh interpreter with one revision's ``src`` on ``PYTHONPATH``:
+#: build the tasks (which warms the kernel's caches), then time
+#: ``putinar_translate`` plus ``compile_problem`` on each task's pairs, keeping
+#: each program's fastest pass.  It uses only names both sides of a comparison
+#: have.
+_TRANSLATION_CHILD = """
+import json, sys, time
+from repro.invariants.putinar import putinar_translate
+from repro.invariants.synthesis import build_task
+from repro.solvers.problem import compile_problem
+from repro.suite.registry import get_benchmark
+upsilon, passes, names = int(sys.argv[1]), int(sys.argv[2]), sys.argv[3:]
+tasks = []
+for name in names:
+    benchmark = get_benchmark(name)
+    options = benchmark.options(upsilon=upsilon)
+    tasks.append((name, build_task(benchmark.source, benchmark.precondition, None, options)))
+seconds = {name: float("inf") for name in names}
+for _ in range(passes):
+    for name, task in tasks:
+        start = time.perf_counter()
+        compile_problem(putinar_translate(task.pairs, upsilon=upsilon))
+        seconds[name] = min(seconds[name], time.perf_counter() - start)
+sizes = {name: task.system.size for name, task in tasks}
+print(json.dumps({"seconds": seconds, "system_size": sizes}))
+"""
 
 
 def _select(quick: bool, limit: int | None, limit_variables: int = 8):
@@ -107,81 +146,71 @@ def measure_degree_sweep(benchmarks, degrees=(1, 2), upsilon: int = 1) -> dict:
     }
 
 
-def _same_problem(left, right) -> bool:
-    """Whether two compiled problems have the same unknowns, kinds and row terms.
+def _unpack(revision: str, directory: str) -> str:
+    """``git archive`` the ``src`` tree of ``revision`` into ``directory``."""
+    root = os.path.dirname(_bench_config._SRC)
+    archive = subprocess.run(
+        ["git", "archive", "--format=tar", revision, "src"],
+        cwd=root, capture_output=True, check=True,
+    ).stdout
+    subprocess.run(["tar", "-x", "-C", directory], input=archive, check=True)
+    return os.path.join(directory, "src")
 
-    Terms compare as a set per row, so the order a kernel emits a row's
-    terms in does not matter.
-    """
-    if left.system_variables != right.system_variables or left.variables != right.variables:
-        return False
-    for field in ("kept_rows", "equality_mask", "nonneg_mask", "positive_mask", "constants"):
-        if not np.array_equal(getattr(left, field), getattr(right, field)):
-            return False
-    if left.linear.shape != right.linear.shape or (left.linear != right.linear).nnz:
-        return False
 
-    def quadratic_terms(problem):
-        terms = problem.quadratic
-        columns = (terms.coefficients, terms.right, terms.left, terms.rows)
-        order = np.lexsort(columns)
-        return [column[order] for column in columns]
-
-    return all(
-        np.array_equal(a, b) for a, b in zip(quadratic_terms(left), quadratic_terms(right))
+def _time_translation(src: str, upsilon: int) -> dict | None:
+    """One fresh child's timing of the translation at ``src`` (None when it fails)."""
+    env = {**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": "0"}
+    child = subprocess.run(
+        [sys.executable, "-c", _TRANSLATION_CHILD, str(upsilon), str(TRANSLATION_PASSES),
+         *TRANSLATION_PROGRAMS],
+        env=env, capture_output=True, text=True,
     )
+    if child.returncode != 0:
+        print(f"translation child at {src} failed:\n{child.stderr}", file=sys.stderr)
+        return None
+    return json.loads(child.stdout.strip().splitlines()[-1])
 
 
-def measure_translation(benchmarks, upsilon: int = 1, top: int = 3) -> dict:
-    """Symbolic reference loop vs the vectorised kernel every engine runs.
+def measure_translation(baseline_rev: str | None = None, upsilon: int = 1) -> dict:
+    """This checkout's translation kernel, timed against ``baseline_rev`` when given.
 
-    Each side is timed from the constraint pairs to its compiled Step-4
-    problem (:func:`~repro.solvers.problem.compile_problem`), which is what
-    the solvers need: the symbolic side lowers each polynomial into the row
-    arrays as it adds it, the kernel emits the arrays directly.  The two
-    problems must agree (:func:`_same_problem`).  ``speedup`` is the
-    kernel's gain over the symbolic baseline; it is the number the CI gate
-    holds.
+    Each of :data:`TRANSLATION_PAIRS` pairs runs one fresh child per side,
+    the side that goes first alternating from pair to pair; a side's seconds
+    are the sum over :data:`TRANSLATION_PROGRAMS` of each program's fastest
+    of :data:`TRANSLATION_PASSES` passes from constraint pairs to compiled
+    Step-4 problem.  ``ratios`` are the per-pair quotients (this
+    checkout over the baseline) whose median the CI gate holds; a side whose
+    child failed measured nothing and leaves its seconds ``None``.
     """
-    from repro.invariants.synthesis import build_task
+    with tempfile.TemporaryDirectory() as scratch:
+        sides = {"head": _bench_config._SRC}
+        if baseline_rev is not None:
+            sides["base"] = _unpack(baseline_rev, scratch)
+        runs: list[dict] = []
+        for index in range(TRANSLATION_PAIRS):
+            order = list(sides) if index % 2 == 0 else list(reversed(sides))
+            timed = {side: _time_translation(sides[side], upsilon) for side in order}
+            runs.append({"first": order[0], **timed})
 
-    tasks = [
-        (benchmark.name, build_task(benchmark.source, benchmark.precondition, None,
-                                    benchmark.options(upsilon=upsilon)))
-        for benchmark in benchmarks
-    ]
-    # The biggest systems are where the translation dominates the reduction.
-    tasks.sort(key=lambda pair: pair[1].system.size, reverse=True)
-    tasks = tasks[:top]
+    def totals(side: str) -> list[float | None]:
+        return [sum(run[side]["seconds"].values()) if run.get(side) else None for run in runs]
 
-    per_benchmark: dict[str, dict] = {}
-    symbolic_total = 0.0
-    vectorized_total = 0.0
-    for name, task in tasks:
-        start = time.perf_counter()
-        symbolic = putinar_translate(task.pairs, upsilon=upsilon, kernel="symbolic")
-        symbolic_problem = compile_problem(symbolic)
-        symbolic_seconds = time.perf_counter() - start
-        start = time.perf_counter()
-        vectorized = putinar_translate(task.pairs, upsilon=upsilon)
-        vectorized_problem = compile_problem(vectorized)
-        vectorized_seconds = time.perf_counter() - start
-        if not _same_problem(symbolic_problem, vectorized_problem):
-            raise AssertionError(f"{name}: the kernels compile to different Step-4 problems")
-        per_benchmark[name] = {
-            "pairs": len(task.pairs),
-            "system_size": symbolic.size,
-            "symbolic_seconds": symbolic_seconds,
-            "vectorized_seconds": vectorized_seconds,
-            "speedup": symbolic_seconds / vectorized_seconds if vectorized_seconds else None,
-        }
-        symbolic_total += symbolic_seconds
-        vectorized_total += vectorized_seconds
+    head = totals("head")
+    base = totals("base")
+    ratios = [h / b for h, b in zip(head, base) if h and b]
+    measured = [run["head"] for run in runs if run["head"]]
     return {
-        "per_benchmark": per_benchmark,
-        "symbolic_total_seconds": symbolic_total,
-        "vectorized_total_seconds": vectorized_total,
-        "speedup": symbolic_total / vectorized_total if vectorized_total else None,
+        "programs": list(TRANSLATION_PROGRAMS),
+        "upsilon": upsilon,
+        "baseline_rev": baseline_rev,
+        "system_size": measured[0]["system_size"] if measured else None,
+        "first_side": [run["first"] for run in runs],
+        "head_seconds": head,
+        "base_seconds": base,
+        "ratios": ratios,
+        "median_head_seconds": statistics.median(h for h in head if h) if any(head) else None,
+        "median_base_seconds": statistics.median(b for b in base if b) if any(base) else None,
+        "median_ratio": statistics.median(ratios) if ratios else None,
     }
 
 
@@ -238,10 +267,10 @@ def measure_escalation(benchmarks, max_degree: int = 2, upsilon: int = 1) -> dic
     }
 
 
-def run(quick: bool = True, limit: int | None = None) -> dict:
+def run(quick: bool = True, limit: int | None = None, baseline_rev: str | None = None) -> dict:
     benchmarks = _select(quick, limit)
     sweep = measure_degree_sweep(benchmarks)
-    translation = measure_translation(benchmarks)
+    translation = measure_translation(baseline_rev)
     escalation = measure_escalation(benchmarks[: min(len(benchmarks), 6)])
     return {
         "benchmark": "staged-reduction",
@@ -254,7 +283,7 @@ def run(quick: bool = True, limit: int | None = None) -> dict:
         "summary": {
             "staged_warm_speedup": sweep["warm_speedup"],
             "prefix_stage_hit_rate": sweep["prefix_stage_hit_rate"],
-            "translation_speedup": translation["speedup"],
+            "translation_ratio": translation["median_ratio"],
             "escalation_vs_fixed_ratio": escalation["auto_vs_fixed_ratio"],
             "escalation_minimal_degrees": {
                 name: row["final_degree"] for name, row in escalation["per_benchmark"].items()
@@ -271,15 +300,17 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--limit", type=int, default=None, help="only the first N programs")
     parser.add_argument("--output", default="BENCH_reduction.json", help="write the JSON report here")
     parser.add_argument(
-        "--min-translation-speedup", type=float, default=None,
-        help="fail (exit 1) when the vectorised translation kernel is below this speedup "
-             "over the symbolic baseline",
+        "--baseline-rev", default=None, metavar="REV",
+        help="also time the translation at git revision REV and fail (exit 1) when this "
+             f"checkout's median per-pair time ratio exceeds {MAX_TRANSLATION_RATIO}x "
+             "or either side measured nothing",
     )
     args = parser.parse_args(argv)
 
-    report = run(quick=args.quick, limit=args.limit)
+    report = run(quick=args.quick, limit=args.limit, baseline_rev=args.baseline_rev)
     summary = report["summary"]
     sweep = report["degree_sweep"]
+    translation = report["translation"]
 
     def fmt(value: float | None, spec: str, suffix: str = "") -> str:
         # Ratios are None for empty selections (e.g. --limit 0).
@@ -291,20 +322,28 @@ def main(argv: list[str] | None = None) -> int:
           f"({fmt(summary['staged_warm_speedup'], '.0f', 'x')})")
     print(f"prefix stage hit rate    : {fmt(summary['prefix_stage_hit_rate'], '.0%')} "
           "(later degrees reusing program-level stages)")
-    print(f"vectorised translation   : {fmt(summary['translation_speedup'], '.2f', 'x')} "
-          "over the symbolic loop (up to the compiled problem)")
+    print(f"translation (median)     : {fmt(translation['median_head_seconds'], '.3f', 's')} "
+          f"a pass, base {fmt(translation['median_base_seconds'], '.3f', 's')}")
+    print(f"translation ratio        : {fmt(summary['translation_ratio'], '.2f', 'x')} median of "
+          f"{[round(ratio, 2) for ratio in translation['ratios']]} (this checkout / base)")
     print(f"escalation vs fixed      : "
           f"{fmt(summary['escalation_vs_fixed_ratio'], '.2f', 'x wall-clock of the cold fixed ladder')}")
     print(f"minimal degrees          : {summary['escalation_minimal_degrees']}")
     with open(args.output, "w", encoding="utf-8") as handle:
         json.dump(report, handle, indent=2)
     print(f"\nwrote {args.output}")
-    if args.min_translation_speedup is not None:
-        speedup = summary["translation_speedup"]
-        if speedup is not None and speedup < args.min_translation_speedup:
+    if args.baseline_rev is not None:
+        head = translation["head_seconds"]
+        base = translation["base_seconds"]
+        if not all(head) or not all(base):
+            print("FAIL: the translation measured nothing on one side "
+                  f"(head {head}, base {base})", file=sys.stderr)
+            return 1
+        ratio = summary["translation_ratio"]
+        if ratio > MAX_TRANSLATION_RATIO:
             print(
-                f"FAIL: vectorised translation {speedup:.2f}x is below the "
-                f"--min-translation-speedup gate of {args.min_translation_speedup:.2f}x",
+                f"FAIL: translation takes {ratio:.2f}x the time it takes at "
+                f"{args.baseline_rev} (gate {MAX_TRANSLATION_RATIO}x)",
                 file=sys.stderr,
             )
             return 1

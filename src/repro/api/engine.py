@@ -197,6 +197,8 @@ class Engine:
     ) -> None:
         if workers < 0:
             raise ValueError(f"workers must be non-negative, got {workers}")
+        if max_cached_solves is not None and max_cached_solves < 0:
+            raise ValueError(f"max_cached_solves must be non-negative or None, got {max_cached_solves}")
         self.workers = workers
         self.cache = cache if cache is not None else TaskCache(max_entries=DEFAULT_CACHE_ENTRIES)
         self.max_cached_solves = max_cached_solves

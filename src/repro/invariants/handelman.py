@@ -21,13 +21,14 @@ benchmarks.
 
 from __future__ import annotations
 
+from functools import partial
 from itertools import combinations_with_replacement
 from typing import Sequence
 
 from repro.invariants.constraints import ConstraintPair
-from repro.invariants.quadratic_system import PairProvenance, QuadraticSystem
+from repro.invariants.quadratic_system import QuadraticSystem
 from repro.invariants.template import UNKNOWN_PREFIX
-from repro.polynomial.ordering import grlex_key
+from repro.invariants.translation import _compile_handelman_pair, _emit_handelman, translate
 from repro.polynomial.polynomial import Polynomial
 
 
@@ -62,78 +63,17 @@ def enumerate_products(
     return products
 
 
-def translate_pair_handelman(
-    pair: ConstraintPair,
-    pair_index: int,
-    system: QuadraticSystem,
-    max_factors: int = 2,
-    with_witness: bool = True,
-) -> None:
-    """Translate one constraint pair with the Handelman/Schweighofer scheme."""
-    tag = f"c{pair_index}"
-    variables = pair.relevant_program_variables()
-    system.provenance.append(
-        PairProvenance(
-            index=pair_index,
-            name=pair.name,
-            target=pair.target,
-            scheme="handelman",
-            assumption_count=len(pair.assumptions),
-            variables=tuple(variables),
-            max_factors=max_factors,
-            with_witness=with_witness,
-        )
-    )
-
-    rhs = Polynomial.zero()
-    if with_witness:
-        witness = Polynomial.variable(f"{UNKNOWN_PREFIX}eps_{tag}")
-        system.add_positive(witness, origin=f"{pair.name}:witness")
-        rhs = rhs + witness
-
-    for product_index, (label, _combo, product) in enumerate(
-        enumerate_products(pair.assumptions, max_factors)
-    ):
-        multiplier = Polynomial.variable(f"{UNKNOWN_PREFIX}t_{tag}_{product_index}_0")
-        system.add_nonnegative(multiplier, origin=f"{pair.name}:lambda[{label}]")
-        rhs = rhs + multiplier * product
-
-    # Same canonical emission order as Putinar and the vectorised kernel:
-    # ascending grlex rank of the matched monomial.
-    difference = pair.conclusion - rhs
-    collected = difference.collect(variables)
-    for monomial in sorted(collected, key=lambda m: grlex_key(m, variables)):
-        system.add_equality(collected[monomial], origin=f"{pair.name}:coeff[{monomial}]")
-
-
 def handelman_translate(
     pairs: Sequence[ConstraintPair],
     max_factors: int = 2,
     with_witness: bool = True,
     objective: Polynomial | None = None,
-    kernel: str = "vectorized",
 ) -> QuadraticSystem:
     """Translate constraint pairs into a quadratic system with scalar multipliers.
 
-    ``kernel`` behaves exactly as in
-    :func:`repro.invariants.putinar.putinar_translate`: the default runs the
-    vectorised flat-array kernel, while ``kernel="symbolic"`` keeps the
-    per-``Polynomial`` reference loop.
+    Like :func:`repro.invariants.putinar.putinar_translate`, this runs the
+    flat-array kernel of :mod:`repro.invariants.translation`; the ``k``-th
+    product of :func:`enumerate_products` owns the multiplier ``lambda_k``.
     """
-    if kernel == "vectorized":
-        from repro.invariants.translation import handelman_translate_vectorized
-
-        return handelman_translate_vectorized(
-            pairs,
-            max_factors=max_factors,
-            with_witness=with_witness,
-            objective=objective,
-        )
-    if kernel != "symbolic":
-        raise ValueError(f"unknown translation kernel {kernel!r}")
-    system = QuadraticSystem()
-    if objective is not None:
-        system.objective = objective
-    for index, pair in enumerate(pairs):
-        translate_pair_handelman(pair, index, system, max_factors=max_factors, with_witness=with_witness)
-    return system
+    compile_pair = partial(_compile_handelman_pair, max_factors=max_factors, with_witness=with_witness)
+    return translate(pairs, compile_pair, _emit_handelman, objective)

@@ -9,14 +9,13 @@ common input format of every Step-4 solver, and its size is the paper's
 A system stores its rows in one form, :class:`RowArrays`: integer arrays of
 terms over one table of unknown names and one pool of exact ``Fraction``
 coefficients.  The Step-3 kernels of :mod:`repro.invariants.translation` emit
-these arrays directly; a constraint added by hand (the symbolic translators,
-repair cuts, tests) is lowered into them as it is added.  Step 4 compiles
-every system from the arrays (:func:`repro.solvers.problem.compile_problem`)
-and the exact certificate check evaluates them
-(:func:`repro.certify.lift.exact_violations`).  The symbolic
-:attr:`QuadraticSystem.constraints` is a view, built on first access for
-printing and for the tests that compare the kernels with the symbolic
-translators; nothing on the solve path reads it.
+these arrays directly; a constraint added by hand (repair cuts, tests) is
+lowered into them as it is added.  Step 4 compiles every system from the
+arrays (:func:`repro.solvers.problem.compile_problem`) and the exact
+certificate check evaluates them (:func:`repro.certify.lift.exact_violations`).
+The symbolic :attr:`QuadraticSystem.constraints` is a view, built on first
+access for printing and for the tests that compare the compiled arrays with a
+per-polynomial lowering; nothing on the solve path reads it.
 """
 
 from __future__ import annotations

@@ -27,19 +27,12 @@ from __future__ import annotations
 import time
 from typing import Mapping, Union
 
-from repro.cfg.builder import build_cfg
-from repro.invariants.handelman import handelman_translate
-from repro.invariants.putinar import putinar_translate
 from repro.invariants.result import Invariant, SynthesisResult
-from repro.invariants.template import TemplateSet
 from repro.lang.ast_nodes import Program
-from repro.lang.parser import parse_program
-from repro.polynomial.polynomial import Polynomial
 from repro.reduction.options import AUTO_DEGREE, SynthesisOptions
 from repro.reduction.task import SynthesisTask
-from repro.spec.bounded import apply_bounded_reals_model
-from repro.spec.objectives import FeasibilityObjective, Objective
-from repro.spec.preconditions import Precondition, augment_entry_preconditions
+from repro.spec.objectives import Objective
+from repro.spec.preconditions import Precondition
 from repro.solvers.base import Solver, SolverResult
 from repro.solvers.problem import Deadline
 from repro.solvers.strong import RepresentativeEnumerator
@@ -52,7 +45,6 @@ __all__ = [
     "SynthesisOptions",
     "SynthesisTask",
     "build_task",
-    "build_task_monolithic",
     "enumerate_task",
     "rec_strong_inv_synth",
     "rec_weak_inv_synth",
@@ -86,88 +78,6 @@ def build_task(
     plan = compile_plan(program, precondition, objective, options)
     task, _ = plan.execute(cache=None)
     return task
-
-
-def build_task_monolithic(
-    program: ProgramLike,
-    precondition: PreconditionLike = None,
-    objective: Objective | None = None,
-    options: SynthesisOptions | None = None,
-) -> SynthesisTask:
-    """The seed's monolithic Steps 1-3, kept as the differential-test oracle.
-
-    The staged :func:`build_task` must produce semantically identical tasks;
-    ``tests/property/test_reduction_equivalence.py`` checks the two paths
-    against each other.  This oracle deliberately runs the *symbolic*
-    translation kernel (the per-``Polynomial`` reference loop), so the
-    staged-vs-monolithic property doubles as a vectorised-vs-symbolic
-    end-to-end differential test.  Production code should never call this.
-    """
-    options = options if options is not None else SynthesisOptions()
-    objective = objective if objective is not None else FeasibilityObjective()
-    statistics: dict[str, float] = {}
-
-    start = time.perf_counter()
-    parsed = program if isinstance(program, Program) else parse_program(program)
-    cfg = build_cfg(parsed)
-    statistics["time_frontend"] = time.perf_counter() - start
-
-    start = time.perf_counter()
-    if precondition is None:
-        pre = Precondition.trivial()
-    elif isinstance(precondition, Precondition):
-        pre = precondition.copy()
-    else:
-        pre = Precondition.from_spec(cfg, precondition)
-    if options.add_entry_assumptions:
-        pre = augment_entry_preconditions(cfg, pre)
-    if options.bounded:
-        pre = apply_bounded_reals_model(cfg, pre, bound=options.bound)
-    statistics["time_preconditions"] = time.perf_counter() - start
-
-    start = time.perf_counter()
-    templates = TemplateSet.build(cfg, degree=options.degree, conjuncts=options.conjuncts)
-    statistics["time_templates"] = time.perf_counter() - start
-
-    start = time.perf_counter()
-    from repro.invariants.generation import generate_constraint_pairs
-
-    pairs = generate_constraint_pairs(cfg, pre, templates)
-    statistics["time_constraint_pairs"] = time.perf_counter() - start
-
-    start = time.perf_counter()
-    objective_polynomial: Polynomial = objective.polynomial(templates)
-    if options.translation == "putinar":
-        system = putinar_translate(
-            pairs,
-            upsilon=options.upsilon,
-            with_witness=options.with_witness,
-            encode_sos=options.encode_sos,
-            objective=objective_polynomial,
-            kernel="symbolic",
-        )
-    else:
-        system = handelman_translate(
-            pairs,
-            with_witness=options.with_witness,
-            objective=objective_polynomial,
-            kernel="symbolic",
-        )
-    statistics["time_translation"] = time.perf_counter() - start
-    statistics["constraint_pairs"] = float(len(pairs))
-    statistics["system_size"] = float(system.size)
-
-    return SynthesisTask(
-        program=parsed,
-        cfg=cfg,
-        precondition=pre,
-        templates=templates,
-        pairs=pairs,
-        system=system,
-        options=options,
-        objective=objective,
-        statistics=statistics,
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,10 @@
-"""The vectorised Step-3 translation kernel.
+"""The Step-3 translation kernel behind Putinar and Handelman.
 
-The symbolic translators in :mod:`repro.invariants.putinar` and
-:mod:`repro.invariants.handelman` build every multiplier, guard product and
-Gram expansion as :class:`~repro.polynomial.polynomial.Polynomial` dict
-arithmetic — millions of small hash-map merges for a deep-degree system.  This
-module performs the same construction as dense monomial-index arithmetic over
-the graded-lexicographic basis:
+:func:`repro.invariants.putinar.putinar_translate` and
+:func:`repro.invariants.handelman.handelman_translate` build their systems
+here, as dense monomial-index arithmetic over the graded-lexicographic basis
+rather than as ``Polynomial`` dict arithmetic (millions of small hash-map
+merges for a deep-degree system):
 
 1. **Compile** (:func:`_compile_putinar_pair` / :func:`_compile_handelman_pair`)
    lowers one constraint pair to flat int64 arrays: program-part exponent rows,
@@ -29,11 +28,12 @@ the graded-lexicographic basis:
 Why this is exact: every term a kernel emits carries a *distinct* unknown
 monomial within its equality group (the t/l/eps id layout is collision-free by
 construction), so grouping never has to add two ``Fraction`` coefficients and
-the pooled ids reproduce the symbolic result bit-for-bit.  The property tests
-in ``tests/property/test_translation_equivalence.py`` compare the system's
-constraint view with the symbolic translators, and
-``tests/integration/test_row_arrays.py`` compares the compiled arrays with
-the per-polynomial lowering of that view.
+each pooled id is a coefficient of (†) as written.  The emitted rows are
+frozen as sha256 digests in ``tests/integration/test_golden_reduction.py``,
+recorded after a per-``Polynomial`` expansion of (†) agreed with them
+constraint for constraint, and ``tests/integration/test_row_arrays.py``
+compares the compiled arrays with the per-polynomial lowering of the
+system's constraint view.
 """
 
 from __future__ import annotations
@@ -258,7 +258,9 @@ class _PairJob:
     product_labels: tuple[str, ...] = ()
 
 
-def _compile_putinar_pair(pair: ConstraintPair, pair_index: int, options) -> _PairJob:
+def _compile_putinar_pair(
+    pair: ConstraintPair, pair_index: int, upsilon: int, with_witness: bool, encode_sos: bool
+) -> _PairJob:
     tag = f"c{pair_index}"
     variables = tuple(pair.relevant_program_variables())
     width = len(variables)
@@ -271,8 +273,8 @@ def _compile_putinar_pair(pair: ConstraintPair, pair_index: int, options) -> _Pa
     ]
     input_count = len(unknown_index)
     assumption_count = len(pair.assumptions)
-    h_dim = count_monomials_up_to_degree(width, options.upsilon)
-    h_exponents = _basis_exponents(width, options.upsilon)
+    h_dim = count_monomials_up_to_degree(width, upsilon)
+    h_exponents = _basis_exponents(width, upsilon)
 
     # Output unknown id layout: input unknowns, then the (m+1) t-blocks, the
     # witness, then the (m+1) Cholesky blocks (row-major lower triangles).
@@ -282,7 +284,7 @@ def _compile_putinar_pair(pair: ConstraintPair, pair_index: int, options) -> _Pa
     direct_a = [conclusion.unknown_ids]
     direct_b = [np.full(conclusion.unknown_ids.size, _NO_UNKNOWN, dtype=np.int64)]
     direct_coeff = [conclusion.coefficient_ids]
-    if options.with_witness:
+    if with_witness:
         direct_exponents.append(np.zeros((1, width), dtype=np.int64))
         direct_a.append(np.asarray([eps_id], dtype=np.int64))
         direct_b.append(np.asarray([_NO_UNKNOWN], dtype=np.int64))
@@ -325,8 +327,8 @@ def _compile_putinar_pair(pair: ConstraintPair, pair_index: int, options) -> _Pa
         scheme="putinar",
         assumption_count=assumption_count,
         variables=variables,
-        upsilon=options.upsilon,
-        with_witness=options.with_witness,
+        upsilon=upsilon,
+        with_witness=with_witness,
     )
     return _PairJob(
         provenance=provenance,
@@ -338,10 +340,10 @@ def _compile_putinar_pair(pair: ConstraintPair, pair_index: int, options) -> _Pa
         payload=payload,
         multiplier_count=assumption_count + 1,
         h_dim=h_dim,
-        sos_dim=count_monomials_up_to_degree(width, options.upsilon // 2),
-        with_witness=options.with_witness,
-        encode_sos=options.encode_sos,
-        upsilon=options.upsilon,
+        sos_dim=count_monomials_up_to_degree(width, upsilon // 2),
+        with_witness=with_witness,
+        encode_sos=encode_sos,
+        upsilon=upsilon,
     )
 
 
@@ -617,62 +619,35 @@ def _emit_handelman(builder: RowBuilder, job: _PairJob, result: KernelResult) ->
 
 
 # ---------------------------------------------------------------------------
-# Entry points
+# Driver
 # ---------------------------------------------------------------------------
 
 
-def _build_system(
-    jobs: Sequence[_PairJob],
-    results: Sequence[KernelResult],
-    emit: Callable,
+def translate(
+    pairs: Sequence[ConstraintPair],
+    compile_pair: Callable[[ConstraintPair, int], _PairJob],
+    emit: Callable[[RowBuilder, _PairJob, KernelResult], None],
     objective: Polynomial | None,
 ) -> QuadraticSystem:
+    """Compile every pair, run the kernel on each, and emit the rows of one system.
+
+    ``compile_pair(pair, index)`` and ``emit`` are one scheme's halves
+    (Putinar or Handelman); the three phases are timed into the system's
+    :class:`TranslationProfile`.
+    """
+    start = time.perf_counter()
+    jobs = [compile_pair(pair, index) for index, pair in enumerate(pairs)]
+    compiled_at = time.perf_counter()
+    results = [run_kernel(job.payload) for job in jobs]
+    fanned_at = time.perf_counter()
     builder = RowBuilder()
     for job, result in zip(jobs, results):
         emit(builder, job, result)
-    return QuadraticSystem(
+    system = QuadraticSystem(
         objective=objective,
         provenance=[job.provenance for job in jobs],
         rows=builder.freeze(),
     )
-
-
-def putinar_translate_vectorized(
-    pairs: Sequence[ConstraintPair],
-    options,
-    objective: Polynomial | None = None,
-) -> QuadraticSystem:
-    """Vectorised Putinar translation; equal to the symbolic path constraint-for-constraint."""
-    start = time.perf_counter()
-    jobs = [_compile_putinar_pair(pair, index, options) for index, pair in enumerate(pairs)]
-    compiled_at = time.perf_counter()
-    results = [run_kernel(job.payload) for job in jobs]
-    fanned_at = time.perf_counter()
-    system = _build_system(jobs, results, _emit_putinar, objective)
-    system.translation_profile = TranslationProfile(
-        compile_seconds=compiled_at - start,
-        fanout_seconds=fanned_at - compiled_at,
-        assemble_seconds=time.perf_counter() - fanned_at,
-    )
-    return system
-
-
-def handelman_translate_vectorized(
-    pairs: Sequence[ConstraintPair],
-    max_factors: int = 2,
-    with_witness: bool = True,
-    objective: Polynomial | None = None,
-) -> QuadraticSystem:
-    """Vectorised Handelman translation; equal to the symbolic path constraint-for-constraint."""
-    start = time.perf_counter()
-    jobs = [
-        _compile_handelman_pair(pair, index, max_factors, with_witness)
-        for index, pair in enumerate(pairs)
-    ]
-    compiled_at = time.perf_counter()
-    results = [run_kernel(job.payload) for job in jobs]
-    fanned_at = time.perf_counter()
-    system = _build_system(jobs, results, _emit_handelman, objective)
     system.translation_profile = TranslationProfile(
         compile_seconds=compiled_at - start,
         fanout_seconds=fanned_at - compiled_at,

@@ -48,6 +48,8 @@ class TaskCache:
     """
 
     def __init__(self, max_entries: int | None = None, stages: StageCache | None = None) -> None:
+        if max_entries is not None and max_entries < 0:
+            raise ValueError(f"max_entries must be non-negative or None, got {max_entries}")
         self.max_entries = max_entries
         self.stages = stages if stages is not None else StageCache(max_entries=max_entries)
         self._tasks: dict[tuple, SynthesisTask] = {}

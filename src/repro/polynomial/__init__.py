@@ -11,10 +11,9 @@ Design notes
   reduction of the paper is exact; floats only appear inside the numeric
   Step-4 solvers.
 * Template unknowns (the paper's *s-*, *t-*, *l-* and *eps-variables*) are
-  ordinary variables living in the same ring as program variables.  The
-  :func:`~repro.polynomial.polynomial.Polynomial.collect` operation splits a
-  polynomial by the monomials over a chosen variable subset, which is exactly
-  the "equate coefficients of corresponding monomials" step of the paper.
+  ordinary variables living in the same ring as program variables.  Step 3's
+  "equate coefficients of corresponding monomials" runs on the flat arrays of
+  :mod:`repro.polynomial.compiled`, not on ``Polynomial`` values.
 """
 
 from repro.polynomial.compiled import QuadraticTriplets, lower_quadratic
@@ -30,7 +29,7 @@ from repro.polynomial.ordering import (
 )
 from repro.polynomial.parse import parse_polynomial
 from repro.polynomial.polynomial import Polynomial
-from repro.polynomial.sos import GramEncoding, gram_matrix_encoding, sos_basis
+from repro.polynomial.sos import sos_basis
 
 __all__ = [
     "Monomial",
@@ -38,8 +37,6 @@ __all__ = [
     "Polynomial",
     "QuadraticTriplets",
     "lower_quadratic",
-    "GramEncoding",
-    "gram_matrix_encoding",
     "sos_basis",
     "parse_polynomial",
     "lex_key",

@@ -55,7 +55,7 @@ def exponent_rows(
 
 
 # Reserved slots shared by every pool: the coefficients that translation
-# synthesises itself (the -1 of the moved right-hand side and the 1/2 of the
+# synthesises itself (the -1 of the moved right-hand side and the -2 of the
 # Gram expansion) get fixed ids so kernels can emit them without a pool lookup.
 POOL_PLUS_ONE = 0
 POOL_MINUS_ONE = 1

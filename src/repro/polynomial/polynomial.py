@@ -415,28 +415,6 @@ class Polynomial:
                     del renamed[key]
         return Polynomial._from_validated(renamed)
 
-    def collect(self, variables: Iterable[str]) -> dict[Monomial, "Polynomial"]:
-        """Group terms by their monomial over ``variables``.
-
-        Returns a map from monomials over ``variables`` to polynomials over
-        the *remaining* variables, such that
-        ``self == sum(mono * poly for mono, poly in result.items())``.
-        This is the "equate coefficients of corresponding monomials" operation
-        of Step 3 in the paper.
-        """
-        keep = set(variables)
-        grouped: dict[Monomial, dict[Monomial, Fraction]] = {}
-        for monomial, coefficient in self._terms.items():
-            outer = monomial.restrict(keep)
-            inner = monomial.exclude(keep)
-            bucket = grouped.setdefault(outer, {})
-            existing = bucket.get(inner)
-            bucket[inner] = coefficient if existing is None else existing + coefficient
-        return {
-            outer: Polynomial._from_validated({m: c for m, c in bucket.items() if c})
-            for outer, bucket in grouped.items()
-        }
-
     def partial_derivative(self, var: str) -> "Polynomial":
         """Formal partial derivative with respect to ``var``."""
         derived: dict[Monomial, Fraction] = {}

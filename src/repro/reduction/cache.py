@@ -53,6 +53,8 @@ class StageCache:
     """
 
     def __init__(self, max_entries: int | None = None) -> None:
+        if max_entries is not None and max_entries < 0:
+            raise ValueError(f"max_entries must be non-negative or None, got {max_entries}")
         self.max_entries = max_entries
         self._values: dict[str, dict[tuple, object]] = {name: {} for name in STAGE_NAMES}
         self._pins: dict[str, dict[tuple, object]] = {name: {} for name in STAGE_NAMES}

@@ -9,9 +9,10 @@ stages, individually timed, through an optional
 prefix (same program at a different degree; same constraint pairs at a
 different Upsilon) recompute only the stages that actually differ.
 
-The assembled :class:`SynthesisTask` is byte-for-byte equivalent to what the
-historical monolithic ``build_task`` produced; the property tests in
-``tests/property/test_reduction_equivalence.py`` pin that down.
+A task assembled from cached stages is identical to one built cold: the
+property tests in ``tests/property/test_reduction_equivalence.py`` compare
+their row digests, and ``tests/integration/test_golden_reduction.py``
+freezes the pairs and rows themselves.
 """
 
 from __future__ import annotations

@@ -23,7 +23,10 @@ from repro.spec.objectives import (
 
 @dataclass(frozen=True)
 class PaperReference:
-    """The numbers the paper reports for a benchmark (for EXPERIMENTS.md comparison)."""
+    """The numbers the paper reports for a benchmark.
+
+    ``python -m repro.bench`` prints them beside the measured ones.
+    """
 
     conjuncts: int
     degree: int
@@ -56,7 +59,7 @@ class Benchmark:
     notes:
         Deviations from the original source (e.g. equality guards rewritten as
         conjunctions of inequalities, ``mod``/``floor`` replaced by
-        non-determinism) — these are also surfaced in EXPERIMENTS.md.
+        non-determinism).
     """
 
     name: str

@@ -7,8 +7,7 @@ integer division by two) the rewriting follows the paper's own conventions:
 equalities become conjunctions of two non-strict inequalities, parity tests
 become non-deterministic branches whose two arms both preserve the desired
 invariant, and halving is written as multiplication by ``0.5``.  Every such
-deviation is recorded in the benchmark's ``notes`` field and surfaced in
-EXPERIMENTS.md.
+deviation is recorded in the benchmark's ``notes`` field.
 
 The ``paper`` field carries the row of Table 2 (n, d, |V|, |S|, runtime) so
 that the harness can print paper-vs-measured columns.

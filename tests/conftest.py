@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import os
 import sys
 
@@ -40,6 +41,27 @@ def sum_cfg(sum_program):
 def sum_precondition(sum_cfg):
     """The paper's pre-condition n >= 1 at the entry label of sum."""
     return Precondition.from_spec(sum_cfg, {"sum": {1: "n >= 1"}})
+
+
+def _rows_digest(rows) -> str:
+    digest = hashlib.sha256()
+    digest.update(repr(rows.names).encode())
+    digest.update(repr(tuple((value.numerator, value.denominator) for value in rows.pool)).encode())
+    for array in (rows.kinds, rows.term_row, rows.term_a, rows.term_b, rows.term_coeff):
+        digest.update(str(array.dtype).encode())
+        digest.update(array.tobytes())
+    return digest.hexdigest()
+
+
+@pytest.fixture(scope="session")
+def rows_digest():
+    """sha256 of a system's ``RowArrays``: names, pool, kinds and every term column.
+
+    Two systems with equal digests compile to the same Step-4 problem; the
+    frozen digests of ``tests/integration/test_golden_reduction.py`` are
+    values of this function.
+    """
+    return _rows_digest
 
 
 @pytest.fixture(scope="session")

@@ -189,14 +189,13 @@ def _unreachable_pair(conclusion: str) -> ConstraintPair:
 @pytest.mark.parametrize(
     "translate,conclusion,message",
     [
-        (lambda pairs, kernel: putinar_translate(pairs, upsilon=1, kernel=kernel),
+        (lambda pairs: putinar_translate(pairs, upsilon=1),
          "y^3 + $s_f_1_0_0", "inconsistent constant equality from 'pair:coeff[y^3]': 1 = 0"),
-        (lambda pairs, kernel: handelman_translate(pairs, max_factors=1, kernel=kernel),
+        (lambda pairs: handelman_translate(pairs, max_factors=1),
          "-2*y^2 + $s_f_1_0_0", "inconsistent constant equality from 'pair:coeff[y^2]': -2 = 0"),
     ],
 )
 def test_a_constant_group_is_refused_at_translation(translate, conclusion, message):
-    for kernel in ("vectorized", "symbolic"):
-        with pytest.raises(SynthesisError) as raised:
-            translate([_unreachable_pair(conclusion)], kernel)
-        assert str(raised.value) == message
+    with pytest.raises(SynthesisError) as raised:
+        translate([_unreachable_pair(conclusion)])
+    assert str(raised.value) == message

@@ -80,16 +80,6 @@ def test_substitution_commutes_with_evaluation(p, q, valuation):
 
 
 @settings(max_examples=60, deadline=None)
-@given(polynomials, st.lists(st.sampled_from(VARIABLES), max_size=3))
-def test_collect_reconstructs_polynomial(p, chosen):
-    grouped = p.collect(chosen)
-    rebuilt = Polynomial.zero()
-    for monomial, coefficient in grouped.items():
-        rebuilt = rebuilt + Polynomial.from_monomial(monomial) * coefficient
-    assert rebuilt == p
-
-
-@settings(max_examples=60, deadline=None)
 @given(polynomials)
 def test_degree_of_product(p):
     q = Polynomial.variable("x") + 1

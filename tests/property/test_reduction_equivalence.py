@@ -1,26 +1,26 @@
-"""Staged/escalated reductions are semantically identical to the monolithic seed path.
+"""Staged, cached and escalated reductions equal a cold ``build_task``.
 
-The staged reduction compiler (:mod:`repro.reduction`) must be a pure
-refactoring of the seed's monolithic ``build_task``: for every option
-combination the two paths must produce the same constraint pairs, the same
-``QuadraticSystem`` and — after a deterministic Step-4 solve — the same
-``SynthesisResult``/response fingerprint.  Hypothesis drives the option space;
-the programs are kept tiny so each reduction stays in the milliseconds.
+The staged reduction compiler (:mod:`repro.reduction`) shares stages between
+requests through a :class:`~repro.reduction.cache.StageCache`: a task
+assembled from cached stages, or built as one rung of a degree ladder, must
+have the same row arrays as a cold :func:`build_task` with the same options,
+and an engine's cached solve must return what a direct solve of that system
+returns.  Systems are compared by the sha256 of their row arrays (the
+``rows_digest`` fixture); ``tests/integration/test_golden_reduction.py``
+freezes those digests over the same option space.  Hypothesis drives the
+options; the programs are kept tiny so each reduction stays in the
+milliseconds.
 """
+
+from dataclasses import replace
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.api.engine import Engine
 from repro.api.request import SynthesisRequest
-from repro.invariants.synthesis import (
-    SynthesisOptions,
-    build_task,
-    build_task_monolithic,
-    result_from_solution,
-)
+from repro.invariants.synthesis import SynthesisOptions, build_task, result_from_solution
 from repro.pipeline.cache import TaskCache
 from repro.pipeline.jobs import SynthesisJob
-from repro.reduction.plan import compile_plan
 from repro.solvers.base import SolverOptions
 from repro.solvers.qclp import PenaltyQCLPSolver
 
@@ -62,32 +62,14 @@ options_strategy = st.builds(
 )
 
 
-def _system_snapshot(task):
-    return (
-        [str(constraint) for constraint in task.system.constraints],
-        str(task.system.objective),
-    )
-
-
-@settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(program=st.sampled_from(sorted(PROGRAMS)), options=options_strategy)
-def test_staged_reduction_matches_monolithic(program, options):
-    source, precondition = PROGRAMS[program]
-    staged = build_task(source, precondition, None, options)
-    monolithic = build_task_monolithic(source, precondition, None, options)
-
-    assert [pair.name for pair in staged.pairs] == [pair.name for pair in monolithic.pairs]
-    assert staged.templates.coefficient_names() == monolithic.templates.coefficient_names()
-    assert _system_snapshot(staged) == _system_snapshot(monolithic)
-    # The statistics vocabulary of the seed is preserved.
-    for key in ("time_frontend", "time_preconditions", "time_templates",
-                "time_constraint_pairs", "time_translation", "constraint_pairs", "system_size"):
-        assert key in staged.statistics, key
+#: The statistics vocabulary of the seed's ``build_task``.
+STATISTICS = ("time_frontend", "time_preconditions", "time_templates",
+              "time_constraint_pairs", "time_translation", "constraint_pairs", "system_size")
 
 
 @settings(max_examples=15, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(program=st.sampled_from(sorted(PROGRAMS)), options=options_strategy)
-def test_stage_cached_reduction_matches_cold(program, options):
+def test_stage_cached_reduction_matches_cold(rows_digest, program, options):
     """A reduction assembled from cached stages equals a cold one."""
     source, precondition = PROGRAMS[program]
     cache = TaskCache()
@@ -106,26 +88,31 @@ def test_stage_cached_reduction_matches_cold(program, options):
         SynthesisJob(name="cold", source=source, precondition=precondition, options=options)
     )
     assert not from_cache  # different degree: a whole-task miss, stages partially reused
-    assert _system_snapshot(task) == _system_snapshot(build_task_monolithic(source, precondition, None, options))
+    cold = build_task(source, precondition, None, options)
+    assert [pair.name for pair in task.pairs] == [pair.name for pair in cold.pairs]
+    assert task.templates.coefficient_names() == cold.templates.coefficient_names()
+    assert rows_digest(task.system.rows) == rows_digest(cold.system.rows)
+    for key in STATISTICS:
+        assert key in task.statistics, key
 
 
 @settings(max_examples=8, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(program=st.sampled_from(sorted(PROGRAMS)), upsilon=st.integers(min_value=1, max_value=2))
 def test_fixed_degree_result_fingerprint_matches_seed_path(program, upsilon):
-    """Engine (staged, cached) and seed (monolithic task) solves agree exactly.
+    """The engine (staged, cached) equals a direct solve of ``build_task``'s system.
 
-    The solver is deterministic (fixed seed, no time limit), so identical
-    quadratic systems must yield identical assignments, hence identical
-    response/result fingerprints.
+    The direct path is the seed's: build the task, solve its system, and
+    assemble the result with :func:`result_from_solution`.  The solver is
+    deterministic (fixed seed, no time limit), so identical quadratic systems
+    must yield identical assignments, hence identical response/result
+    fingerprints.
     """
     source, precondition = PROGRAMS[program]
     options = SynthesisOptions(degree=1, upsilon=upsilon)
     solver_options = SolverOptions(restarts=1, max_iterations=120, time_limit=None, seed=0)
 
-    monolithic_task = build_task_monolithic(source, precondition, None, options)
-    seed_result = result_from_solution(
-        monolithic_task, PenaltyQCLPSolver(solver_options).solve(monolithic_task.system)
-    )
+    task = build_task(source, precondition, None, options)
+    seed_result = result_from_solution(task, PenaltyQCLPSolver(solver_options).solve(task.system))
 
     request = SynthesisRequest(
         program=source,
@@ -151,20 +138,17 @@ def test_fixed_degree_result_fingerprint_matches_seed_path(program, upsilon):
 
 @settings(max_examples=6, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(options=options_strategy)
-def test_escalated_rung_system_equals_fixed_degree_system(options):
-    """Each rung of the degree ladder reduces exactly like the fixed-degree request."""
+def test_escalated_rung_system_equals_fixed_degree_system(rows_digest, options):
+    """Each rung of the degree ladder reduces exactly like the fixed-degree request.
+
+    The rungs share one task cache (and its stage cache), as an engine's do.
+    """
     source, precondition = PROGRAMS["loop"]
+    cache = TaskCache()
     for degree in SynthesisOptions(degree="auto", max_degree=2).escalation_degrees():
-        rung = SynthesisOptions(
-            degree=degree,
-            conjuncts=options.conjuncts,
-            upsilon=options.upsilon,
-            translation=options.translation,
-            add_entry_assumptions=options.add_entry_assumptions,
-            with_witness=options.with_witness,
-            encode_sos=options.encode_sos,
+        rung = replace(options, degree=degree)
+        staged, _ = cache.get_or_build(
+            SynthesisJob(name=f"rung{degree}", source=source, precondition=precondition, options=rung)
         )
-        staged, _ = compile_plan(source, precondition, None, rung).execute()
-        assert _system_snapshot(staged) == _system_snapshot(
-            build_task_monolithic(source, precondition, None, rung)
-        )
+        fixed = build_task(source, precondition, None, rung)
+        assert rows_digest(staged.system.rows) == rows_digest(fixed.system.rows)

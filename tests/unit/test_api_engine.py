@@ -14,6 +14,8 @@ from repro.api import (
 )
 from repro.api import engine as engine_module
 from repro.invariants.synthesis import build_task
+from repro.pipeline.cache import TaskCache
+from repro.reduction import StageCache
 from repro.reduction import plan as plan_module
 from repro.solvers import strong as strong_module
 from repro.solvers.base import Solver, SolverOptions, SolverResult
@@ -328,8 +330,6 @@ def test_solve_dedup_table_is_bounded():
 
 
 def test_task_cache_is_boundable():
-    from repro.pipeline.cache import TaskCache
-
     with Engine(cache=TaskCache(max_entries=1), solver_options=QUICK_SOLVE) as engine:
         engine.synthesize(request_for("freire1", reduce_only=True))
         engine.synthesize(request_for("cohendiv", reduce_only=True))
@@ -344,6 +344,27 @@ def test_an_engines_own_task_cache_is_bounded():
     with Engine() as engine:
         assert engine.cache.max_entries == bound
         assert engine.cache.stages.max_entries == bound
+
+
+@pytest.mark.parametrize(
+    "engine_with_bound",
+    [
+        lambda bound: Engine(solver_options=QUICK_SOLVE, max_cached_solves=bound),
+        lambda bound: Engine(solver_options=QUICK_SOLVE, cache=TaskCache(max_entries=bound)),
+        lambda bound: Engine(
+            solver_options=QUICK_SOLVE, cache=TaskCache(stages=StageCache(max_entries=bound))
+        ),
+    ],
+    ids=["solve-table", "task-cache", "stage-cache"],
+)
+def test_a_negative_cache_bound_is_refused_and_none_or_zero_still_serve(engine_with_bound):
+    # A negative bound used to empty the table and then fail every request
+    # with a bare StopIteration from the eviction loop.
+    with pytest.raises(ValueError, match="must be non-negative or None, got -1"):
+        engine_with_bound(-1)
+    for bound in (None, 0):
+        with engine_with_bound(bound) as engine:
+            assert engine.synthesize(request_for("sum")).status == "ok"
 
 
 # -- lifecycle ---------------------------------------------------------------------

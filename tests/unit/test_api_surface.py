@@ -177,13 +177,11 @@ EXPECTED_SOLVERS_ALL = [
 
 
 EXPECTED_POLYNOMIAL_ALL = [
-    "GramEncoding",
     "Monomial",
     "MonomialOrder",
     "Polynomial",
     "QuadraticTriplets",
     "count_monomials_up_to_degree",
-    "gram_matrix_encoding",
     "grevlex_key",
     "grlex_key",
     "lex_key",

@@ -128,21 +128,6 @@ def test_rename():
     assert renamed == Polynomial.variable("z") ** 2 + Polynomial.variable("z") * y()
 
 
-def test_collect_reconstructs():
-    p = 3 * x() * x() * y() + 2 * x() + y() * y() + 5
-    grouped = p.collect(["x"])
-    rebuilt = Polynomial.zero()
-    for monomial, coefficient in grouped.items():
-        rebuilt = rebuilt + Polynomial.from_monomial(monomial) * coefficient
-    assert rebuilt == p
-
-
-def test_collect_groups_by_chosen_variables():
-    p = x() * y() + x()
-    grouped = p.collect(["x"])
-    assert grouped[Monomial({"x": 1})] == y() + 1
-
-
 def test_partial_derivative():
     p = x() ** 3 + 2 * x() * y() + 5
     assert p.partial_derivative("x") == 3 * x() ** 2 + 2 * y()
